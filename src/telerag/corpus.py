@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
+from .errors import DataError
+
 
 class Tokenizer(Protocol):
     """Tokenize text and rejoin token windows into chunk text."""
@@ -158,22 +160,27 @@ def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
 
 
 def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
-    """Load chunks written by write_chunks_jsonl."""
+    """Load chunks written by write_chunks_jsonl; a malformed line raises
+    DataError naming path:line."""
     chunks: list[Chunk] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            chunks.append(
-                Chunk(
+            try:
+                rec = json.loads(line)
+                chunk = Chunk(
                     chunk_id=rec["chunk_id"],
                     doc_id=rec["doc_id"],
                     seq=rec["seq"],
                     text=rec["text"],
                     token_count=rec["token_count"],
                 )
-            )
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: chunk record lacks field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed chunk record: {exc}") from exc
+            chunks.append(chunk)
     return chunks
 
 

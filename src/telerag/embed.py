@@ -59,21 +59,18 @@ def _hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
     is bit-identical across runs and platforms.
     """
     payload = text.encode("utf-8")
-    values: list[float] = []
-    counter = 0
-    while len(values) < dims:
-        digest = hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter) + payload).digest()
-        for off in range(0, 32, 8):
-            if len(values) == dims:
-                break
-            word = int.from_bytes(digest[off : off + 8], "little")
-            values.append(word / 2**63 - 1.0)
-        counter += 1
-    norm = math.sqrt(math.fsum(v * v for v in values))
+    blob = b"".join(
+        hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter) + payload).digest()
+        for counter in range(-(-dims // 4))
+    )
+    # The float64 cast rounds each word once and dividing by 2**63 is exact, so
+    # every value equals the correctly rounded Python-int quotient word / 2**63.
+    values = np.frombuffer(blob, dtype="<u8", count=dims).astype(np.float64) / 2.0**63 - 1.0
+    norm = math.sqrt(math.fsum((values * values).tolist()))
     if norm == 0.0:
         values[0] = 1.0
         norm = 1.0
-    return (np.asarray(values, dtype=np.float64) / norm).astype(np.float32)
+    return (values / norm).astype(np.float32)
 
 
 def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.ndarray]:

@@ -233,7 +233,10 @@ def load_dataset(path: str | Path) -> list[McqItem]:
         if isinstance(raw, dict):
             entries = list(raw.items())
         elif isinstance(raw, list):
-            entries = [(str(e.get("id", f"q{i}")), e) for i, e in enumerate(raw)]
+            entries = [
+                (str(e.get("id", f"q{i}")) if isinstance(e, dict) else f"q{i}", e)
+                for i, e in enumerate(raw)
+            ]
         else:
             raise DataError(f"dataset root must be an object or array, got {type(raw).__name__}")
         for item_id, entry in entries:
@@ -243,6 +246,8 @@ def load_dataset(path: str | Path) -> list[McqItem]:
                 items.append(_item_from_raw_entry(item_id, entry))
             except DataError as exc:
                 failures.append(f"item {item_id!r}: {exc}")
+    if len(failures) == 1:
+        raise DataError(f"invalid entry in {path}: {failures[0]}")
     if failures:
         shown = "\n  ".join(failures[:20])
         more = f"\n  … and {len(failures) - 20} more" if len(failures) > 20 else ""

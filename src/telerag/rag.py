@@ -71,30 +71,41 @@ def build_query(item: McqItem, mode: str = "question_plus_options") -> str:
     return "\n".join(lines)
 
 
-def _retrieve_scored(
+def retrieve_many(
     store: VectorStore,
     provider: EmbeddingProviderConfig,
-    query: str,
+    queries: Sequence[str],
     cfg: RagConfig,
     chunks: Mapping[str, Chunk],
-) -> list[tuple[Chunk, SearchHit]]:
+) -> list[list[tuple[Chunk, SearchHit]]]:
+    """Per query, the top-k chunks and their hits within the token budget, best-ranked first.
+
+    Whole chunks only; the rank-1 chunk is always kept even if it alone
+    exceeds the budget. Each query is embedded on its own; all are scored
+    in one search_many call.
+    """
     if provider.fingerprint != store.provider_fingerprint:
         raise FingerprintMismatchError(
             f"store was built with provider {store.provider_fingerprint!r}, "
             f"query uses {provider.fingerprint!r}"
         )
-    hits = store.search(embed_text(provider, query), cfg.k)
-    kept: list[tuple[Chunk, SearchHit]] = []
-    budget = cfg.max_context_tokens
-    for hit in hits:
-        if hit.chunk_id not in chunks:
-            raise DataError(f"store references chunk {hit.chunk_id!r} missing from the corpus")
-        chunk = chunks[hit.chunk_id]
-        if kept and budget - chunk.token_count < 0:
-            break
-        kept.append((chunk, hit))
-        budget -= chunk.token_count
-    return kept
+    if not queries:
+        return []
+    vectors = [embed_text(provider, query) for query in queries]
+    contexts = []
+    for hits in store.search_many(vectors, cfg.k):
+        kept: list[tuple[Chunk, SearchHit]] = []
+        budget = cfg.max_context_tokens
+        for hit in hits:
+            if hit.chunk_id not in chunks:
+                raise DataError(f"store references chunk {hit.chunk_id!r} missing from the corpus")
+            chunk = chunks[hit.chunk_id]
+            if kept and budget - chunk.token_count < 0:
+                break
+            kept.append((chunk, hit))
+            budget -= chunk.token_count
+        contexts.append(kept)
+    return contexts
 
 
 def retrieve_context(
@@ -104,12 +115,23 @@ def retrieve_context(
     cfg: RagConfig,
     chunks: Mapping[str, Chunk],
 ) -> list[Chunk]:
-    """Top-k chunks truncated to the token budget, best-ranked first.
+    """retrieve_many for one query, without the hits."""
+    return [chunk for chunk, _ in retrieve_many(store, provider, [query], cfg, chunks)[0]]
 
-    Whole chunks only; the rank-1 chunk is always kept even if it alone
-    exceeds the budget.
-    """
-    return [chunk for chunk, _ in _retrieve_scored(store, provider, query, cfg, chunks)]
+
+def _retrieve_items(
+    store: VectorStore | None,
+    provider: EmbeddingProviderConfig | None,
+    items: Sequence[McqItem],
+    cfg: RagConfig,
+    chunks: Mapping[str, Chunk] | None,
+) -> list[list[tuple[Chunk, SearchHit]]]:
+    if store is None:
+        return [[] for _ in items]
+    if provider is None or chunks is None:
+        raise ValueError("retrieval needs provider and chunks alongside the store")
+    queries = [build_query(item, cfg.query_mode) for item in items]
+    return retrieve_many(store, provider, queries, cfg, chunks)
 
 
 def augment(item: McqItem, context: Sequence[Chunk]) -> AugmentedPrompt:
@@ -137,26 +159,24 @@ def answer_with_rag(
     chunks: Mapping[str, Chunk] | None = None,
     tokenizer: Tokenizer | None = None,
     strict_parse: bool = False,
+    retrieved: Sequence[tuple[Chunk, SearchHit]] | None = None,
 ) -> ItemResult:
     """Run one item through retrieve → augment → generate → parse.
 
-    store=None disables retrieval and evaluates the plain prompt.
+    store=None disables retrieval and evaluates the plain prompt. A caller
+    that already ran retrieve_many for this item passes its entry as
+    retrieved, which then takes the place of the retrieval step.
     """
     cfg = cfg or RagConfig()
-    if store is not None:
-        if provider is None or chunks is None:
-            raise ValueError("retrieval needs provider and chunks alongside the store")
-        query = build_query(item, cfg.query_mode)
-        scored = _retrieve_scored(store, provider, query, cfg, chunks)
-    else:
-        scored = []
-    prompt = augment(item, [c for c, _ in scored])
+    if retrieved is None:
+        retrieved = _retrieve_items(store, provider, [item], cfg, chunks)[0]
+    prompt = augment(item, [c for c, _ in retrieved])
     completion = backend.complete(prompt.prompt_text)
     answer = parse_answer_for_item(completion.text, item, strict=strict_parse)
     return ItemResult(
         answer=answer,
         context_chunk_ids=prompt.context_chunk_ids,
-        context_scores=tuple(hit.score for _, hit in scored),
+        context_scores=tuple(hit.score for _, hit in retrieved),
         prompt_token_estimate=count_tokens(prompt.prompt_text, tokenizer),
     )
 
@@ -176,9 +196,12 @@ def run_evaluation(
     """Evaluate every item; model failures mark the item errored, never skip it.
 
     Results come back in dataset order regardless of completion order.
+    Retrieval for all items runs first, in one batch.
     """
+    cfg = cfg or RagConfig()
+    contexts = _retrieve_items(store, provider, items, cfg, chunks)
 
-    def one(item: McqItem) -> ItemResult:
+    def one(item: McqItem, retrieved: list[tuple[Chunk, SearchHit]]) -> ItemResult:
         try:
             return answer_with_rag(
                 backend,
@@ -189,6 +212,7 @@ def run_evaluation(
                 chunks=chunks,
                 tokenizer=tokenizer,
                 strict_parse=strict_parse,
+                retrieved=retrieved,
             )
         except ModelError:
             return ItemResult(
@@ -205,9 +229,9 @@ def run_evaluation(
             )
 
     if concurrency <= 1 or len(items) <= 1:
-        return [one(it) for it in items]
+        return list(map(one, items, contexts))
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(one, items))
+        return list(pool.map(one, items, contexts))
 
 
 def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:

@@ -116,6 +116,42 @@ def test_embed_refuses_provider_swap(tmp_path, capsys):
                  "--out", str(store_path), "--force"]) == 0
 
 
+def test_embed_and_eval_reject_malformed_corpus_line(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(
+        json.dumps({"chunk_id": "d#0", "doc_id": "d", "seq": 0, "text": "t", "token_count": 1})
+        + "\n" + json.dumps({"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "u"}) + "\n",
+        encoding="utf-8",
+    )
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    store_path = tmp_path / "store.vdb"
+    code = main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corpus.jsonl:2: chunk record lacks field 'token_count'" in err
+    assert "Traceback" not in err
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=2)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    VectorStore(dims=32, provider_fingerprint="hash-test:seed-0:32").save(store_path)
+    code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--rag", str(store_path), "--corpus", str(corpus_path),
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "corpus.jsonl:2:" in capsys.readouterr().err
+
+
+def test_eval_non_object_dataset_entry_is_data_error(tmp_path, capsys):
+    dataset = write_json(tmp_path / "dataset.json", ["oops"])
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    code = main(["eval", "--dataset", dataset, "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "item 'q0': entry is not an object" in err
+
+
 def test_eval_constant_guess_near_chance(tmp_path):
     n_items = 400
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=n_items, seed=11)

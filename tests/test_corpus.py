@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from telerag.errors import DataError
 from telerag.corpus import (
     Corpus,
     Document,
@@ -150,6 +151,20 @@ def test_jsonl_round_trip(tmp_path):
     raw = path.read_bytes()
     assert b"\r\n" not in raw
     assert raw.decode("utf-8").endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ['{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t"}', "[1, 2]", "{not json"],
+)
+def test_read_chunks_jsonl_names_malformed_line(tmp_path, bad_line):
+    chunks = chunk_document(make_doc(20, "d"), chunk_size=16, overlap=0)
+    path = tmp_path / "corpus.jsonl"
+    write_chunks_jsonl(chunks[:1], path)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(bad_line + "\n")
+    with pytest.raises(DataError, match=f"corpus.jsonl:2: "):
+        read_chunks_jsonl(path)
 
 
 def test_chunk_map_keys():

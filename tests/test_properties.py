@@ -1,0 +1,114 @@
+"""Property tests: exact top-k against a brute-force oracle, store file round
+trips, and the hash-test provider against its loop reference."""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from telerag import vstore
+from telerag.embed import _hash_test_vector, cosine_similarity
+from telerag.vstore import VectorRecord, VectorStore
+
+
+def loop_hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
+    """The hash-test recipe one Python int at a time: the reference."""
+    payload = text.encode("utf-8")
+    values: list[float] = []
+    counter = 0
+    while len(values) < dims:
+        digest = hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter) + payload).digest()
+        for off in range(0, 32, 8):
+            if len(values) == dims:
+                break
+            word = int.from_bytes(digest[off : off + 8], "little")
+            values.append(word / 2**63 - 1.0)
+        counter += 1
+    norm = math.sqrt(math.fsum(v * v for v in values))
+    if norm == 0.0:
+        values[0] = 1.0
+        norm = 1.0
+    return (np.asarray(values, dtype=np.float64) / norm).astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=64), dims=st.integers(1, 400), seed=st.integers(0, 2**63))
+@example(text="abc", dims=1, seed=0)
+@example(text="abc", dims=7, seed=0)
+@example(text="3GPP TS 38.331", dims=256, seed=0)
+@example(text="3GPP TS 38.331", dims=384, seed=7)
+def test_hash_test_vector_bit_identical_to_loop(text, dims, seed):
+    vectorised = _hash_test_vector(text, dims, seed)
+    assert vectorised.tobytes() == loop_hash_test_vector(text, dims, seed).tobytes()
+
+
+def oracle_top_k(records: dict[str, np.ndarray], query: np.ndarray, k: int):
+    scored = [(chunk_id, cosine_similarity(vec, query)) for chunk_id, vec in records.items()]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+@st.composite
+def stores(draw):
+    """Records drawn from a few distinct random vectors, so that repeated
+    vectors (exact ties) are common, plus queries that are either a stored
+    vector or a fresh one."""
+    dims = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.normal(size=(draw(st.integers(1, 12)), dims)).astype(np.float32)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=len(picks),
+                        max_size=len(picks), unique=True))
+    records = {chunk_id: distinct[p] for chunk_id, p in zip(ids, picks)}
+    queries = [
+        distinct[p].astype(np.float64) if p >= 0 else rng.normal(size=dims)
+        for p in draw(st.lists(st.integers(-1, len(distinct) - 1), min_size=1, max_size=7))
+    ]
+    return dims, records, np.array(queries)
+
+
+def build(dims: int, records: dict[str, np.ndarray]) -> VectorStore:
+    store = VectorStore(dims=dims, provider_fingerprint="hash-test:seed-0:0")
+    for chunk_id, vec in records.items():
+        store.insert(VectorRecord(chunk_id=chunk_id, embedding=vec))
+    return store
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stores(), extra_k=st.integers(0, 3), per_block=st.integers(1, 3), data=st.data())
+def test_search_and_search_many_match_oracle(case, extra_k, per_block, data):
+    dims, records, queries = case
+    k = data.draw(st.integers(1, len(records))) + extra_k
+    store = build(dims, records)
+    # Blocks of per_block queries, so a batch of up to 7 crosses block boundaries.
+    with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 8 * len(records) * per_block):
+        batched = store.search_many(queries, k)
+    assert len(batched) == len(queries)
+    for query, many_hits in zip(queries, batched):
+        want = oracle_top_k(records, query, k)
+        for hits in (many_hits, store.search(query, k)):
+            assert [h.chunk_id for h in hits] == [chunk_id for chunk_id, _ in want]
+            assert [h.rank for h in hits] == list(range(1, len(want) + 1))
+            for hit, (_, score) in zip(hits, want):
+                assert abs(hit.score - score) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stores())
+def test_save_load_save_byte_identical(case):
+    dims, records, queries = case
+    store = build(dims, records)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.vdb"), Path(tmp, "b.vdb")
+        store.save(first)
+        loaded = VectorStore.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded.search_many(queries, len(records)) == store.search_many(queries, len(records))

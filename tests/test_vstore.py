@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from telerag.embed import cosine_similarity
-from telerag.errors import DimensionMismatchError, DuplicateChunkError, StoreFormatError
-from telerag.vstore import VectorRecord, VectorStore
+from telerag.errors import DataError, DimensionMismatchError, DuplicateChunkError, StoreFormatError
+from telerag.vstore import FORMAT_VERSION, MAGIC, VectorRecord, VectorStore
 
 
 def random_store(n: int, dims: int, seed: int, fingerprint: str = "hash-test:seed-0:0"):
@@ -204,3 +205,53 @@ def test_random_sized_stores_match_oracle():
         hits = store.search(query, k=k)
         assert [h.chunk_id for h in hits] == brute_force_top_k(vectors, query, k)
         assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+
+
+def write_raw_store(path, dims, records, fingerprint=b"fp"):
+    # Store file written byte by byte, bypassing insert's checks.
+    blob = MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dims, len(records))
+    blob += struct.pack("<I", len(fingerprint)) + fingerprint
+    for chunk_id, vec in records:
+        blob += struct.pack("<I", len(chunk_id)) + chunk_id + np.asarray(vec, "<f4").tobytes()
+    path.write_bytes(blob)
+
+
+def test_zero_norm_embedding_rejected(tmp_path):
+    store = VectorStore(dims=4, provider_fingerprint="fp")
+    with pytest.raises(DataError, match="zero norm"):
+        store.insert(VectorRecord(chunk_id="a", embedding=np.zeros(4)))
+    store.insert(VectorRecord(chunk_id="b", embedding=np.ones(4)))
+    assert [(h.chunk_id, h.score) for h in store.search(np.ones(4), k=2)] == [("b", 1.0)]
+    path = tmp_path / "zero.vdb"
+    write_raw_store(path, 4, [(b"a", np.zeros(4)), (b"b", np.ones(4))])
+    with pytest.raises(DataError, match="'a' has zero norm"):
+        VectorStore.load(path)
+
+
+def test_load_rejects_non_finite_and_duplicate_records(tmp_path):
+    path = tmp_path / "bad.vdb"
+    write_raw_store(path, 2, [(b"a", [1.0, np.inf])])
+    with pytest.raises(DataError, match="non-finite"):
+        VectorStore.load(path)
+    write_raw_store(path, 2, [(b"a", [1.0, 0.0]), (b"a", [0.0, 1.0])])
+    with pytest.raises(DuplicateChunkError):
+        VectorStore.load(path)
+
+
+def test_identical_vectors_tie_exactly():
+    # Row-position-dependent BLAS kernels can score two copies of one vector
+    # an ulp apart; copies must still tie and then rank by chunk_id.
+    rng = np.random.default_rng(0)
+    half, dims = 259, 26
+    base = rng.normal(size=(half, dims)).astype(np.float32)
+    store = VectorStore(dims=dims, provider_fingerprint="fp")
+    for i, vec in enumerate(np.concatenate([base, base])):
+        store.insert(VectorRecord(chunk_id=f"c{i:04d}", embedding=vec))
+    for query in rng.normal(size=(20, dims)):
+        hits = store.search(query, k=2 * half)
+        score = {h.chunk_id: h.score for h in hits}
+        rank = {h.chunk_id: h.rank for h in hits}
+        for i in range(half):
+            first, copy = f"c{i:04d}", f"c{i + half:04d}"
+            assert score[first] == score[copy]
+            assert rank[copy] == rank[first] + 1
