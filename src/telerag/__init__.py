@@ -32,9 +32,20 @@ from .evalharness import (
 from .modelclient import Completion, ModelConfig, build_backend
 from .rag import AugmentedPrompt, RagConfig, answer_with_rag, augment, build_query, run_evaluation
 from .userassoc import AssocProblem, check_answer, generate_problem, oracle, render_problem_prompt
-from .vstore import SearchHit, VectorRecord, VectorStore
 
 __version__ = "0.1.0"
+
+# vstore imports numpy; it loads on first use of one of its names, so the
+# commands that never touch a vector start without numpy.
+_VSTORE_NAMES = ("SearchHit", "VectorRecord", "VectorStore")
+
+
+def __getattr__(name: str):
+    if name in _VSTORE_NAMES:
+        from . import vstore
+
+        return getattr(vstore, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AssocProblem",

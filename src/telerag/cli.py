@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
-from . import energymodel, evalharness, rag, userassoc, vstore
+# vstore and energymodel pull in numpy, so only the commands that use them import them.
+from . import evalharness, rag, userassoc
 from .errors import DataError, FingerprintMismatchError, ModelError, ProviderError, TeleragError
 from .modelclient import ModelConfig, build_backend
 
@@ -119,6 +120,15 @@ def _model_config_from_dict(data: dict, path: str) -> ModelConfig:
         raise DataError(f"invalid model config {path}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _resolve_seed(arg_seed: int | None) -> int:
     seed = random.randrange(2**32) if arg_seed is None else arg_seed
     print(f"seed: {seed}")
@@ -163,6 +173,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import vstore
+
     chunks = corpus_mod.read_chunks_jsonl(args.corpus)
     provider = _provider_from_file(args.provider_config)
     out = Path(args.out)
@@ -213,6 +225,8 @@ def cmd_eval(args) -> int:
     if args.rag:
         if not args.corpus:
             raise DataError("--rag needs --corpus for the chunk texts")
+        from . import vstore
+
         store = vstore.VectorStore.load(args.rag)
         chunks_by_id = corpus_mod.chunk_map(corpus_mod.read_chunks_jsonl(args.corpus))
         if args.provider_config:
@@ -270,6 +284,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_usecase_energy(args) -> int:
+    from . import energymodel
+
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
     out = Path(args.out)
     seed = None
@@ -390,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--csv", default=None, help="output per-category CSV path")
     p.add_argument("--audit", default=None, help="audit JSONL path (default: <report>.audit.jsonl)")
-    p.add_argument("--concurrency", type=int, default=4)
+    p.add_argument("--concurrency", type=_positive_int, default=4)
     p.add_argument("--strict-parse", action="store_true",
                    help="only accept answers that start with the option number")
 

@@ -3,7 +3,9 @@
 Two providers: an HTTP provider for real embedding models, and a
 seeded-hash test provider that maps text to a pseudo-random unit vector
 so the whole pipeline runs deterministically offline. Vectors are float32
-numpy arrays; similarity is cosine, computed in float64.
+numpy arrays; similarity is cosine, computed in float64. numpy is imported
+by the functions that make or compare vectors, so importing this module
+(as every command does) does not load it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataError, ProviderError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 API_KEY_ENV = "MODEL_API_KEY"
 
@@ -58,6 +61,8 @@ def _hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
     Generation is integer-only until the final normalization, so the result
     is bit-identical across runs and platforms.
     """
+    import numpy as np
+
     payload = text.encode("utf-8")
     blob = b"".join(
         hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter) + payload).digest()
@@ -74,6 +79,7 @@ def _hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
 
 
 def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.ndarray]:
+    import numpy as np
     import requests
 
     headers = {"Content-Type": "application/json"}
@@ -139,6 +145,8 @@ def provider_from_fingerprint(fingerprint: str) -> EmbeddingProviderConfig:
 
 def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity in [-1, 1], computed in float64."""
+    import numpy as np
+
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:

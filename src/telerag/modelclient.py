@@ -3,7 +3,8 @@
 The http backend speaks a minimal JSON protocol (completion- or chat-shaped)
 with retry-and-backoff. The transcript backend replays recorded replies keyed
 by the SHA-256 of the exact prompt, which is how evaluation runs stay
-reproducible without any live model.
+reproducible without any live model. `run_items` is the one concurrent
+completion loop that evaluation and the association curve share.
 """
 
 from __future__ import annotations
@@ -11,16 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .errors import ModelError, ModelProtocolError, ModelUnavailableError, TranscriptMissError
 
 API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_oracle", "mock_constant")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,17 @@ class TranscriptBackend:
                     continue
                 try:
                     rec = json.loads(line)
-                    self._replies[rec["prompt_sha256"]] = rec["reply"]
+                    digest, reply = rec["prompt_sha256"], rec["reply"]
+                    known = self._replies.setdefault(digest, reply)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ModelProtocolError(
                         f"bad transcript line {lineno} in {path}: {exc}"
                     ) from exc
+                if known != reply:
+                    raise ModelProtocolError(
+                        f"transcript line {lineno} in {path} gives prompt {str(digest)[:12]}… "
+                        "a different reply than an earlier line"
+                    )
 
     def __len__(self) -> int:
         return len(self._replies)
@@ -229,3 +240,52 @@ def build_backend(cfg: ModelConfig) -> ModelBackend:
 def complete(cfg: ModelConfig, prompt: str) -> Completion:
     """One-shot completion; builds the backend from config each call."""
     return build_backend(cfg).complete(prompt)
+
+
+def run_items(
+    call: Callable[[T], R],
+    items: Sequence[T],
+    concurrency: int,
+    errored: Callable[[T], R],
+) -> list[R]:
+    """call(item) for every item, in item order; a ModelError gives errored(item).
+
+    concurrency <= 1 is a plain serial loop. Otherwise min(concurrency,
+    len(items)) threads each take the next index from a shared iterator and
+    fill that slot, so at most `concurrency` calls run at once. Any other
+    exception stops the threads from taking more items and is raised here.
+    """
+
+    def one(item: T) -> R:
+        try:
+            return call(item)
+        except ModelError:
+            return errored(item)
+
+    if concurrency <= 1 or len(items) <= 1:
+        return [one(item) for item in items]
+    results: list = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def take() -> int | None:
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work() -> None:
+        try:
+            while (i := take()) is not None:
+                results[i] = one(items[i])
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results

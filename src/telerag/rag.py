@@ -9,17 +9,18 @@ byte-identical prompts.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import Chunk, Tokenizer, count_tokens
 from .embed import EmbeddingProviderConfig, embed_text
-from .errors import DataError, FingerprintMismatchError, ModelError
+from .errors import DataError, FingerprintMismatchError
 from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
-from .modelclient import ModelBackend
-from .vstore import SearchHit, VectorStore
+from .modelclient import ModelBackend, run_items
+
+if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
+    from .vstore import SearchHit, VectorStore
 
 QUERY_MODES = ("question_only", "question_plus_options")
 
@@ -201,37 +202,35 @@ def run_evaluation(
     cfg = cfg or RagConfig()
     contexts = _retrieve_items(store, provider, items, cfg, chunks)
 
-    def one(item: McqItem, retrieved: list[tuple[Chunk, SearchHit]]) -> ItemResult:
-        try:
-            return answer_with_rag(
-                backend,
-                store,
-                provider,
-                item,
-                cfg,
-                chunks=chunks,
-                tokenizer=tokenizer,
-                strict_parse=strict_parse,
-                retrieved=retrieved,
-            )
-        except ModelError:
-            return ItemResult(
-                answer=ModelAnswer(
-                    item_id=item.item_id,
-                    raw_text="",
-                    parsed_index=None,
-                    parse_status="unparsed",
-                    errored=True,
-                ),
-                context_chunk_ids=(),
-                context_scores=(),
-                prompt_token_estimate=0,
-            )
+    def one(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
+        item, retrieved = pair
+        return answer_with_rag(
+            backend,
+            store,
+            provider,
+            item,
+            cfg,
+            chunks=chunks,
+            tokenizer=tokenizer,
+            strict_parse=strict_parse,
+            retrieved=retrieved,
+        )
 
-    if concurrency <= 1 or len(items) <= 1:
-        return list(map(one, items, contexts))
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(one, items, contexts))
+    def errored(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
+        return ItemResult(
+            answer=ModelAnswer(
+                item_id=pair[0].item_id,
+                raw_text="",
+                parsed_index=None,
+                parse_status="unparsed",
+                errored=True,
+            ),
+            context_chunk_ids=(),
+            context_scores=(),
+            prompt_token_estimate=0,
+        )
+
+    return run_items(one, list(zip(items, contexts)), concurrency, errored)
 
 
 def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:

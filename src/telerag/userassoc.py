@@ -16,14 +16,13 @@ import io
 import json
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DataError, ModelError
+from .errors import DataError
 from .evalharness import round_percent
-from .modelclient import Completion, ModelBackend, write_transcript
+from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
 MAX_STATIONS = 26
@@ -58,17 +57,9 @@ class AssocProblem:
         return len(self.signals_dbm)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DataError(f"{self.problem_id}: need at least 2 stations")
-        if len(set(self.signals_dbm)) != self.n:
-            raise DataError(f"{self.problem_id}: signals must be pairwise distinct")
-        strongest = max(range(self.n), key=lambda i: self.signals_dbm[i]) + 1
+        strongest, second = _rank_top_two(self.problem_id, self.signals_dbm)
         if self.forbidden_index != strongest:
             raise DataError(f"{self.problem_id}: forbidden_index must be the strongest station")
-        second = max(
-            (i for i in range(self.n) if i + 1 != strongest),
-            key=lambda i: self.signals_dbm[i],
-        ) + 1
         if self.correct_index != second:
             raise DataError(f"{self.problem_id}: correct_index must be the second strongest")
 
@@ -76,21 +67,23 @@ class AssocProblem:
     def from_signals(cls, problem_id: str, signals_dbm: Sequence[int]) -> "AssocProblem":
         """Build a problem, deriving forbidden and correct indices from the signals."""
         signals = tuple(int(s) for s in signals_dbm)
-        if len(signals) < 2:
-            raise DataError(f"{problem_id}: need at least 2 stations")
-        if len(set(signals)) != len(signals):
-            raise DataError(f"{problem_id}: signals must be pairwise distinct")
-        forbidden = max(range(len(signals)), key=lambda i: signals[i]) + 1
-        correct = max(
-            (i for i in range(len(signals)) if i + 1 != forbidden),
-            key=lambda i: signals[i],
-        ) + 1
+        forbidden, correct = _rank_top_two(problem_id, signals)
         return cls(
             problem_id=problem_id,
             signals_dbm=signals,
             forbidden_index=forbidden,
             correct_index=correct,
         )
+
+
+def _rank_top_two(problem_id: str, signals: Sequence[int]) -> tuple[int, int]:
+    """1-based indices of the strongest and the second strongest station."""
+    if len(signals) < 2:
+        raise DataError(f"{problem_id}: need at least 2 stations")
+    if len(set(signals)) != len(signals):
+        raise DataError(f"{problem_id}: signals must be pairwise distinct")
+    ranked = sorted(range(len(signals)), key=signals.__getitem__)
+    return ranked[-1] + 1, ranked[-2] + 1
 
 
 @dataclass(frozen=True)
@@ -144,12 +137,7 @@ def render_problem_prompt(problem: AssocProblem) -> str:
 
 def oracle(problem: AssocProblem) -> int:
     """Ground truth: the station with the strongest signal excluding the strongest."""
-    signals = problem.signals_dbm
-    strongest = max(range(len(signals)), key=lambda i: signals[i])
-    runner_up = max(
-        (i for i in range(len(signals)) if i != strongest), key=lambda i: signals[i]
-    )
-    return runner_up + 1
+    return problem.correct_index
 
 
 _STATION_PHRASE_RE = re.compile(r"base\s+station\s+(\d+)", re.IGNORECASE)
@@ -253,22 +241,18 @@ def run_curve(
         raise ValueError("trials_per_n must be >= 1")
 
     def one(problem: AssocProblem) -> tuple[bool, bool]:
-        try:
-            completion = backend.complete(render_problem_prompt(problem))
-        except ModelError:
-            return False, True
+        completion = backend.complete(render_problem_prompt(problem))
         return check_answer(problem, completion.text).correct, False
 
+    problems = [
+        generate_problem(n, derive_seed(seed, n, i)) for n in n_values for i in range(trials_per_n)
+    ]
+    outcomes = run_items(one, problems, concurrency, errored=lambda _: (False, True))
     points = []
-    for n in n_values:
-        problems = [generate_problem(n, derive_seed(seed, n, i)) for i in range(trials_per_n)]
-        if concurrency > 1:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                outcomes = list(pool.map(one, problems))
-        else:
-            outcomes = [one(p) for p in problems]
-        correct = sum(1 for ok, _ in outcomes if ok)
-        errored = sum(1 for _, err in outcomes if err)
+    for k, n in enumerate(n_values):
+        batch = outcomes[k * trials_per_n : (k + 1) * trials_per_n]
+        correct = sum(ok for ok, _ in batch)
+        errored = sum(err for _, err in batch)
         points.append(
             CurvePoint(
                 n_bs=n,
@@ -318,20 +302,27 @@ def write_curve_transcript(
 
     The first `correct` trials of each station count answer with the oracle
     station, the rest with the forbidden one. Defaults encode the recorded
-    Phi-2 reference curve.
+    Phi-2 reference curve. A problem that repeats (few distinct problems
+    exist at small n) must need the same reply each time; otherwise the
+    replay could not hit the targets and ValueError is raised.
     """
     targets = dict(PHI2_REFERENCE_CURVE if correct_by_n is None else correct_by_n)
     entries: list[tuple[str, str]] = []
+    replies: dict[str, str] = {}
     for n, correct in targets.items():
         if not (0 <= correct <= trials_per_n):
             raise ValueError(f"correct count {correct} out of range for {trials_per_n} trials")
         for i in range(trials_per_n):
             problem = generate_problem(n, derive_seed(seed, n, i))
-            if i < correct:
-                reply = f"The device should connect to base station {oracle(problem)}."
-            else:
-                reply = f"The device should connect to base station {problem.forbidden_index}."
-            entries.append((render_problem_prompt(problem), reply))
+            station = oracle(problem) if i < correct else problem.forbidden_index
+            reply = f"The device should connect to base station {station}."
+            prompt = render_problem_prompt(problem)
+            if replies.setdefault(prompt, reply) != reply:
+                raise ValueError(
+                    f"{problem.problem_id} (n={n}, trial {i}) repeats an earlier problem "
+                    "that needs the other reply; no transcript can hit these targets"
+                )
+            entries.append((prompt, reply))
     write_transcript(entries, path)
 
 

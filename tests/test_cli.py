@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from telerag import userassoc
 from telerag.cli import main
@@ -376,3 +380,47 @@ def test_missing_dataset_file_is_data_error(tmp_path):
     code = main(["eval", "--dataset", str(tmp_path / "nope.json"),
                  "--model-config", model_cfg, "--report", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_eval_concurrency_below_one_is_usage_error(tmp_path, capsys):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    report = tmp_path / "r.json"
+    for value in ("0", "-2"):
+        code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--report", str(report), "--concurrency", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--concurrency" in err
+    assert not report.exists()
+
+
+def test_commands_without_vectors_do_not_import_numpy(tmp_path):
+    docs = make_docs_dir(tmp_path)
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    assoc_cfg = write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
+    argvs = [
+        ["--help"],
+        ["ingest", "--input", str(docs), "--out", str(tmp_path / "corpus.jsonl")],
+        ["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+         "--report", str(tmp_path / "report.json")],
+        ["usecase-assoc", "--bs-counts", "2,3", "--trials", "4", "--seed", "1",
+         "--model-config", assoc_cfg, "--out", str(tmp_path / "curve.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from telerag.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert numpy_loaded is False

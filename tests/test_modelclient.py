@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -19,6 +22,7 @@ from telerag.modelclient import (
     build_backend,
     complete,
     prompt_sha256,
+    run_items,
     write_transcript,
 )
 
@@ -174,3 +178,108 @@ def test_two_runs_identical_with_transcript(tmp_path):
     first = [backend.complete(p).text for p in prompts]
     second = [backend.complete(p).text for p in prompts]
     assert first == second
+
+
+def test_transcript_rejects_conflicting_repeat(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_transcript([("p", "one"), ("q", "two"), ("p", "three")], path)
+    with pytest.raises(ModelProtocolError, match=r"line 3 in .*different reply"):
+        TranscriptBackend(path)
+
+
+def test_transcript_allows_same_reply_repeat(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_transcript([("p", "one"), ("q", "two"), ("p", "one")], path)
+    backend = TranscriptBackend(path)
+    assert len(backend) == 2
+    assert backend.complete("p").text == "one"
+
+
+def _errored(item):
+    return ("errored", item)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 5, 64])
+def test_run_items_in_order_and_equal_to_serial(concurrency):
+    def call(item):
+        time.sleep(0.001 * (item % 3))  # later items can finish first
+        return item * item
+
+    items = list(range(40))
+    assert run_items(call, items, concurrency, _errored) == [i * i for i in items]
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_run_items_model_error_marks_item_errored(concurrency):
+    def call(item):
+        if item % 4 == 0:
+            raise TranscriptMissError("no reply")
+        return item
+
+    out = run_items(call, list(range(10)), concurrency, _errored)
+    assert out == [("errored", i) if i % 4 == 0 else i for i in range(10)]
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_run_items_other_exception_propagates(concurrency):
+    calls = []
+
+    def call(item):
+        calls.append(item)
+        if item == 5:
+            raise KeyError("not a model failure")
+        return item
+
+    with pytest.raises(KeyError, match="not a model failure"):
+        run_items(call, list(range(200)), concurrency, _errored)
+    assert len(calls) < 200  # the threads stop taking items after the failure
+
+
+class SleepingBackend:
+    """Counts the calls in flight; each call sleeps so calls can overlap."""
+
+    def __init__(self, sleep_s: float = 0.03):
+        self.sleep_s = sleep_s
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def complete(self, prompt: str) -> Completion:
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(self.sleep_s)
+        with self.lock:
+            self.in_flight -= 1
+        return Completion(text=prompt, latency_ms=0, attempt_count=1)
+
+
+@pytest.mark.parametrize("concurrency, n_items, expected", [(1, 4, 1), (3, 12, 3), (8, 3, 3)])
+def test_run_items_keeps_concurrency_calls_in_flight(concurrency, n_items, expected):
+    backend = SleepingBackend()
+    prompts = [f"p{i}" for i in range(n_items)]
+    out = run_items(lambda p: backend.complete(p).text, prompts, concurrency, _errored)
+    assert out == prompts
+    assert backend.max_in_flight == expected
+
+
+def test_run_items_stress_takes_each_index_once():
+    calls = []
+
+    def call(item):
+        calls.append(item)
+        return -item
+
+    items = list(range(5000))
+    out = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(run_items(call, items, 16, _errored)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not runner.is_alive()
+    assert out == [[-i for i in items]]
+    assert sorted(calls) == items

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -8,7 +10,7 @@ from telerag.corpus import Chunk, chunk_map, count_tokens
 from telerag.embed import EmbeddingProviderConfig, embed_text
 from telerag.errors import FingerprintMismatchError, ModelError
 from telerag.evalharness import McqItem, render_prompt, score
-from telerag.modelclient import Completion, ConstantBackend
+from telerag.modelclient import Completion, ConstantBackend, prompt_sha256
 from telerag.rag import (
     RagConfig,
     answer_with_rag,
@@ -208,3 +210,49 @@ def test_audit_log_fields(tmp_path):
     assert len(rec["scores"]) == 1
     assert rec["raw_model_output"] == "2. B0"
     assert rec["prompt_token_estimate"] > 0
+
+
+class HashReplyBackend:
+    """Picks option 1 or 2 from the prompt's hash after a prompt-dependent sleep,
+    so threaded runs finish out of order; fails some prompts with ModelError and
+    counts the calls in flight."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def complete(self, prompt: str) -> Completion:
+        digest = int(prompt_sha256(prompt), 16)
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(0.005 + (digest % 7) * 0.002)
+        with self.lock:
+            self.in_flight -= 1
+        if digest % 5 == 0:
+            raise ModelError("flaky")
+        return Completion(text=f"{1 + digest % 2}.", latency_ms=0, attempt_count=1)
+
+
+def test_run_evaluation_threads_match_serial_with_errors():
+    items = [make_item(i) for i in range(30)]
+    serial = run_evaluation(HashReplyBackend(), items, concurrency=1)
+    threaded_backend = HashReplyBackend()
+    threaded = run_evaluation(threaded_backend, items, concurrency=3)
+    assert threaded == serial
+    assert [r.answer.item_id for r in threaded] == [it.item_id for it in items]
+    assert any(r.answer.errored for r in serial)
+    assert {r.answer.parsed_index for r in serial if not r.answer.errored} == {1, 2}
+    assert threaded_backend.max_in_flight == 3
+
+
+def test_run_evaluation_propagates_non_model_errors():
+    class BrokenBackend:
+        def complete(self, prompt: str) -> Completion:
+            raise RuntimeError("bug, not a model failure")
+
+    for concurrency in (1, 4):
+        with pytest.raises(RuntimeError, match="bug"):
+            run_evaluation(BrokenBackend(), [make_item(i) for i in range(8)],
+                           concurrency=concurrency)

@@ -232,3 +232,41 @@ def test_export_problems_jsonl(tmp_path):
 def test_derive_seed_stable():
     assert derive_seed(1, 2, "x") == derive_seed(1, 2, "x")
     assert derive_seed(1, 2, "x") != derive_seed(1, 2, "y")
+
+
+def test_write_curve_transcript_rejects_conflicting_repeat(tmp_path):
+    # At n=2 the 1,000 problems repeat; trial 914 repeats an earlier problem
+    # that was answered right, so 914 right answers cannot be replayed.
+    path = tmp_path / "replay.jsonl"
+    with pytest.raises(ValueError, match="trial 914"):
+        write_curve_transcript(path, {2: 914}, trials_per_n=1000, seed=1)
+    assert not path.exists()
+
+
+def test_run_curve_threads_match_serial():
+    class HashFlakyBackend:
+        """Random guesses, with ModelError on some prompts."""
+
+        def __init__(self):
+            self.guess = RandomGuessBackend(seed=3)
+
+        def complete(self, prompt: str) -> Completion:
+            if derive_seed("fail", prompt) % 4 == 0:
+                raise ModelError("flaky")
+            return self.guess.complete(prompt)
+
+    serial = run_curve(HashFlakyBackend(), [2, 5, 9], trials_per_n=40, seed=12)
+    threaded = run_curve(HashFlakyBackend(), [2, 5, 9], trials_per_n=40, seed=12, concurrency=4)
+    assert threaded == serial
+    assert [p.n_bs for p in threaded.points] == [2, 5, 9]
+    assert all(p.errored > 0 and p.correct > 0 for p in serial.points)
+
+
+def test_run_curve_propagates_non_model_errors():
+    class BrokenBackend:
+        def complete(self, prompt: str) -> Completion:
+            raise RuntimeError("bug, not a model failure")
+
+    for concurrency in (1, 3):
+        with pytest.raises(RuntimeError, match="bug"):
+            run_curve(BrokenBackend(), [3], trials_per_n=5, seed=1, concurrency=concurrency)

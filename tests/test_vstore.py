@@ -255,3 +255,14 @@ def test_identical_vectors_tie_exactly():
             first, copy = f"c{i:04d}", f"c{i + half:04d}"
             assert score[first] == score[copy]
             assert rank[copy] == rank[first] + 1
+
+
+def test_package_serves_store_names_on_first_use():
+    import telerag
+    from telerag import vstore
+
+    assert (telerag.SearchHit, telerag.VectorRecord, telerag.VectorStore) == (
+        vstore.SearchHit, vstore.VectorRecord, vstore.VectorStore)
+    assert all(hasattr(telerag, name) for name in telerag.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        telerag.no_such_name
