@@ -3,8 +3,8 @@
 Subcommands: ingest (txt -> chunk JSONL), embed (chunks -> vector store),
 eval (MCQ benchmark, plain or RAG-augmented), usecase-energy (fit the energy
 formulas), usecase-assoc (association accuracy curve). Every run writes a
-manifest next to its primary output; reruns with the same inputs and seed
-produce byte-identical outputs.
+manifest next to its primary output and replaces its outputs only when it
+succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 
 Exit codes: 0 ok, 1 usage, 2 data/validation, 3 provider/model failure.
 """
@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,8 +44,32 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _tmp(path: Path) -> Path:
+    return Path(str(path) + ".tmp")
+
+
+@dataclass
+class _Outputs:
+    """The files one command run writes, in the order it writes them."""
+
+    paths: list[Path] = field(default_factory=list)
+    dataset_fingerprint: str | None = None
+
+    def output(self, path: str | Path) -> Path:
+        """Record path as an output; return the file to write it to (`<path>.tmp`)."""
+        self.paths.append(Path(path))
+        return _tmp(self.paths[-1])
+
+
 @contextlib.contextmanager
-def _output_lock(primary_out: Path):
+def _run(primary_out: Path, command: str, config: dict, seed: int | None = None):
+    """Lock primary_out for one command run and yield its _Outputs.
+
+    Writers write to the paths `output()` hands back. When the block succeeds
+    the manifest is written as one more output and every output is moved into
+    place in order, the manifest last; when it raises nothing is replaced.
+    Leftover .tmp files and the lock are always removed.
+    """
     lock_path = Path(str(primary_out) + ".lock")
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -53,34 +78,29 @@ def _output_lock(primary_out: Path):
             f"another run appears to be writing {primary_out} (remove {lock_path} if stale)"
         ) from None
     os.close(fd)
+    started_at = _utcnow()
+    run = _Outputs()
     try:
-        yield
+        yield run
+        manifest = {
+            "command": command,
+            "config": config,
+            "dataset_fingerprint": run.dataset_fingerprint,
+            "seed": seed,
+            "started_at": started_at,
+            "finished_at": _utcnow(),
+            "outputs": [str(p) for p in run.paths],
+        }
+        with open(run.output(str(primary_out) + ".manifest.json"), "w",
+                  encoding="utf-8", newline="\n") as f:
+            json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
+            f.write("\n")
+        for path in dict.fromkeys(run.paths):  # a path given twice is moved once
+            _tmp(path).replace(path)
     finally:
+        for path in run.paths:
+            _tmp(path).unlink(missing_ok=True)
         lock_path.unlink(missing_ok=True)
-
-
-def _write_manifest(
-    primary_out: Path,
-    command: str,
-    config: dict,
-    outputs: list[Path],
-    started_at: str,
-    seed: int | None = None,
-    dataset_fingerprint: str | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "dataset_fingerprint": dataset_fingerprint,
-        "seed": seed,
-        "started_at": started_at,
-        "finished_at": _utcnow(),
-        "outputs": [str(p) for p in outputs],
-    }
-    path = Path(str(primary_out) + ".manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def _load_json_file(path: str) -> dict:
@@ -109,7 +129,7 @@ def _provider_from_file(path: str) -> embed_mod.EmbeddingProviderConfig:
 def _model_config_from_dict(data: dict, path: str) -> ModelConfig:
     allowed = {
         "kind", "endpoint", "model_name", "temperature", "max_tokens", "api_shape",
-        "script_path", "reply", "max_attempts", "backoff_s", "timeout_s", "concurrency",
+        "script_path", "reply", "max_attempts", "backoff_s", "timeout_s",
     }
     unknown = set(data) - allowed
     if unknown:
@@ -149,21 +169,14 @@ def cmd_ingest(args) -> int:
     txt_files = sorted(input_dir.glob("*.txt")) if input_dir.is_dir() else []
     if not txt_files:
         raise DataError(f"no .txt documents found in {input_dir}")
-    started = _utcnow()
     out = Path(args.out)
-    with _output_lock(out):
+    config = {"input": str(input_dir), "chunk_size": args.chunk_size, "overlap": args.overlap}
+    with _run(out, "ingest", config) as run:
         bank = corpus_mod.Corpus()
         for path in txt_files:
             bank.ingest(path.name, path.read_bytes())
         chunks = bank.chunk_all(chunk_size=args.chunk_size, overlap=args.overlap)
-        corpus_mod.write_chunks_jsonl(chunks, out)
-        _write_manifest(
-            out,
-            "ingest",
-            {"input": str(input_dir), "chunk_size": args.chunk_size, "overlap": args.overlap},
-            [out],
-            started,
-        )
+        corpus_mod.write_chunks_jsonl(chunks, run.output(out))
     print(
         f"ingested {len(bank.documents)} documents -> {len(chunks)} chunks, "
         + _seq_stats([c.token_count for c in chunks])
@@ -185,28 +198,16 @@ def cmd_embed(args) -> int:
                 f"{out} was built with provider {existing_fp!r}; refusing to replace it "
                 f"with {provider.fingerprint!r} (use --force to override)"
             )
-    started = _utcnow()
-    with _output_lock(out):
+    config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
+    with _run(out, "embed", config) as run:
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
-        tmp = Path(str(out) + ".tmp")
-        try:
-            batch = 64
-            for i in range(0, len(chunks), batch):
-                part = chunks[i : i + batch]
-                vectors = embed_mod.embed_texts(provider, [c.text for c in part])
-                for chunk, vec in zip(part, vectors):
-                    store.insert(vstore.VectorRecord(chunk_id=chunk.chunk_id, embedding=vec))
-            store.save(tmp)
-            tmp.replace(out)
-        finally:
-            tmp.unlink(missing_ok=True)
-        _write_manifest(
-            out,
-            "embed",
-            {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint},
-            [out],
-            started,
-        )
+        batch = 64
+        for i in range(0, len(chunks), batch):
+            part = chunks[i : i + batch]
+            vectors = embed_mod.embed_texts(provider, [c.text for c in part])
+            for chunk, vec in zip(part, vectors):
+                store.insert(vstore.VectorRecord(chunk_id=chunk.chunk_id, embedding=vec))
+        store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
     return 0
 
@@ -234,10 +235,16 @@ def cmd_eval(args) -> int:
         else:
             provider = embed_mod.provider_from_fingerprint(store.provider_fingerprint)
 
-    started = _utcnow()
     report_path = Path(args.report)
-    audit_path = Path(args.audit) if args.audit else Path(str(report_path) + ".audit.jsonl")
-    with _output_lock(report_path):
+    audit_path = args.audit or str(report_path) + ".audit.jsonl"
+    config = {
+        "dataset": args.dataset,
+        "model_config": args.model_config,
+        "rag": args.rag,
+        "k": cfg.k,
+        "strict_parse": args.strict_parse,
+    }
+    with _run(report_path, "eval", config) as run:
         results = rag.run_evaluation(
             backend,
             items,
@@ -254,26 +261,11 @@ def cmd_eval(args) -> int:
             "k": cfg.k if args.rag else None,
         }
         report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
-        outputs = [report_path, audit_path]
-        evalharness.write_report_json(report, report_path)
-        rag.write_audit_log(results, audit_path)
+        run.dataset_fingerprint = report.dataset_fingerprint
+        evalharness.write_report_json(report, run.output(report_path))
+        rag.write_audit_log(results, run.output(audit_path))
         if args.csv:
-            Path(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
-            outputs.append(Path(args.csv))
-        _write_manifest(
-            report_path,
-            "eval",
-            {
-                "dataset": args.dataset,
-                "model_config": args.model_config,
-                "rag": args.rag,
-                "k": cfg.k,
-                "strict_parse": args.strict_parse,
-            },
-            outputs,
-            started,
-            dataset_fingerprint=report.dataset_fingerprint,
-        )
+            run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
     for cat, stats in report.categories.items():
         print(f"{cat}: {stats.correct}/{stats.count} = {stats.accuracy_percent:.2f}%"
               + (f" ({stats.errored} errored)" if stats.errored else ""))
@@ -296,8 +288,7 @@ def cmd_usecase_energy(args) -> int:
         seed = _resolve_seed(args.seed)
         records = energymodel.generate_synthetic(args.n_bs, noise_sd=args.noise_sd, seed=seed)
         source = {"synthetic": {"n_bs": args.n_bs, "noise_sd": args.noise_sd}}
-    started = _utcnow()
-    with _output_lock(out):
+    with _run(out, "usecase-energy", {"source": source, "models": kinds}, seed=seed) as run:
         models = [energymodel.fit(records, kind) for kind in kinds]
         fitted = [
             {
@@ -309,16 +300,11 @@ def cmd_usecase_energy(args) -> int:
             for m in models
         ]
         payload = fitted[0] if len(fitted) == 1 else {"models": fitted}
-        with open(out, "w", encoding="utf-8", newline="\n") as f:
+        with open(run.output(out), "w", encoding="utf-8", newline="\n") as f:
             json.dump(payload, f, ensure_ascii=False, sort_keys=True, indent=2)
             f.write("\n")
-        outputs = [out]
         if args.plot_csv:
-            energymodel.write_plot_csv(records, models, args.plot_csv)
-            outputs.append(Path(args.plot_csv))
-        _write_manifest(
-            out, "usecase-energy", {"source": source, "models": kinds}, outputs, started, seed=seed
-        )
+            energymodel.write_plot_csv(records, models, run.output(args.plot_csv))
     for m in models:
         print(f"{m.kind}: mape={m.mape_percent:.3f}% params={m.params}")
     print(f"fit written to {out}")
@@ -355,22 +341,12 @@ def cmd_usecase_assoc(args, parser: _Parser) -> int:
     backend, model_summary = _assoc_backend(args)
     seed = _resolve_seed(args.seed)
     out = Path(args.out)
-    started = _utcnow()
-    with _output_lock(out):
+    config = {"bs_counts": counts, "trials": args.trials, "model": model_summary}
+    with _run(out, "usecase-assoc", config, seed=seed) as run:
         curve = userassoc.run_curve(backend, counts, trials_per_n=args.trials, seed=seed)
-        out.write_text(userassoc.curve_csv(curve), encoding="utf-8")
-        outputs = [out]
+        run.output(out).write_text(userassoc.curve_csv(curve), encoding="utf-8")
         if args.problems_out:
-            userassoc.export_problems_jsonl(counts, args.trials, seed, args.problems_out)
-            outputs.append(Path(args.problems_out))
-        _write_manifest(
-            out,
-            "usecase-assoc",
-            {"bs_counts": counts, "trials": args.trials, "model": model_summary},
-            outputs,
-            started,
-            seed=seed,
-        )
+            userassoc.export_problems_jsonl(counts, args.trials, seed, run.output(args.problems_out))
     for p in curve.points:
         print(f"n={p.n_bs}: {p.correct}/{p.trials} = {p.accuracy_percent:.2f}%"
               + (f" ({p.errored} errored)" if p.errored else ""))

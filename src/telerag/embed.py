@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataError, ProviderError
+from .modelclient import json_headers
 
 if TYPE_CHECKING:
     import numpy as np
-
-API_KEY_ENV = "MODEL_API_KEY"
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,11 @@ def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.n
     import numpy as np
     import requests
 
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
     payload = {"model": cfg.model_name, "input": list(texts)}
     try:
-        resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout_s)
+        resp = requests.post(
+            cfg.endpoint, json=payload, headers=json_headers(), timeout=cfg.timeout_s
+        )
     except requests.RequestException as exc:
         raise ProviderError(f"embedding request failed: {exc}") from exc
     if resp.status_code != 200:

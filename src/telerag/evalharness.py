@@ -9,6 +9,7 @@ errored answers counted against accuracy but tallied separately.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -397,28 +398,6 @@ def score(
     )
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "categories": {
-            cat: {
-                "count": s.count,
-                "correct": s.correct,
-                "errored": s.errored,
-                "accuracy_percent": s.accuracy_percent,
-            }
-            for cat, s in report.categories.items()
-        },
-        "overall": {
-            "count": report.overall.count,
-            "correct": report.overall.correct,
-            "errored": report.overall.errored,
-            "accuracy_percent": report.overall.accuracy_percent,
-        },
-        "dataset_fingerprint": report.dataset_fingerprint,
-        "run": report.run,
-    }
-
-
 def report_from_dict(data: dict) -> EvalReport:
     def stats(d: dict) -> CategoryStats:
         return CategoryStats(
@@ -438,7 +417,7 @@ def report_from_dict(data: dict) -> EvalReport:
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(report_to_dict(report), f, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(report), f, ensure_ascii=False, sort_keys=True, indent=2)
         f.write("\n")
 
 

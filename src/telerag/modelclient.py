@@ -49,7 +49,6 @@ class ModelConfig:
     max_attempts: int = 3
     backoff_s: float = 1.0
     timeout_s: float = 60.0
-    concurrency: int = 4
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -90,6 +89,15 @@ class ModelBackend(Protocol):
     def complete(self, prompt: str) -> Completion: ...
 
 
+def json_headers() -> dict[str, str]:
+    """Headers for a JSON POST, with a Bearer token when API_KEY_ENV is set."""
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(API_KEY_ENV)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
+
+
 def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -117,15 +125,11 @@ class HttpBackend:
     def _request_once(self, prompt: str) -> str:
         import requests
 
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         try:
             resp = requests.post(
                 self.cfg.endpoint,
                 json=self._payload(prompt),
-                headers=headers,
+                headers=json_headers(),
                 timeout=self.cfg.timeout_s,
             )
         except requests.RequestException as exc:
@@ -235,11 +239,6 @@ def build_backend(cfg: ModelConfig) -> ModelBackend:
         "mock_oracle backends are domain-specific; construct them directly "
         "(see userassoc.OracleBackend)"
     )
-
-
-def complete(cfg: ModelConfig, prompt: str) -> Completion:
-    """One-shot completion; builds the backend from config each call."""
-    return build_backend(cfg).complete(prompt)
 
 
 def run_items(

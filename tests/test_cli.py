@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from telerag import userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
+from telerag.errors import ProviderError
 from telerag.evalharness import read_report_json
 from telerag.modelclient import write_transcript
 from telerag.vstore import VectorStore
@@ -329,6 +332,102 @@ def test_lock_file_blocks_concurrent_writer(tmp_path):
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
 
 
+def leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if p.suffix in (".tmp", ".lock"))
+
+
+def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=12)
+    report = tmp_path / "r.json"
+    outputs = [report, tmp_path / "r.json.audit.jsonl", tmp_path / "r.csv",
+               tmp_path / "r.json.manifest.json"]
+
+    def run_eval(reply):
+        model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": reply})
+        return main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--report", str(report), "--csv", str(tmp_path / "r.csv")])
+
+    assert run_eval("1") == 0
+    first = [p.read_bytes() for p in outputs]
+
+    def failing_audit_log(results, path):
+        Path(path).write_text("partial\n", encoding="utf-8")
+        raise ValueError("audit log write failed")
+
+    monkeypatch.setattr("telerag.rag.write_audit_log", failing_audit_log)
+    assert run_eval("2") == 2
+    assert [p.read_bytes() for p in outputs] == first
+    assert leftovers(tmp_path) == []
+
+
+def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
+    from telerag import embed as embed_mod
+
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    store_path = tmp_path / "store.vdb"
+    small = run_ingest(tmp_path, make_docs_dir(tmp_path, sizes=(100,)), "small.jsonl", 64)
+    assert main(["embed", "--corpus", str(small), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 0
+    outputs = [store_path, tmp_path / "store.vdb.manifest.json"]
+    first = [p.read_bytes() for p in outputs]
+
+    large = tmp_path / "large.jsonl"
+    large.write_text("".join(
+        json.dumps({"chunk_id": f"d#{i}", "doc_id": "d", "seq": i, "text": f"text {i}",
+                    "token_count": 2}) + "\n"
+        for i in range(150)
+    ), encoding="utf-8")
+    real_embed_texts = embed_mod.embed_texts
+    calls = []
+
+    def embed_then_fail(cfg, texts):
+        calls.append(len(texts))
+        if len(calls) == 2:
+            raise ProviderError("embedding endpoint returned HTTP 503")
+        return real_embed_texts(cfg, texts)
+
+    monkeypatch.setattr(embed_mod, "embed_texts", embed_then_fail)
+    assert main(["embed", "--corpus", str(large), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 3
+    assert len(calls) == 2
+    assert [p.read_bytes() for p in outputs] == first
+    assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "embed", "eval", "usecase-energy", "usecase-assoc"]
+)
+def test_manifest_lists_outputs_in_write_order(tmp_path, command):
+    docs = make_docs_dir(tmp_path)
+    corpus_path = run_ingest(tmp_path, docs, "corpus.jsonl")
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    assoc_cfg = write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    runs = {
+        "ingest": (["--input", str(docs), "--out"], ["c.jsonl"]),
+        "embed": (["--corpus", str(corpus_path), "--provider-config", provider_cfg, "--out"],
+                  ["s.vdb"]),
+        "eval": (["--dataset", str(dataset), "--model-config", model_cfg,
+                  "--csv", str(tmp_path / "r.csv"), "--report"],
+                 ["r.json", "r.json.audit.jsonl", "r.csv"]),
+        "usecase-energy": (["--synthetic", "--seed", "1",
+                            "--plot-csv", str(tmp_path / "plot.csv"), "--out"],
+                           ["fit.json", "plot.csv"]),
+        "usecase-assoc": (["--bs-counts", "2,3", "--trials", "2", "--seed", "1",
+                           "--model-config", assoc_cfg,
+                           "--problems-out", str(tmp_path / "p.jsonl"), "--out"],
+                          ["curve.csv", "p.jsonl"]),
+    }
+    args, names = runs[command]
+    primary = tmp_path / names[0]
+    assert main([command, *args, str(primary)]) == 0
+    manifest = json.loads(Path(str(primary) + ".manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [str(tmp_path / name) for name in names]
+    assert leftovers(tmp_path) == []
+
+
 def test_eval_rag_requires_corpus(tmp_path, capsys):
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
@@ -394,6 +493,16 @@ def test_eval_concurrency_below_one_is_usage_error(tmp_path, capsys):
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "--concurrency" in err
     assert not report.exists()
+
+
+def test_model_config_concurrency_key_is_data_error(tmp_path, capsys):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
+    model_cfg = write_json(tmp_path / "model.json",
+                           {"kind": "mock_constant", "reply": "1", "concurrency": 4})
+    code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown model config key(s): concurrency\n"
 
 
 def test_commands_without_vectors_do_not_import_numpy(tmp_path):

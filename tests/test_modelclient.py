@@ -20,7 +20,6 @@ from telerag.modelclient import (
     ModelConfig,
     TranscriptBackend,
     build_backend,
-    complete,
     prompt_sha256,
     run_items,
     write_transcript,
@@ -162,12 +161,6 @@ def test_build_backend_factory(tmp_path):
                       ConstantBackend)
     with pytest.raises(ValueError):
         build_backend(ModelConfig(kind="mock_oracle"))
-
-
-def test_complete_one_shot(tmp_path):
-    path = tmp_path / "t.jsonl"
-    write_transcript([("p", "r")], path)
-    assert complete(ModelConfig(kind="mock_script", script_path=str(path)), "p").text == "r"
 
 
 def test_two_runs_identical_with_transcript(tmp_path):
