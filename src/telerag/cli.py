@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import json
 import os
 import random
@@ -61,9 +62,38 @@ class _Outputs:
         return _tmp(self.paths[-1])
 
 
+def _remove_stale_lock(lock_path: Path) -> bool:
+    """Remove lock_path if the pid it holds names no running process.
+
+    Reclaimers take an flock on the lock file they read and remove it only
+    while it is still the file at lock_path, so a lock that another reclaimer
+    has taken since is never removed.
+    """
+    try:
+        f = open(lock_path, "rb")
+    except FileNotFoundError:
+        return True
+    with f:
+        fcntl.flock(f, fcntl.LOCK_EX)
+        try:
+            pid = int(f.read())
+            if pid <= 0 or os.stat(lock_path).st_ino != os.fstat(f.fileno()).st_ino:
+                return False
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            lock_path.unlink()
+            return True
+        except (ValueError, OSError):  # no readable pid, lock gone, or owner of another user
+            return False
+    return False
+
+
 @contextlib.contextmanager
 def _run(primary_out: Path, command: str, config: dict, seed: int | None = None):
     """Lock primary_out for one command run and yield its _Outputs.
+
+    The lock file `<primary_out>.lock` holds this process's pid; a lock whose
+    pid names no running process is reclaimed once.
 
     Writers write to the paths `output()` hands back. When the block succeeds
     the manifest is written as one more output and every output is moved into
@@ -71,13 +101,18 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
     Leftover .tmp files and the lock are always removed.
     """
     lock_path = Path(str(primary_out) + ".lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(
-            f"another run appears to be writing {primary_out} (remove {lock_path} if stale)"
-        ) from None
-    os.close(fd)
+    for reclaim in (True, False):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if reclaim and _remove_stale_lock(lock_path):
+                continue
+            raise DataError(
+                f"another run appears to be writing {primary_out} (remove {lock_path} if stale)"
+            ) from None
+        with os.fdopen(fd, "w") as f:
+            f.write(f"{os.getpid()}\n")
+        break
     started_at = _utcnow()
     run = _Outputs()
     try:
@@ -435,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProviderError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, UnicodeDecodeError, FileNotFoundError, ValueError) as exc:
+    except (DataError, UnicodeDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TeleragError as exc:

@@ -134,7 +134,7 @@ class HttpBackend:
             )
         except requests.RequestException as exc:
             raise _Retryable(str(exc)) from exc
-        if resp.status_code >= 500:
+        if resp.status_code == 429 or resp.status_code >= 500:  # rate limited or server error
             raise _Retryable(f"HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise ModelError(f"model endpoint returned HTTP {resp.status_code}")

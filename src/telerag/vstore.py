@@ -12,12 +12,16 @@ so results are exact and reproducible. The ranking contract:
   differ in the last bits between batches of different sizes, because
   BLAS picks its kernel by shape.
 
-``search_many`` scores its queries in blocks of rows, so that one block's
-float64 query-by-record score matrix stays within ``SCORE_BLOCK_BYTES``
-(at least one query per block). Its working memory is a small multiple of
-that bound, whatever the number of queries. The float64 scoring matrix and
-its norms are built once, under a lock, by the first search after the
-records change.
+``search_many`` scores its queries in blocks of rows, sized so that a block
+of float64 scores with one column per record stays within
+``SCORE_BLOCK_BYTES`` (at least one query per block); a block has one
+column per distinct vector, so it is no larger. Top-k selection takes the
+maximum over each group of ``GROUP`` adjacent columns and gathers only the
+columns of groups that can hold a top-k record, so its working memory is one
+score block plus its group maxima and the gathered candidates, whatever the
+number of queries; the ranking contract above does not depend on it. The
+float64 scoring matrix and its norms are built once, under a lock, by the
+first search after the records change.
 
 The store file records the embedding provider fingerprint and rejects
 queries embedded by a different provider. File layout (format version 1,
@@ -52,6 +56,8 @@ MAGIC = b"TRVS"
 FORMAT_VERSION = 1
 # Cap on one block of float64 scores (queries x records) in search_many.
 SCORE_BLOCK_BYTES = 8 << 20
+# Adjacent score columns per group whose maximum top-k selection looks at first.
+GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -73,13 +79,16 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class _Scoring:
-    """The records as search sees them: ids in ascending order, each mapped
-    to its row of a float64 matrix that holds every distinct vector once."""
+    """The records as search sees them: ids in ascending order and a float64
+    matrix that holds every distinct vector once. The positions in ids of
+    the records holding matrix row r are members[starts[r] : starts[r + 1]],
+    ascending."""
 
     ids: list[str]
     matrix: np.ndarray
     norms: np.ndarray
-    row_of: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
 
 
 def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
@@ -92,21 +101,61 @@ def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
         raise DataError(f"embedding for {chunk_ids[int(zero.argmax())]!r} has zero norm")
 
 
-def _top_k(sims: np.ndarray, k: int, ids: list[str]) -> list[list[SearchHit]]:
-    """Per row of sims (one column per id, ids ascending): the k best columns
-    by (-score, column), chosen among those scoring at least the k-th score."""
-    n = sims.shape[1]
-    kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
-    rows, cols = np.nonzero(sims >= kth)
+def _distinct(rows: np.ndarray, step: int) -> np.ndarray:
+    """Number the distinct rows of rows, equal when their bytes are equal.
+
+    Sorting the rows as void scalars puts copies side by side; neighbours are
+    compared step rows at a time, so no copy of all the rows is made.
+    """
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    perm = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    for lo in range(1, len(keys), step):
+        hi = min(len(keys), lo + step)
+        new[lo:hi] = keys[perm[lo:hi]] != keys[perm[lo - 1 : hi - 1]]
+    numbers = np.empty(len(keys), dtype=np.intp)
+    numbers[perm] = np.cumsum(new) - 1
+    return numbers
+
+
+def _top_k(sims: np.ndarray, k: int, scoring: _Scoring) -> list[list[SearchHit]]:
+    """Per row of sims (one column per matrix row): the k best records by
+    (-score, position in ids).
+
+    At least k columns, and so at least k records, score at least t, the k-th
+    largest of the maxima over groups of GROUP adjacent columns (the last
+    group may be shorter). So the best k records are among those whose column
+    scores at least t, and such columns sit only in groups whose maximum is at
+    least t: only those groups are gathered.
+    """
+    m, n = sims.shape
+    gmax = np.maximum.reduceat(sims, np.arange(0, n, GROUP), axis=1)
+    ng = gmax.shape[1]
+    if k <= ng:
+        t = np.partition(gmax, ng - k, axis=1)[:, ng - k, None]
+    else:
+        t = np.full((m, 1), -np.inf)
+    rows, groups = np.nonzero(gmax >= t)
+    cols = (groups[:, None] * GROUP + np.arange(GROUP)).ravel()
+    rows = np.repeat(rows, GROUP)
+    inside = cols < n
+    rows, cols = rows[inside], cols[inside]
     scores = sims[rows, cols]
-    order = np.lexsort((cols, -scores, rows))
-    rows, cols, scores = rows[order], cols[order], scores[order]
+    keep = scores >= t[rows, 0]
+    rows, cols, scores = rows[keep], cols[keep], scores[keep]
+    # Expand each kept column to the records holding its vector.
+    counts = scoring.starts[cols + 1] - scoring.starts[cols]
+    offsets = np.repeat(scoring.starts[cols] - (np.cumsum(counts) - counts), counts)
+    recs = scoring.members[offsets + np.arange(len(offsets))]
+    rows, scores = np.repeat(rows, counts), np.repeat(scores, counts)
+    order = np.lexsort((recs, -scores, rows))
+    rows, recs, scores = rows[order], recs[order], scores[order]
     hits = []
-    for start in np.searchsorted(rows, np.arange(len(sims))).tolist():
-        best = zip(cols[start : start + k].tolist(), scores[start : start + k].tolist())
+    for start in np.searchsorted(rows, np.arange(m)).tolist():
+        best = zip(recs[start : start + k].tolist(), scores[start : start + k].tolist())
         hits.append([
-            SearchHit(chunk_id=ids[col], score=min(1.0, max(-1.0, score)), rank=rank)
-            for rank, (col, score) in enumerate(best, start=1)
+            SearchHit(chunk_id=scoring.ids[rec], score=min(1.0, max(-1.0, score)), rank=rank)
+            for rank, (rec, score) in enumerate(best, start=1)
         ])
     return hits
 
@@ -155,17 +204,26 @@ class VectorStore:
     def _prepare(self) -> _Scoring:
         with self._lock:
             if self._scoring is None:
-                order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-                distinct: dict[bytes, int] = {}
-                row_of = np.fromiter(
-                    (distinct.setdefault(self._rows[i].tobytes(), len(distinct)) for i in order),
-                    dtype=np.intp,
-                    count=len(order),
-                )
-                matrix = np.frombuffer(b"".join(distinct), dtype=np.float32)
-                matrix = matrix.reshape(len(distinct), self.dims).astype(np.float64)
+                n = len(self._ids)
+                order = np.array(sorted(range(n), key=self._ids.__getitem__), dtype=np.intp)
+                step = max(1, SCORE_BLOCK_BYTES // (8 * self.dims))
+                vec = _distinct(self._rows[:n], step)[order]  # per record, ids ascending
+                # Matrix rows follow first occurrence in chunk_id order, so the
+                # matrix (and so the BLAS bits) does not depend on insertion order.
+                firsts = np.sort(np.unique(vec, return_index=True)[1])
+                renumber = np.empty_like(firsts)
+                renumber[vec[firsts]] = np.arange(len(firsts))
+                row_of = renumber[vec]
+                members = np.argsort(row_of, kind="stable")
+                starts = np.zeros(len(firsts) + 1, dtype=np.intp)
+                np.cumsum(np.bincount(row_of), out=starts[1:])
+                matrix = np.empty((len(firsts), self.dims))
+                for lo in range(0, len(firsts), step):
+                    matrix[lo : lo + step] = self._rows[order[firsts[lo : lo + step]]]
                 norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-                self._scoring = _Scoring([self._ids[i] for i in order], matrix, norms, row_of)
+                self._scoring = _Scoring(
+                    [self._ids[i] for i in order], matrix, norms, members, starts
+                )
             return self._scoring
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
@@ -203,7 +261,7 @@ class VectorStore:
             sims = q[lo : lo + step] @ scoring.matrix.T
             sims /= scoring.norms
             sims /= qnorms[lo : lo + step, None]
-            hits += _top_k(sims[:, scoring.row_of], min(k, n), scoring.ids)
+            hits += _top_k(sims, min(k, n), scoring)
         return hits
 
     def save(self, path: str | Path) -> None:

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from telerag import userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
-from telerag.errors import ProviderError
+from telerag.errors import DataError, ProviderError
 from telerag.evalharness import read_report_json
 from telerag.modelclient import write_transcript
 from telerag.vstore import VectorStore
@@ -334,6 +336,89 @@ def test_lock_file_blocks_concurrent_writer(tmp_path):
 
 def leftovers(directory):
     return sorted(p.name for p in directory.iterdir() if p.suffix in (".tmp", ".lock"))
+
+
+def finished_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    return child.pid
+
+
+def test_stale_lock_of_dead_process_is_reclaimed(tmp_path):
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "c.jsonl"
+    (tmp_path / "c.jsonl.lock").write_text(f"{finished_pid()}\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
+    assert out.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_lock_of_live_process_blocks(tmp_path, capsys):
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "c.jsonl"
+    lock = tmp_path / "c.jsonl.lock"
+    lock.write_text(f"{os.getpid()}\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
+    assert "another run appears to be writing" in capsys.readouterr().err
+    assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+    assert not out.exists()
+
+
+def test_concurrent_reclaimers_never_overlap(tmp_path, monkeypatch):
+    from telerag import cli
+
+    out = tmp_path / "c.txt"
+    state = {"inside": 0, "most": 0, "runs": 0}
+    guard = threading.Lock()
+    real_kill = os.kill
+
+    def slow_kill(pid, sig):  # widen the gap between reading a pid and removing the lock
+        time.sleep(0.002)
+        return real_kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", slow_kill)
+    start = threading.Barrier(8)
+
+    def reclaim():
+        start.wait(timeout=60)
+        try:
+            with cli._run(out, "test", {}):
+                with guard:
+                    state["inside"] += 1
+                    state["most"] = max(state["most"], state["inside"])
+                    state["runs"] += 1
+                time.sleep(0.001)
+                with guard:
+                    state["inside"] -= 1
+        except DataError:
+            pass
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            (tmp_path / "c.txt.lock").write_text(f"{finished_pid()}\n", encoding="utf-8")
+            threads = [threading.Thread(target=reclaim) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert state["most"] == 1
+    assert state["runs"] >= 20
+    assert leftovers(tmp_path) == []
+
+
+def test_directory_as_output_is_data_error(tmp_path, capsys):
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "some_dir"
+    out.mkdir()
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.is_dir() and leftovers(tmp_path) == []
 
 
 def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):

@@ -104,6 +104,18 @@ def test_http_retries_then_succeeds(monkeypatch):
     assert sleeps == [1.0]
 
 
+def test_http_retries_rate_limit_then_succeeds(monkeypatch):
+    responses = [FakeResponse(429), FakeResponse(200, {"text": "ok"})]
+    sleeps = []
+    monkeypatch.setattr("requests.post", lambda *a, **k: responses.pop(0))
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    out = HttpBackend(ModelConfig(kind="http", endpoint="http://x", model_name="m",
+                                  backoff_s=1.0)).complete("p")
+    assert out.text == "ok"
+    assert out.attempt_count == 2
+    assert sleeps == [1.0]
+
+
 def test_http_exhausts_retries(monkeypatch):
     calls = []
     sleeps = []

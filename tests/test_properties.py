@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,23 +82,73 @@ def build(dims: int, records: dict[str, np.ndarray]) -> VectorStore:
     return store
 
 
+def assert_matches_oracle(hits, records, query, k):
+    want = oracle_top_k(records, query, k)
+    assert [h.chunk_id for h in hits] == [chunk_id for chunk_id, _ in want]
+    assert [h.rank for h in hits] == list(range(1, len(want) + 1))
+    for hit, (_, score) in zip(hits, want):
+        assert abs(hit.score - score) <= 1e-12
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=stores(), extra_k=st.integers(0, 3), per_block=st.integers(1, 3), data=st.data())
-def test_search_and_search_many_match_oracle(case, extra_k, per_block, data):
+@given(case=stores(), extra_k=st.integers(0, 3), per_block=st.integers(1, 3),
+       group=st.sampled_from([vstore.GROUP, 1, 2, 3]), data=st.data())
+def test_search_and_search_many_match_oracle(case, extra_k, per_block, group, data):
     dims, records, queries = case
     k = data.draw(st.integers(1, len(records))) + extra_k
     store = build(dims, records)
-    # Blocks of per_block queries, so a batch of up to 7 crosses block boundaries.
-    with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 8 * len(records) * per_block):
-        batched = store.search_many(queries, k)
-    assert len(batched) == len(queries)
-    for query, many_hits in zip(queries, batched):
-        want = oracle_top_k(records, query, k)
-        for hits in (many_hits, store.search(query, k)):
-            assert [h.chunk_id for h in hits] == [chunk_id for chunk_id, _ in want]
-            assert [h.rank for h in hits] == list(range(1, len(want) + 1))
-            for hit, (_, score) in zip(hits, want):
-                assert abs(hit.score - score) <= 1e-12
+    # Small groups give full groups, a short last group, k above the group
+    # count and copies of one vector in different groups on these small stores.
+    with mock.patch.object(vstore, "GROUP", group):
+        # Blocks of per_block queries, so a batch of up to 7 crosses block boundaries.
+        with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 8 * len(records) * per_block):
+            batched = store.search_many(queries, k)
+        assert len(batched) == len(queries)
+        for query, many_hits in zip(queries, batched):
+            assert_matches_oracle(many_hits, records, query, k)
+            assert_matches_oracle(store.search(query, k), records, query, k)
+
+
+GROUPS = [1, 2, 3, vstore.GROUP]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_all_copies_of_one_vector_rank_by_chunk_id(group):
+    vec = np.random.default_rng(1).normal(size=8).astype(np.float32)
+    ids = [f"c{i:02d}" for i in range(10)]
+    store = build(8, {chunk_id: vec for chunk_id in reversed(ids)})
+    with mock.patch.object(vstore, "GROUP", group):
+        for k in (1, 3, 10, 12):
+            for query in (vec.astype(np.float64), -vec.astype(np.float64)):
+                assert [h.chunk_id for h in store.search(query, k)] == ids[:k]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_best_vector_alone_in_last_group(group):
+    rng = np.random.default_rng(2)
+    distinct = rng.normal(size=(2 * group + 1, 8)).astype(np.float32)
+    # Matrix rows follow chunk_id order, so the last id's vector is alone in the last group.
+    records = {f"d{i:02d}": vec for i, vec in enumerate(distinct)}
+    store = build(8, records)
+    query = distinct[-1].astype(np.float64)
+    with mock.patch.object(vstore, "GROUP", group):
+        for k in range(1, len(records) + 1):
+            hits = store.search(query, k)
+            assert hits[0].chunk_id == f"d{2 * group:02d}"
+            assert_matches_oracle(hits, records, query, k)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_k_equal_to_record_count_ranks_every_record(group):
+    rng = np.random.default_rng(3)
+    distinct = rng.normal(size=(4, 8)).astype(np.float32)
+    records = {f"r{i:02d}": distinct[i % 4] for i in range(11)}
+    store = build(8, records)
+    queries = rng.normal(size=(3, 8))
+    with mock.patch.object(vstore, "GROUP", group):
+        for query, hits in zip(queries, store.search_many(queries, len(records))):
+            assert len(hits) == len(records)
+            assert_matches_oracle(hits, records, query, len(records))
 
 
 @settings(max_examples=60, deadline=None)
