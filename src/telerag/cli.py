@@ -223,7 +223,8 @@ def cmd_ingest(args) -> int:
 def cmd_embed(args) -> int:
     from . import vstore
 
-    chunks = corpus_mod.read_chunks_jsonl(args.corpus)
+    index = corpus_mod.CorpusIndex()
+    chunks = corpus_mod.read_chunks_jsonl(args.corpus, index)
     provider = _provider_from_file(args.provider_config)
     out = Path(args.out)
     if out.exists() and not args.force:
@@ -242,6 +243,7 @@ def cmd_embed(args) -> int:
             vectors = embed_mod.embed_texts(provider, [c.text for c in part])
             for chunk, vec in zip(part, vectors):
                 store.insert(vstore.VectorRecord(chunk_id=chunk.chunk_id, embedding=vec))
+        store.bind_corpus(index.sha256, index.offsets)
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
     return 0
@@ -251,56 +253,71 @@ def cmd_eval(args) -> int:
     items = evalharness.load_dataset(args.dataset)
     model_cfg = _model_config_from_dict(_load_json_file(args.model_config), args.model_config)
     backend = build_backend(model_cfg)
-
-    store = None
-    provider = None
-    chunks_by_id = None
     cfg = rag.RagConfig(
         k=args.k, max_context_tokens=args.max_context_tokens, query_mode=args.query_mode
     )
-    if args.rag:
-        if not args.corpus:
-            raise DataError("--rag needs --corpus for the chunk texts")
-        from . import vstore
-
-        store = vstore.VectorStore.load(args.rag)
-        chunks_by_id = corpus_mod.chunk_map(corpus_mod.read_chunks_jsonl(args.corpus))
-        if args.provider_config:
-            provider = _provider_from_file(args.provider_config)
-        else:
-            provider = embed_mod.provider_from_fingerprint(store.provider_fingerprint)
-
-    report_path = Path(args.report)
-    audit_path = args.audit or str(report_path) + ".audit.jsonl"
-    config = {
-        "dataset": args.dataset,
-        "model_config": args.model_config,
-        "rag": args.rag,
-        "k": cfg.k,
-        "strict_parse": args.strict_parse,
-    }
-    with _run(report_path, "eval", config) as run:
-        results = rag.run_evaluation(
-            backend,
-            items,
-            store=store,
-            provider=provider,
-            chunks=chunks_by_id,
-            cfg=cfg,
-            concurrency=args.concurrency,
-            strict_parse=args.strict_parse,
+    if args.rag and not args.corpus:
+        raise DataError("--rag needs --corpus for the chunk texts")
+    with open(args.corpus, "rb") if args.rag else contextlib.nullcontext() as corpus_file:
+        store = provider = chunks_by_id = None
+        # Every setting that shapes a RAG answer; all None on plain eval.
+        settings = dict.fromkeys(
+            ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
         )
-        run_meta = {
-            "model": model_cfg.summary(),
-            "rag_enabled": args.rag is not None,
-            "k": cfg.k if args.rag else None,
+        if args.rag:
+            from . import vstore
+
+            store = vstore.VectorStore.load(args.rag)
+            if corpus_mod.file_sha256(corpus_file) != store.corpus_sha256:
+                raise DataError(
+                    f"{args.corpus} is not the corpus {args.rag} was embedded from; "
+                    "re-run telerag embed"
+                )
+            chunks_by_id = corpus_mod.CorpusLines(corpus_file, store.corpus_offsets())
+            if args.provider_config:
+                provider = _provider_from_file(args.provider_config)
+            else:
+                provider = embed_mod.provider_from_fingerprint(store.provider_fingerprint)
+            settings = {
+                "max_context_tokens": cfg.max_context_tokens,
+                "query_mode": cfg.query_mode,
+                "provider_fingerprint": provider.fingerprint,
+                "corpus_sha256": store.corpus_sha256.hex(),
+            }
+
+        report_path = Path(args.report)
+        audit_path = args.audit or str(report_path) + ".audit.jsonl"
+        config = {
+            "dataset": args.dataset,
+            "model_config": args.model_config,
+            "rag": args.rag,
+            "k": cfg.k,
+            "strict_parse": args.strict_parse,
+            **settings,
         }
-        report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
-        run.dataset_fingerprint = report.dataset_fingerprint
-        evalharness.write_report_json(report, run.output(report_path))
-        rag.write_audit_log(results, run.output(audit_path))
-        if args.csv:
-            run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
+        with _run(report_path, "eval", config) as run:
+            results = rag.run_evaluation(
+                backend,
+                items,
+                store=store,
+                provider=provider,
+                chunks=chunks_by_id,
+                cfg=cfg,
+                concurrency=args.concurrency,
+                strict_parse=args.strict_parse,
+            )
+            run_meta = {
+                "model": model_cfg.summary(),
+                "rag_enabled": args.rag is not None,
+                "k": cfg.k if args.rag else None,
+                **settings,
+            }
+            report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
+            run.dataset_fingerprint = report.dataset_fingerprint
+            evalharness.write_report_json(report, run.output(report_path))
+            rag.write_audit_log(results, run.output(audit_path))
+            if args.csv:
+                run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
     for cat, stats in report.categories.items():
         print(f"{cat}: {stats.correct}/{stats.count} = {stats.accuracy_percent:.2f}%"
               + (f" ({stats.errored} errored)" if stats.errored else ""))

@@ -5,15 +5,22 @@ no overlap) which are the unit of embedding and retrieval. The tokenizer
 is pluggable; the default splits on whitespace and rejoins with single
 spaces, so chunk token streams concatenate back to the document's token
 stream when overlap is zero.
+
+A chunk JSONL file is read whole once, when it is embedded; that read also
+gives each line's byte offset and the file's SHA-256, which the vector store
+keeps. Evaluation then checks the file against that digest and reads only the
+lines its hits name, through ``CorpusLines``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import BinaryIO, Iterator, Mapping, Protocol, Sequence
 
 from .errors import DataError
 
@@ -159,29 +166,97 @@ def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
+_CHUNK_FIELDS = {"chunk_id": str, "doc_id": str, "seq": int, "text": str, "token_count": int}
+
+
+def _chunk_from_line(line: bytes) -> Chunk:
+    """Parse one chunk JSONL line; a ValueError says what is wrong with it."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+        for name, kind in _CHUNK_FIELDS.items():
+            if type(rec[name]) is not kind:
+                raise ValueError(f"field {name!r} is not of type {kind.__name__}")
+        return Chunk(**{name: rec[name] for name in _CHUNK_FIELDS})
+    except KeyError as exc:
+        raise ValueError(f"chunk record lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed chunk record: {exc}") from None
+
+
+@dataclass
+class CorpusIndex:
+    """Where read_chunks_jsonl found its chunks: the byte offset of each
+    chunk's line, in file order, and the SHA-256 of the file's bytes."""
+
+    offsets: list[int] = field(default_factory=list)
+    sha256: bytes = b""
+
+
+def read_chunks_jsonl(path: str | Path, index: CorpusIndex | None = None) -> list[Chunk]:
     """Load chunks written by write_chunks_jsonl; a malformed line raises
-    DataError naming path:line."""
+    DataError naming path:line. Lines end at b"\\n" only; blank lines are
+    skipped. When index is given, it receives the offsets and the digest."""
+    with open(path, "rb") as f:
+        data = f.read()
     chunks: list[Chunk] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                chunk = Chunk(
-                    chunk_id=rec["chunk_id"],
-                    doc_id=rec["doc_id"],
-                    seq=rec["seq"],
-                    text=rec["text"],
-                    token_count=rec["token_count"],
-                )
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: chunk record lacks field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed chunk record: {exc}") from exc
-            chunks.append(chunk)
+    offsets: list[int] = []
+    offset = 0
+    try:
+        for lineno, line in enumerate(data.split(b"\n"), start=1):
+            if line.strip():
+                chunks.append(_chunk_from_line(line))
+                offsets.append(offset)
+            offset += len(line) + 1
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if index is not None:
+        index.offsets, index.sha256 = offsets, hashlib.sha256(data).digest()
     return chunks
+
+
+def file_sha256(f: BinaryIO) -> bytes:
+    """SHA-256 of the rest of an open binary file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    for block in iter(lambda: f.read(1 << 20), b""):
+        digest.update(block)
+    return digest.digest()
+
+
+class CorpusLines(Mapping[str, Chunk]):
+    """Read-only chunk_id -> Chunk view of an open chunk JSONL file.
+
+    offsets gives the byte offset of each chunk's line; a lookup parses that
+    one line, under the same rules as read_chunks_jsonl, and checks that it
+    holds the chunk asked for.
+    """
+
+    def __init__(self, f: BinaryIO, offsets: Mapping[str, int]) -> None:
+        self._f = f
+        self._offsets = offsets
+        self._lock = threading.Lock()  # one seek and readline at a time
+
+    def __getitem__(self, chunk_id: str) -> Chunk:
+        offset = self._offsets[chunk_id]
+        with self._lock:
+            self._f.seek(offset)
+            line = self._f.readline()
+        where = f"{self._f.name} (line at byte {offset})"
+        try:
+            chunk = _chunk_from_line(line)
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        if chunk.chunk_id != chunk_id:
+            raise DataError(f"{where}: holds chunk {chunk.chunk_id!r}, not {chunk_id!r}")
+        return chunk
+
+    def __contains__(self, chunk_id: object) -> bool:
+        return chunk_id in self._offsets
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
 
 
 def chunk_map(chunks: Sequence[Chunk]) -> dict[str, Chunk]:

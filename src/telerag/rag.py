@@ -109,17 +109,6 @@ def retrieve_many(
     return contexts
 
 
-def retrieve_context(
-    store: VectorStore,
-    provider: EmbeddingProviderConfig,
-    query: str,
-    cfg: RagConfig,
-    chunks: Mapping[str, Chunk],
-) -> list[Chunk]:
-    """retrieve_many for one query, without the hits."""
-    return [chunk for chunk, _ in retrieve_many(store, provider, [query], cfg, chunks)[0]]
-
-
 def _retrieve_items(
     store: VectorStore | None,
     provider: EmbeddingProviderConfig | None,

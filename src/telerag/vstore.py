@@ -24,19 +24,27 @@ float64 scoring matrix and its norms are built once, under a lock, by the
 first search after the records change.
 
 The store file records the embedding provider fingerprint and rejects
-queries embedded by a different provider. File layout (format version 1,
-all little-endian):
+queries embedded by a different provider. It is bound to the corpus file its
+records were embedded from: it holds the SHA-256 of that file's bytes and the
+byte offset of each record's line in it, so a reader can check the corpus in
+one hashing pass and then parse only the lines its hits name. A store never
+bound to a corpus holds an all-zero digest, which no file hashes to. File
+layout (format version 2, all little-endian):
 
     magic "TRVS" | version u32 | dims u32 | count u64 |
-    fingerprint (u32 length + UTF-8) |
-    count records of: chunk_id (u32 length + UTF-8) + dims float32
+    fingerprint (u32 length + UTF-8) | corpus SHA-256 (32 bytes) |
+    ids (u64 length + UTF-8 JSON array of count strings) |
+    count u64 corpus line offsets | count x dims float32 vectors
 
-Records are written sorted by chunk_id, so the same record set always
-produces byte-identical files.
+The prefix up to the fingerprint is the one of format version 1, so
+``read_header`` reads either; ``load`` refuses any version but 2. Records are
+written sorted by chunk_id, so the same record set always produces
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 from dataclasses import dataclass
@@ -53,7 +61,9 @@ from .errors import (
 )
 
 MAGIC = b"TRVS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# The digest of a store that is not bound to a corpus file.
+UNBOUND = bytes(32)
 # Cap on one block of float64 scores (queries x records) in search_many.
 SCORE_BLOCK_BYTES = 8 << 20
 # Adjacent score columns per group whose maximum top-k selection looks at first.
@@ -174,6 +184,9 @@ class VectorStore:
         self._rows = np.empty((0, dims), dtype=np.float32)
         self._scoring: _Scoring | None = None
         self._lock = threading.Lock()
+        self.corpus_sha256 = UNBOUND
+        # Corpus line offset of each row, in insertion order; None when unbound.
+        self._offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -200,6 +213,23 @@ class VectorStore:
             self._index[record.chunk_id] = n
             self._ids.append(record.chunk_id)
             self._scoring = None
+            self.corpus_sha256, self._offsets = UNBOUND, None
+
+    def bind_corpus(self, sha256: bytes, offsets: Sequence[int]) -> None:
+        """Record the corpus file the records were embedded from: its SHA-256
+        and the byte offset of each record's line, in insertion order.
+        Inserting another record drops the binding."""
+        if len(sha256) != 32 or len(offsets) != len(self._ids):
+            raise ValueError("need a 32-byte digest and one offset per record")
+        with self._lock:
+            self.corpus_sha256 = bytes(sha256)
+            self._offsets = np.array(offsets, dtype=np.uint64)
+
+    def corpus_offsets(self) -> dict[str, int]:
+        """chunk_id -> byte offset of its line in the bound corpus (0 when unbound)."""
+        if self._offsets is None:
+            return dict.fromkeys(self._ids, 0)
+        return dict(zip(self._ids, self._offsets.tolist()))
 
     def _prepare(self) -> _Scoring:
         with self._lock:
@@ -270,16 +300,16 @@ class VectorStore:
             self._write(f)
 
     def _write(self, f: BinaryIO) -> None:
+        n = len(self._ids)
+        order = np.array(sorted(range(n), key=self._ids.__getitem__), dtype=np.intp)
         fp_bytes = self.provider_fingerprint.encode("utf-8")
-        f.write(MAGIC)
-        f.write(struct.pack("<IIQ", FORMAT_VERSION, self.dims, len(self._ids)))
-        f.write(struct.pack("<I", len(fp_bytes)))
-        f.write(fp_bytes)
-        for chunk_id in sorted(self._ids):
-            id_bytes = chunk_id.encode("utf-8")
-            f.write(struct.pack("<I", len(id_bytes)))
-            f.write(id_bytes)
-            f.write(self._rows[self._index[chunk_id]].tobytes())
+        ids = json.dumps([self._ids[i] for i in order], ensure_ascii=False, separators=(",", ":"))
+        id_bytes = ids.encode("utf-8")
+        offsets = np.zeros(n, dtype="<u8") if self._offsets is None else self._offsets[order]
+        f.write(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, self.dims, n, len(fp_bytes)))
+        f.write(fp_bytes + self.corpus_sha256 + struct.pack("<Q", len(id_bytes)) + id_bytes)
+        f.write(offsets.astype("<u8").tobytes())
+        f.write(self._rows[order].astype("<f4").tobytes())
 
     @classmethod
     def read_header(cls, path: str | Path) -> tuple[int, int, int, str]:
@@ -300,10 +330,12 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
-        """Read a store file; wrong magic, version, or truncation raise StoreFormatError.
+        """Read a store file; wrong magic or version, truncation, trailing
+        bytes and an ids block that is not a list of count strings raise
+        StoreFormatError.
 
-        Only the ids are parsed one by one; the vectors become one block,
-        checked in one pass.
+        The ids are one JSON array and the offsets and vectors one block each,
+        so no step loops over the records in Python.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -311,32 +343,38 @@ class VectorStore:
             raise StoreFormatError(f"not a vector store file (bad magic): {path}")
         if len(data) < 24:
             raise StoreFormatError(f"truncated store file: {path}")
-        version, dims, count = struct.unpack_from("<IIQ", data, 4)
+        version, dims, count, fp_len = struct.unpack_from("<IIQI", data, 4)
         if version != FORMAT_VERSION:
-            raise StoreFormatError(f"unsupported store format version {version}")
-        (fp_len,) = struct.unpack_from("<I", data, 20)
-        pos = 24 + fp_len
-        if pos > len(data):
+            raise StoreFormatError(
+                f"unsupported store format version {version}; re-run telerag embed"
+            )
+        digest_at = 24 + fp_len
+        ids_at = digest_at + 40
+        if ids_at > len(data):
             raise StoreFormatError(f"truncated store file: {path}")
-        store = cls(dims=dims, provider_fingerprint=data[24:pos].decode("utf-8"))
-        view = memoryview(data)
-        vectors = []
-        for i in range(count):
-            if pos + 4 > len(data):
-                raise StoreFormatError(f"truncated store file: {path}")
-            (id_len,) = struct.unpack_from("<I", data, pos)
-            id_end = pos + 4 + id_len
-            pos = id_end + 4 * dims
-            if pos > len(data):
-                raise StoreFormatError(f"truncated store file: {path}")
-            chunk_id = data[id_end - id_len : id_end].decode("utf-8")
-            if store._index.setdefault(chunk_id, i) != i:
-                raise DuplicateChunkError(f"chunk id already in store: {chunk_id!r}")
-            store._ids.append(chunk_id)
-            vectors.append(view[id_end:pos])
-        if pos != len(data):
+        (ids_len,) = struct.unpack_from("<Q", data, digest_at + 32)
+        offsets_at = ids_at + ids_len
+        vectors_at = offsets_at + 8 * count
+        end = vectors_at + 4 * dims * count
+        if end > len(data):
+            raise StoreFormatError(f"truncated store file: {path}")
+        if end < len(data):
             raise StoreFormatError(f"trailing bytes after {count} records: {path}")
-        rows = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dims)
-        _check_vectors(store._ids, rows)
+        try:
+            ids = json.loads(data[ids_at:offsets_at].decode("utf-8"))
+        except ValueError as exc:
+            raise StoreFormatError(f"malformed ids block in {path}: {exc}") from None
+        if not isinstance(ids, list) or len(ids) != count or set(map(type, ids)) - {str}:
+            raise StoreFormatError(f"ids block of {path} is not a list of {count} strings")
+        store = cls(dims=dims, provider_fingerprint=data[24:digest_at].decode("utf-8"))
+        store._index = dict(zip(ids, range(count)))
+        if len(store._index) != count:
+            dup = next(c for i, c in enumerate(ids) if store._index[c] != i)
+            raise DuplicateChunkError(f"chunk id already in store: {dup!r}")
+        rows = np.frombuffer(data, "<f4", count * dims, vectors_at).reshape(count, dims)
+        _check_vectors(ids, rows)
+        store._ids = ids
         store._rows = rows
+        store.corpus_sha256 = data[digest_at:ids_at - 8]
+        store._offsets = np.frombuffer(data, "<u8", count, offsets_at)
         return store

@@ -298,7 +298,7 @@ def test_prompt_fidelity():
 def _run_pipeline(workdir) -> dict[str, bytes]:
     from telerag.evalharness import load_dataset
     from telerag.modelclient import write_transcript
-    from telerag.rag import augment, retrieve_context
+    from telerag.rag import augment, retrieve_many
     from telerag.corpus import read_chunks_jsonl
 
     docs = workdir / "docs"
@@ -339,7 +339,8 @@ def _run_pipeline(workdir) -> dict[str, bytes]:
     cfg = RagConfig(k=2)
     entries = []
     for i, item in enumerate(items):
-        context = retrieve_context(store, provider, build_query(item, cfg.query_mode), cfg, chunks)
+        query = build_query(item, cfg.query_mode)
+        context = [c for c, _ in retrieve_many(store, provider, [query], cfg, chunks)[0]]
         prompt = augment(item, context).prompt_text
         picked = item.correct_index if i % 2 == 0 else (item.correct_index % 4) + 1
         entries.append((prompt, f"{picked}. {item.options[picked - 1]}"))

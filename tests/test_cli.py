@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -127,11 +128,10 @@ def test_embed_refuses_provider_swap(tmp_path, capsys):
 
 def test_embed_and_eval_reject_malformed_corpus_line(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
-    corpus_path.write_text(
-        json.dumps({"chunk_id": "d#0", "doc_id": "d", "seq": 0, "text": "t", "token_count": 1})
-        + "\n" + json.dumps({"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "u"}) + "\n",
-        encoding="utf-8",
-    )
+    first = json.dumps({"chunk_id": "d#0", "doc_id": "d", "seq": 0, "text": "t", "token_count": 1})
+    good = json.dumps({"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "u", "token_count": 1})
+    bad = json.dumps({"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "u"})
+    corpus_path.write_text(first + "\n" + bad + "\n", encoding="utf-8")
     provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
     store_path = tmp_path / "store.vdb"
     code = main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
@@ -142,12 +142,92 @@ def test_embed_and_eval_reject_malformed_corpus_line(tmp_path, capsys):
     assert "Traceback" not in err
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=2)
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
-    VectorStore(dims=32, provider_fingerprint="hash-test:seed-0:32").save(store_path)
+    # Embed the valid corpus, then corrupt its line 2: eval sees the corpus
+    # is no longer the one the store was embedded from.
+    corpus_path.write_text(first + "\n" + good + "\n", encoding="utf-8")
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 0
+    corpus_path.write_text(first + "\n" + bad + "\n", encoding="utf-8")
+    capsys.readouterr()
     code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--rag", str(store_path), "--corpus", str(corpus_path),
                  "--report", str(tmp_path / "r.json")])
     assert code == 2
-    assert "corpus.jsonl:2:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "re-run telerag embed" in err
+
+
+def embed_three_docs(tmp_path):
+    docs = make_docs_dir(tmp_path, sizes=(40, 30, 20))
+    corpus_path = run_ingest(tmp_path, docs, chunk_size=16)
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 0
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=4)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    return corpus_path, store_path, ["eval", "--dataset", str(dataset), "--model-config",
+                                     model_cfg, "--rag", str(store_path), "--corpus",
+                                     str(corpus_path)]
+
+
+def test_eval_rag_refuses_corpus_edited_after_embed(tmp_path, capsys):
+    corpus_path, store_path, eval_args = embed_three_docs(tmp_path)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in (0, 3):
+        rec = json.loads(lines[i])
+        rec["text"] = rec["text"].upper()
+        lines[i] = json.dumps(rec, ensure_ascii=False) + "\n"
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert main(eval_args + ["--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == (f"error: {corpus_path} is not the corpus {store_path} was embedded from; "
+                   "re-run telerag embed\n")
+    assert not report.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
+    import struct
+
+    corpus_path, store_path, eval_args = embed_three_docs(tmp_path)
+    # A v1 store: the v2 prefix up to the fingerprint, then records of
+    # (u32 id length, id, float32 vector).
+    fp = b"hash-test:seed-0:32"
+    v1 = b"TRVS" + struct.pack("<IIQI", 1, 2, 1, len(fp)) + fp
+    v1 += struct.pack("<I", 3) + b"d#0" + struct.pack("<2f", 1.0, 0.0)
+    store_path.write_bytes(v1)
+    capsys.readouterr()
+    assert main(eval_args + ["--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unsupported store format version 1; re-run telerag embed\n"
+    assert leftovers(tmp_path) == []
+
+
+def test_eval_run_block_records_rag_settings(tmp_path):
+    corpus_path, store_path, eval_args = embed_three_docs(tmp_path)
+    runs = {}
+    for budget in ("16", "48"):
+        report = tmp_path / f"r{budget}.json"
+        assert main(eval_args + ["--max-context-tokens", budget, "--report", str(report)]) == 0
+        manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
+        runs[budget] = json.loads(report.read_text())["run"]
+        settings = {key: runs[budget][key] for key in
+                    ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")}
+        assert settings == {key: manifest["config"][key] for key in settings}
+    assert runs["16"] != runs["48"]
+    assert (runs["16"]["max_context_tokens"], runs["48"]["max_context_tokens"]) == (16, 48)
+    assert runs["16"]["query_mode"] == "question_plus_options"
+    assert runs["16"]["provider_fingerprint"] == "hash-test:seed-0:32"
+    assert runs["16"]["corpus_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    plain = tmp_path / "plain.json"
+    assert main(eval_args[:5] + ["--report", str(plain)]) == 0
+    run = json.loads(plain.read_text())["run"]
+    assert [run[key] for key in settings] == [None] * 4
 
 
 def test_eval_non_object_dataset_entry_is_data_error(tmp_path, capsys):
@@ -350,6 +430,17 @@ def test_stale_lock_of_dead_process_is_reclaimed(tmp_path):
     (tmp_path / "c.jsonl.lock").write_text(f"{finished_pid()}\n", encoding="utf-8")
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
     assert out.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_tmp_left_by_killed_run_is_replaced_and_removed(tmp_path):
+    # What a SIGKILL during a write leaves: the lock and a partial output.
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "c.jsonl"
+    (tmp_path / "c.jsonl.lock").write_text(f"{finished_pid()}\n", encoding="utf-8")
+    (tmp_path / "c.jsonl.tmp").write_text('{"chunk_id": "partial', encoding="utf-8")
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
+    assert [c.chunk_id for c in read_chunks_jsonl(out)] == ["doc0#0"]
     assert leftovers(tmp_path) == []
 
 

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from telerag.errors import DataError
 from telerag.corpus import (
     Corpus,
+    CorpusIndex,
+    CorpusLines,
     Document,
     WhitespaceTokenizer,
     chunk_document,
     chunk_map,
     count_tokens,
+    file_sha256,
     read_chunks_jsonl,
     write_chunks_jsonl,
 )
@@ -155,7 +161,13 @@ def test_jsonl_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "bad_line",
-    ['{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t"}', "[1, 2]", "{not json"],
+    [
+        '{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t"}',
+        "[1, 2]",
+        "{not json",
+        '{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t", "token_count": "1"}',
+        '{"chunk_id": "d#1", "doc_id": "d", "seq": true, "text": "t", "token_count": 1}',
+    ],
 )
 def test_read_chunks_jsonl_names_malformed_line(tmp_path, bad_line):
     chunks = chunk_document(make_doc(20, "d"), chunk_size=16, overlap=0)
@@ -171,3 +183,77 @@ def test_chunk_map_keys():
     chunks = chunk_document(make_doc(100), chunk_size=30, overlap=0)
     mapping = chunk_map(chunks)
     assert set(mapping) == {c.chunk_id for c in chunks}
+
+
+def write_indexed_corpus(tmp_path):
+    chunks = chunk_document(make_doc(200, "näive"), chunk_size=16, overlap=0)
+    path = tmp_path / "corpus.jsonl"
+    write_chunks_jsonl(chunks, path)
+    # A blank line and a CRLF line: offsets count bytes, lines end at b"\n".
+    raw = path.read_bytes().replace(b"\n", b"\n\n", 1).replace(b"}\n", b"}\r\n", 2)
+    path.write_bytes(raw)
+    index = CorpusIndex()
+    assert read_chunks_jsonl(path, index) == chunks
+    return chunks, path, index
+
+
+def test_read_chunks_jsonl_index_offsets_and_digest(tmp_path):
+    chunks, path, index = write_indexed_corpus(tmp_path)
+    raw = path.read_bytes()
+    assert index.sha256 == hashlib.sha256(raw).digest()
+    assert len(index.offsets) == len(chunks)
+    for chunk, offset in zip(chunks, index.offsets):
+        assert offset == 0 or raw[offset - 1 : offset] == b"\n"
+        assert raw[offset:].startswith(b'{"chunk_id": "' + chunk.chunk_id.encode() + b'"')
+    with open(path, "rb") as f:
+        assert file_sha256(f) == index.sha256
+
+
+def test_corpus_lines_parses_only_named_lines(tmp_path):
+    chunks, path, index = write_indexed_corpus(tmp_path)
+    offsets = {c.chunk_id: off for c, off in zip(chunks, index.offsets)}
+    with open(path, "rb") as f:
+        lines = CorpusLines(f, offsets)
+        assert len(lines) == len(chunks) and list(lines) == list(offsets)
+        assert dict(lines) == chunk_map(chunks)
+        assert chunks[3].chunk_id in lines and "nope" not in lines
+        with pytest.raises(KeyError):
+            lines["nope"]
+        swapped = CorpusLines(f, {chunks[0].chunk_id: index.offsets[1]})
+        with pytest.raises(DataError, match="holds chunk 'näive#1', not 'näive#0'"):
+            swapped[chunks[0].chunk_id]
+        blank = CorpusLines(f, {chunks[1].chunk_id: index.offsets[1] - 1})
+        with pytest.raises(DataError, match=r"corpus.jsonl \(line at byte \d+\): malformed"):
+            blank[chunks[1].chunk_id]
+
+
+def test_corpus_lines_concurrent_lookups(tmp_path):
+    chunks, path, index = write_indexed_corpus(tmp_path)
+    offsets = {c.chunk_id: off for c, off in zip(chunks, index.offsets)}
+    want = chunk_map(chunks)
+    errors = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with open(path, "rb") as f:
+            lines = CorpusLines(f, offsets)
+
+            def worker(seed):
+                rng = random.Random(seed)
+                for _ in range(200):
+                    chunk_id = rng.choice(chunks).chunk_id
+                    try:
+                        if lines[chunk_id] != want[chunk_id]:
+                            errors.append(chunk_id)
+                    except DataError as exc:
+                        errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []

@@ -152,14 +152,22 @@ def test_k_equal_to_record_count_ranks_every_record(group):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=stores())
-def test_save_load_save_byte_identical(case):
+@given(case=stores(), bound=st.booleans(), data=st.data())
+def test_save_load_save_byte_identical(case, bound, data):
     dims, records, queries = case
     store = build(dims, records)
+    digest, offsets = bytes(32), dict.fromkeys(records, 0)
+    if bound:
+        digest = data.draw(st.binary(min_size=32, max_size=32))
+        drawn = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(records),
+                                   max_size=len(records)))
+        offsets = dict(zip(records, drawn))
+        store.bind_corpus(digest, drawn)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.vdb"), Path(tmp, "b.vdb")
         store.save(first)
         loaded = VectorStore.load(first)
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
+    assert (loaded.corpus_sha256, loaded.corpus_offsets()) == (digest, offsets)
     assert loaded.search_many(queries, len(records)) == store.search_many(queries, len(records))

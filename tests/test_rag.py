@@ -16,7 +16,7 @@ from telerag.rag import (
     answer_with_rag,
     augment,
     build_query,
-    retrieve_context,
+    retrieve_many,
     run_evaluation,
     write_audit_log,
 )
@@ -118,26 +118,26 @@ def test_retrieve_context_budget_keeps_whole_chunks():
     chunks = [make_chunk(cid, text.strip()) for cid, text in texts.items()]
     store = build_store(chunks)
     cfg = RagConfig(k=3, max_context_tokens=1024)
-    kept = retrieve_context(store, PROVIDER, "alpha beta gamma", cfg, chunk_map(chunks))
+    kept = retrieve_many(store, PROVIDER, ["alpha beta gamma"], cfg, chunk_map(chunks))[0]
     assert len(kept) == 2
-    assert sum(c.token_count for c in kept) <= 1024
+    assert sum(c.token_count for c, _ in kept) <= 1024
 
 
 def test_retrieve_context_rank1_kept_even_over_budget():
     chunks = [make_chunk("big#0", "word " * 900)]
     store = build_store(chunks)
     cfg = RagConfig(k=1, max_context_tokens=10)
-    kept = retrieve_context(store, PROVIDER, "word word", cfg, chunk_map(chunks))
-    assert [c.chunk_id for c in kept] == ["big#0"]
+    kept = retrieve_many(store, PROVIDER, ["word word"], cfg, chunk_map(chunks))[0]
+    assert [c.chunk_id for c, _ in kept] == ["big#0"]
 
 
 def test_retrieve_context_k1_matches_store_search():
     chunks = [make_chunk(f"c{i}#0", f"chunk number {i} about topic {i}") for i in range(20)]
     store = build_store(chunks)
     query = "chunk number 7 about topic 7"
-    kept = retrieve_context(store, PROVIDER, query, RagConfig(k=1), chunk_map(chunks))
+    kept = retrieve_many(store, PROVIDER, [query], RagConfig(k=1), chunk_map(chunks))[0]
     expected = store.search(embed_text(PROVIDER, query), k=1)
-    assert [c.chunk_id for c in kept] == [expected[0].chunk_id]
+    assert [c.chunk_id for c, _ in kept] == [expected[0].chunk_id]
 
 
 def test_retrieve_context_rejects_provider_mismatch():
@@ -145,7 +145,7 @@ def test_retrieve_context_rejects_provider_mismatch():
     store = build_store(chunks)
     other = EmbeddingProviderConfig(kind="hash-test", dims=32, seed=8)
     with pytest.raises(FingerprintMismatchError):
-        retrieve_context(store, other, "q", RagConfig(), chunk_map(chunks))
+        retrieve_many(store, other, ["q"], RagConfig(), chunk_map(chunks))
 
 
 def test_empty_store_degrades_to_plain_prompting():

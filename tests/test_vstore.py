@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -176,7 +177,7 @@ def test_read_header(tmp_path):
     path = tmp_path / "s.vdb"
     store.save(path)
     version, dims, count, fingerprint = VectorStore.read_header(path)
-    assert (version, dims, count, fingerprint) == (1, 8, 5, "hash-test:seed-3:8")
+    assert (version, dims, count, fingerprint) == (2, 8, 5, "hash-test:seed-3:8")
 
 
 def test_concurrent_readers_get_identical_results():
@@ -207,13 +208,20 @@ def test_random_sized_stores_match_oracle():
         assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
 
 
-def write_raw_store(path, dims, records, fingerprint=b"fp"):
-    # Store file written byte by byte, bypassing insert's checks.
+def raw_store(dims, records, fingerprint=b"fp", digest=bytes(32), ids_block=None):
+    # Store file (format v2) written byte by byte, bypassing insert's checks.
+    if ids_block is None:
+        ids_block = json.dumps([chunk_id.decode() for chunk_id, _ in records]).encode()
     blob = MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dims, len(records))
-    blob += struct.pack("<I", len(fingerprint)) + fingerprint
-    for chunk_id, vec in records:
-        blob += struct.pack("<I", len(chunk_id)) + chunk_id + np.asarray(vec, "<f4").tobytes()
-    path.write_bytes(blob)
+    blob += struct.pack("<I", len(fingerprint)) + fingerprint + digest
+    blob += struct.pack("<Q", len(ids_block)) + ids_block
+    blob += b"".join(struct.pack("<Q", 100 * i) for i in range(len(records)))
+    blob += b"".join(np.asarray(vec, "<f4").tobytes() for _, vec in records)
+    return blob
+
+
+def write_raw_store(path, dims, records, fingerprint=b"fp"):
+    path.write_bytes(raw_store(dims, records, fingerprint))
 
 
 def test_zero_norm_embedding_rejected(tmp_path):
@@ -266,3 +274,73 @@ def test_package_serves_store_names_on_first_use():
     assert all(hasattr(telerag, name) for name in telerag.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         telerag.no_such_name
+
+
+def test_raw_store_layout_loads(tmp_path):
+    path = tmp_path / "raw.vdb"
+    digest = bytes(range(32))
+    path.write_bytes(raw_store(2, [(b"b", [1.0, 0.0]), (b"a", [0.0, 1.0])], digest=digest))
+    store = VectorStore.load(path)
+    assert (len(store), store.dims, store.provider_fingerprint) == (2, 2, "fp")
+    assert store.corpus_sha256 == digest
+    assert store.corpus_offsets() == {"b": 0, "a": 100}
+    assert [h.chunk_id for h in store.search([0.0, 1.0], k=1)] == ["a"]
+
+
+@pytest.mark.parametrize(
+    "ids_block",
+    [b'["a"]', b'["a","b","c"]', b'{"a":1,"b":2}', b'["a",2]', b'"ab"', b"[not json", b"\xff"],
+)
+def test_load_rejects_bad_ids_block(tmp_path, ids_block):
+    path = tmp_path / "ids.vdb"
+    path.write_bytes(raw_store(2, [(b"a", [1.0, 0.0]), (b"b", [0.0, 1.0])], ids_block=ids_block))
+    with pytest.raises(StoreFormatError):
+        VectorStore.load(path)
+
+
+def test_load_rejects_truncation_in_every_block_and_trailing_bytes(tmp_path):
+    records = [(b"a", [1.0, 0.0]), (b"b", [0.0, 1.0])]
+    ids_block = b'["a","b"]'
+    blob = raw_store(2, records, fingerprint=b"fp", ids_block=ids_block)
+    # Ends of the blocks: header, fingerprint, digest, ids length, ids, offsets, vectors.
+    ends = [20, 24 + 2, 26 + 32, 58 + 8, 66 + len(ids_block), 75 + 16, 91 + 16]
+    assert ends[-1] == len(blob)
+    path = tmp_path / "cut.vdb"
+    for end in ends:
+        for cut in (end - 1, end - 2):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(StoreFormatError):
+                VectorStore.load(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(StoreFormatError, match="trailing bytes"):
+        VectorStore.load(path)
+    path.write_bytes(blob)
+    assert len(VectorStore.load(path)) == 2
+
+
+def test_load_refuses_format_version_1(tmp_path):
+    blob = bytearray(raw_store(2, [(b"a", [1.0, 0.0])]))
+    blob[4:8] = struct.pack("<I", 1)
+    path = tmp_path / "v1.vdb"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StoreFormatError) as exc:
+        VectorStore.load(path)
+    assert str(exc.value) == "unsupported store format version 1; re-run telerag embed"
+    assert VectorStore.read_header(path) == (1, 2, 1, "fp")
+
+
+def test_bound_store_saves_digest_and_offsets_insert_unbinds(tmp_path):
+    store, _ = random_store(3, 4, seed=16)
+    assert store.corpus_sha256 == bytes(32)
+    assert store.corpus_offsets() == dict.fromkeys(["c00000", "c00001", "c00002"], 0)
+    store.bind_corpus(b"\x01" * 32, [30, 10, 20])
+    path = tmp_path / "bound.vdb"
+    store.save(path)
+    loaded = VectorStore.load(path)
+    assert loaded.corpus_sha256 == b"\x01" * 32
+    assert loaded.corpus_offsets() == {"c00000": 30, "c00001": 10, "c00002": 20}
+    with pytest.raises(ValueError):
+        store.bind_corpus(b"\x01" * 32, [1, 2])
+    store.insert(VectorRecord(chunk_id="c9", embedding=np.ones(4, dtype=np.float32)))
+    assert store.corpus_sha256 == bytes(32)
+    assert set(store.corpus_offsets().values()) == {0}
