@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import fcntl
 import json
+import math
 import os
 import random
 import sys
@@ -199,7 +200,10 @@ def _seq_stats(values: list[int]) -> str:
     )
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, parser: _Parser) -> int:
+    if not 0 <= args.overlap < args.chunk_size:
+        parser.error(f"--overlap must be >= 0 and < --chunk-size {args.chunk_size}, "
+                     f"got {args.overlap}")
     input_dir = Path(args.input)
     txt_files = sorted(input_dir.glob("*.txt")) if input_dir.is_dir() else []
     if not txt_files:
@@ -241,8 +245,7 @@ def cmd_embed(args) -> int:
         for i in range(0, len(chunks), batch):
             part = chunks[i : i + batch]
             vectors = embed_mod.embed_texts(provider, [c.text for c in part])
-            for chunk, vec in zip(part, vectors):
-                store.insert(vstore.VectorRecord(chunk_id=chunk.chunk_id, embedding=vec))
+            store.insert_many([c.chunk_id for c in part], vectors)
         store.bind_corpus(index.sha256, index.offsets)
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
@@ -327,7 +330,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_usecase_energy(args) -> int:
+def cmd_usecase_energy(args, parser: _Parser) -> int:
+    if not 0.0 <= args.noise_sd < math.inf:
+        parser.error(f"--noise-sd must be a finite number >= 0, got {args.noise_sd}")
     from . import energymodel
 
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
@@ -413,7 +418,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="chunk .txt documents into a corpus JSONL")
     p.add_argument("--input", required=True, help="directory of .txt files")
     p.add_argument("--out", required=True, help="output corpus JSONL path")
-    p.add_argument("--chunk-size", type=int, default=corpus_mod.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=_positive_int, default=corpus_mod.DEFAULT_CHUNK_SIZE)
     p.add_argument("--overlap", type=int, default=0)
 
     p = sub.add_parser("embed", help="embed a corpus into a vector store")
@@ -428,8 +433,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rag", default=None, help="vector store path; enables retrieval")
     p.add_argument("--corpus", default=None, help="corpus JSONL (required with --rag)")
     p.add_argument("--provider-config", default=None, help="embedding provider JSON config")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--max-context-tokens", type=int, default=1536)
+    p.add_argument("--k", type=_positive_int, default=3)
+    p.add_argument("--max-context-tokens", type=_positive_int, default=1536)
     p.add_argument("--query-mode", choices=rag.QUERY_MODES, default="question_plus_options")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--csv", default=None, help="output per-category CSV path")
@@ -442,7 +447,7 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", default=None, help="CSV with columns bs_id,L,MTX,DSS,E")
     src.add_argument("--synthetic", action="store_true", help="generate seeded synthetic records")
-    p.add_argument("--n-bs", type=int, default=90)
+    p.add_argument("--n-bs", type=_positive_int, default=90)
     p.add_argument("--noise-sd", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model", choices=["eq1", "eq2", "both"], default="both")
@@ -471,13 +476,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "ingest":
-            return cmd_ingest(args)
+            return cmd_ingest(args, parser)
         if args.command == "embed":
             return cmd_embed(args)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "usecase-energy":
-            return cmd_usecase_energy(args)
+            return cmd_usecase_energy(args, parser)
         if args.command == "usecase-assoc":
             return cmd_usecase_assoc(args, parser)
         raise AssertionError(f"unhandled command {args.command}")

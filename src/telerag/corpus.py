@@ -45,6 +45,8 @@ class WhitespaceTokenizer:
 
 DEFAULT_TOKENIZER = WhitespaceTokenizer()
 DEFAULT_CHUNK_SIZE = 512
+# One encoder for every corpus line; json.dumps would build a new one per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
                 "text": c.text,
                 "token_count": c.token_count,
             }
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+            f.write(_encode_line(record) + "\n")
 
 
 _CHUNK_FIELDS = {"chunk_id": str, "doc_id": str, "seq": int, "text": str, "token_count": int}

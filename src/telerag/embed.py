@@ -2,14 +2,17 @@
 
 Two providers: an HTTP provider for real embedding models, and a
 seeded-hash test provider that maps text to a pseudo-random unit vector
-so the whole pipeline runs deterministically offline. Vectors are float32
-numpy arrays; similarity is cosine, computed in float64. numpy is imported
-by the functions that make or compare vectors, so importing this module
-(as every command does) does not load it.
+so the whole pipeline runs deterministically offline. ``embed_texts``
+returns a batch as one C-contiguous float32 (len(texts), dims) matrix, one
+row per text, for both providers; the HTTP reply is checked for that shape
+and for finite values as a whole. Similarity is cosine, computed in float64.
+numpy is imported by the functions that make or compare vectors, so
+importing this module (as every command does) does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -53,30 +56,49 @@ class EmbeddingProviderConfig:
         return f"hash-test:seed-{self.seed}:{self.dims}"
 
 
-def _hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
-    """Pseudo-random unit vector derived from the text via counter-mode SHA-256.
+@functools.lru_cache(maxsize=8)
+def _prefix_hashes(seed: int, dims: int) -> tuple:
+    """SHA-256 states that have taken each counter prefix ``b"hv1|seed|dims|counter|"``.
 
-    Generation is integer-only until the final normalization, so the result
-    is bit-identical across runs and platforms.
+    Copying one costs less than starting a new hash; callers only copy them.
+    """
+    return tuple(
+        hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter))
+        for counter in range(-(-dims // 4))
+    )
+
+
+def _hash_test_vectors(texts: Sequence[str], dims: int, seed: int) -> np.ndarray:
+    """Pseudo-random unit vectors, one row per text, via counter-mode SHA-256.
+
+    Row i is built from the digests of ``b"hv1|seed|dims|counter|"`` + text i,
+    counters 0, 1, ...; generation is integer-only until the final
+    normalization, so every row is bit-identical across runs, platforms and
+    batches.
     """
     import numpy as np
 
-    payload = text.encode("utf-8")
-    blob = b"".join(
-        hashlib.sha256(b"hv1|%d|%d|%d|" % (seed, dims, counter) + payload).digest()
-        for counter in range(-(-dims // 4))
-    )
+    prefixes = _prefix_hashes(seed, dims)
+    digests = []
+    for text in texts:
+        payload = text.encode("utf-8")
+        for prefix in prefixes:
+            h = prefix.copy()
+            h.update(payload)
+            digests.append(h.digest())
+    blob = b"".join(digests)
+    words = np.frombuffer(blob, dtype="<u8").reshape(len(texts), 4 * len(prefixes))[:, :dims]
     # The float64 cast rounds each word once and dividing by 2**63 is exact, so
     # every value equals the correctly rounded Python-int quotient word / 2**63.
-    values = np.frombuffer(blob, dtype="<u8", count=dims).astype(np.float64) / 2.0**63 - 1.0
-    norm = math.sqrt(math.fsum((values * values).tolist()))
-    if norm == 0.0:
-        values[0] = 1.0
-        norm = 1.0
-    return (values / norm).astype(np.float32)
+    values = words.astype(np.float64) / 2.0**63 - 1.0
+    norms = [math.sqrt(math.fsum(row)) for row in (values * values).tolist()]
+    for i, norm in enumerate(norms):
+        if norm == 0.0:
+            values[i, 0] = norms[i] = 1.0
+    return (values / np.array(norms)[:, None]).astype(np.float32)
 
 
-def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.ndarray]:
+def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
     import numpy as np
     import requests
 
@@ -90,27 +112,27 @@ def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.n
     if resp.status_code != 200:
         raise ProviderError(f"embedding endpoint returned HTTP {resp.status_code}")
     try:
-        data = resp.json()["data"]
-        vectors = [np.asarray(item["embedding"], dtype=np.float32) for item in data]
-    except (KeyError, TypeError, ValueError) as exc:
+        vectors = np.asarray([item["embedding"] for item in resp.json()["data"]], dtype=np.float32)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProviderError(f"malformed embedding response: {exc}") from exc
-    if len(vectors) != len(texts):
-        raise ProviderError(f"expected {len(texts)} embeddings, got {len(vectors)}")
-    for vec in vectors:
-        if vec.shape != (cfg.dims,):
-            raise ProviderError(f"embedding has {vec.shape[0]} dims, provider configured for {cfg.dims}")
-        if not np.isfinite(vec).all():
-            raise ProviderError("embedding contains non-finite components")
+    if vectors.shape != (len(texts), cfg.dims):
+        raise ProviderError(
+            f"expected {len(texts)} embeddings of {cfg.dims} dims, got an array of shape "
+            f"{vectors.shape}"
+        )
+    if not np.isfinite(vectors).all():
+        raise ProviderError("embedding contains non-finite components")
     return vectors
 
 
-def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> list[np.ndarray]:
-    """Embed a batch of texts; per-item results do not depend on batch order."""
+def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
+    """Embed a batch of texts into one C-contiguous float32 (len(texts), cfg.dims)
+    matrix; a text's row does not depend on the rest of the batch."""
     for text in texts:
         if not text.strip():
             raise ValueError("cannot embed empty text")
     if cfg.kind == "hash-test":
-        return [_hash_test_vector(t, cfg.dims, cfg.seed) for t in texts]
+        return _hash_test_vectors(texts, cfg.dims, cfg.seed)
     return _http_embed(cfg, texts)
 
 

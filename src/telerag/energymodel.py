@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
+from .evalharness import csv_text
 
 MODEL_KINDS = ("eq1", "eq2")
 
@@ -299,13 +300,12 @@ def read_records_csv(path: str | Path) -> list[EnergyRecord]:
 
 
 def write_records_csv(records: Sequence[EnergyRecord], path: str | Path) -> None:
+    rows = (
+        [r.bs_id, repr(r.load), repr(r.max_tx_power), repr(r.shutdown_duration), repr(r.energy)]
+        for r in records
+    )
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(ENERGY_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.bs_id, repr(r.load), repr(r.max_tx_power), repr(r.shutdown_duration), repr(r.energy)]
-            )
+        f.write(csv_text(ENERGY_CSV_COLUMNS, rows))
 
 
 def write_plot_csv(
@@ -316,10 +316,10 @@ def write_plot_csv(
     """Load vs ground-truth energy vs per-model predictions, sorted by load."""
     predictions = {m.kind: predict(m, records) for m in models}
     order = sorted(range(len(records)), key=lambda i: (records[i].load, records[i].bs_id))
+    rows = (
+        [repr(records[i].load), repr(records[i].energy)]
+        + [repr(float(predictions[m.kind][i])) for m in models]
+        for i in order
+    )
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["L", "E"] + [m.kind for m in models])
-        for i in order:
-            row = [repr(records[i].load), repr(records[i].energy)]
-            row.extend(repr(float(predictions[m.kind][i])) for m in models)
-            writer.writerow(row)
+        f.write(csv_text(["L", "E"] + [m.kind for m in models], rows))

@@ -426,18 +426,23 @@ def read_report_json(path: str | Path) -> EvalReport:
         return report_from_dict(json.load(f))
 
 
-def report_csv(report: EvalReport) -> str:
-    """Per-category CSV (category,count,correct,errored,accuracy) plus an Overall row."""
+def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with LF line endings: the header row, then rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "count", "correct", "errored", "accuracy"])
-    for cat in CATEGORIES:
-        if cat in report.categories:
-            s = report.categories[cat]
-            writer.writerow([cat, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"])
-    o = report.overall
-    writer.writerow(["Overall", o.count, o.correct, o.errored, f"{o.accuracy_percent:.2f}"])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def report_csv(report: EvalReport) -> str:
+    """Per-category CSV (category,count,correct,errored,accuracy) plus an Overall row."""
+    stats = [(cat, report.categories[cat]) for cat in CATEGORIES if cat in report.categories]
+    stats.append(("Overall", report.overall))
+    return csv_text(
+        ["category", "count", "correct", "errored", "accuracy"],
+        ([cat, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"] for cat, s in stats),
+    )
 
 
 def compare_runs(report_a: EvalReport, report_b: EvalReport) -> list[dict]:
@@ -461,16 +466,15 @@ def compare_runs(report_a: EvalReport, report_b: EvalReport) -> list[dict]:
 
 
 def delta_csv(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "accuracy_a", "accuracy_b", "delta"])
-    for row in rows:
-        writer.writerow(
+    return csv_text(
+        ["category", "accuracy_a", "accuracy_b", "delta"],
+        (
             [
                 row["category"],
                 f"{row['accuracy_a']:.2f}",
                 f"{row['accuracy_b']:.2f}",
                 f"{row['delta']:+.2f}",
             ]
-        )
-    return buf.getvalue()
+            for row in rows
+        ),
+    )

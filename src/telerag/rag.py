@@ -23,6 +23,8 @@ if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
     from .vstore import SearchHit, VectorStore
 
 QUERY_MODES = ("question_only", "question_plus_options")
+# One encoder for every audit line; json.dumps would build a new one per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -233,4 +235,4 @@ def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:
                 "prompt_token_estimate": res.prompt_token_estimate,
                 "raw_model_output": res.answer.raw_text,
             }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            f.write(_encode_line(rec) + "\n")

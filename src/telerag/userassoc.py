@@ -10,9 +10,7 @@ recorded model answers for exact curve reproduction.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import random
 import re
@@ -21,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .evalharness import round_percent
+from .evalharness import csv_text, round_percent
 from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
@@ -266,12 +264,13 @@ def run_curve(
 
 
 def curve_csv(curve: AccuracyCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n_bs", "trials", "correct", "errored", "accuracy"])
-    for p in curve.points:
-        writer.writerow([p.n_bs, p.trials, p.correct, p.errored, f"{p.accuracy_percent:.2f}"])
-    return buf.getvalue()
+    return csv_text(
+        ["n_bs", "trials", "correct", "errored", "accuracy"],
+        (
+            [p.n_bs, p.trials, p.correct, p.errored, f"{p.accuracy_percent:.2f}"]
+            for p in curve.points
+        ),
+    )
 
 
 def export_problems_jsonl(

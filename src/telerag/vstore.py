@@ -23,6 +23,11 @@ number of queries; the ranking contract above does not depend on it. The
 float64 scoring matrix and its norms are built once, under a lock, by the
 first search after the records change.
 
+Records are held as one float32 (count, dims) block in insertion order.
+``insert_many`` adds a block of rows at a time and checks all of it (shape,
+finite non-zero rows, ids unique within the block and new to the store)
+before it changes anything; ``insert`` adds one record through it.
+
 The store file records the embedding provider fingerprint and rejects
 queries embedded by a different provider. It is bound to the corpus file its
 records were embedded from: it holds the SHA-256 of that file's bytes and the
@@ -192,26 +197,44 @@ class VectorStore:
         return len(self._ids)
 
     def insert(self, record: VectorRecord) -> None:
-        """Add a record; duplicate ids, wrong dimensions and zero or
-        non-finite vectors are rejected."""
-        vec = np.asarray(record.embedding, dtype=np.float32)
-        if vec.ndim != 1 or vec.shape[0] != self.dims:
+        """Add one record; see insert_many."""
+        self.insert_many([record.chunk_id], [record.embedding])
+
+    def insert_many(
+        self, chunk_ids: Sequence[str], rows: Sequence[Sequence[float]] | np.ndarray
+    ) -> None:
+        """Add one record per row of the (len(chunk_ids), dims) block rows.
+
+        The whole block is checked before the store changes, so a wrong
+        shape, a zero or non-finite row, or an id repeated in the block or
+        already stored raises and adds nothing. The rows are copied in as one
+        block; capacity grows at most once per call.
+        """
+        block = np.asarray(rows, dtype=np.float32)
+        if block.ndim != 2 or block.shape[1] != self.dims:
             raise DimensionMismatchError(
-                f"vector has {vec.shape[-1] if vec.ndim else 0} dims, store expects {self.dims}"
+                f"vector has {block.shape[-1] if block.ndim else 0} dims, store expects {self.dims}"
             )
-        if not (np.isfinite(vec).all() and np.count_nonzero(vec)):  # cheaper than the block check
-            _check_vectors([record.chunk_id], vec[None])
+        ids = list(chunk_ids)
+        if len(ids) != len(block):
+            raise ValueError(f"{len(ids)} chunk ids for {len(block)} vectors")
+        _check_vectors(ids, block)
         with self._lock:
-            if record.chunk_id in self._index:
-                raise DuplicateChunkError(f"chunk id already in store: {record.chunk_id!r}")
+            if len(set(ids)) != len(ids) or not self._index.keys().isdisjoint(ids):
+                seen = set(self._index)
+                for chunk_id in ids:
+                    if chunk_id in seen:
+                        raise DuplicateChunkError(f"chunk id already in store: {chunk_id!r}")
+                    seen.add(chunk_id)
             n = len(self._ids)
-            if n == len(self._rows):
-                grown = np.empty((max(64, 2 * n), self.dims), dtype=np.float32)
-                grown[:n] = self._rows
+            end = n + len(ids)
+            if end > len(self._rows):
+                grown = np.empty((max(64, 2 * n, end), self.dims), dtype=np.float32)
+                grown[:n] = self._rows[:n]
                 self._rows = grown
-            self._rows[n] = vec
-            self._index[record.chunk_id] = n
-            self._ids.append(record.chunk_id)
+            self._rows[n:end] = block
+            self._index.update(zip(ids, range(n, end)))
+            self._ids += ids
             self._scoring = None
             self.corpus_sha256, self._offsets = UNBOUND, None
 

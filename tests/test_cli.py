@@ -709,3 +709,108 @@ def test_commands_without_vectors_do_not_import_numpy(tmp_path):
     codes, numpy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert numpy_loaded is False
+
+
+def test_embed_store_bytes_pinned(tmp_path):
+    # Golden digests of a fixed three-document corpus and its store, recorded
+    # before embedding moved to one float32 block per 64-text batch. Chunks a#0..a#2
+    # repeat one text, and dims 37 is not a multiple of the 4 words per digest.
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    texts = {
+        "a.txt": "The gNB schedules PDSCH transmissions on the downlink. " * 3,
+        "b.txt": "Uplink power control in NR uses closed-loop TPC commands; "
+                 "the UE applies them per slot.",
+        "c.txt": "Handover between cells is triggered by measurement event A3. "
+                 "Ünïcode tokens stay intact.",
+    }
+    for name, text in texts.items():
+        (docs / name).write_text(text, encoding="utf-8")
+    provider_cfg = write_json(tmp_path / "p.json", {"kind": "hash-test", "dims": 37, "seed": 5})
+    corpus_path = run_ingest(tmp_path, docs, chunk_size=8)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 0
+    assert len(VectorStore.load(store_path)) == 7
+    assert hashlib.sha256(corpus_path.read_bytes()).hexdigest() == (
+        "e3bd5dd6c1ab3e8ac43d35170531e4d217b924ca096bee5bf089593a0cdd1636"
+    )
+    assert hashlib.sha256(store_path.read_bytes()).hexdigest() == (
+        "cf30358bd4d08fb8da42146f96dde005a5f018dbf9a7432a4ecbdb220eba7221"
+    )
+
+
+def _leftovers(root: Path) -> list[Path]:
+    return [p for p in root.rglob("*") if p.suffix in (".lock", ".tmp")]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("ingest", ["--chunk-size", "0"]),
+        ("ingest", ["--overlap", "-1"]),
+        ("ingest", ["--chunk-size", "8", "--overlap", "8"]),
+        ("eval", ["--k", "0"]),
+        ("eval", ["--max-context-tokens", "0"]),
+        ("usecase-energy", ["--n-bs", "0"]),
+        ("usecase-energy", ["--noise-sd", "-1"]),
+    ],
+    ids=["chunk-size", "overlap-negative", "overlap-not-below-chunk-size", "k",
+         "max-context-tokens", "n-bs", "noise-sd"],
+)
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
+    docs = make_docs_dir(tmp_path, sizes=(40,))
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    base = {
+        "ingest": ["ingest", "--input", str(docs), "--out", str(tmp_path / "c.jsonl")],
+        "eval": ["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")],
+        "usecase-energy": ["usecase-energy", "--synthetic", "--seed", "1",
+                           "--out", str(tmp_path / "fit.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(base + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert flags[-2] in err
+    assert not _leftovers(tmp_path)
+    assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "n_texts, data",
+    [
+        (1, [{"embedding": 1.0}]),  # a scalar
+        (2, [{"embedding": [1.0, 0.0, 0.0, 0.0]}, {"embedding": [1.0, 0.0]}]),  # ragged rows
+        (2, [{"embedding": [1.0, 0.0, 0.0, 0.0]}]),  # one embedding for two texts
+        (2, [{"embedding": [1.0, 0.0, 0.0]}, {"embedding": [0.0, 1.0, 0.0]}]),  # 3 dims, not 4
+        (2, [{"embedding": [1.0, 0.0, 0.0, 0.0]}, {"embedding": [float("nan"), 1.0, 0.0, 0.0]}]),
+    ],
+    ids=["scalar", "ragged", "wrong-count", "wrong-dims", "nan"],
+)
+def test_embed_bad_http_embeddings_exit_3(tmp_path, capsys, monkeypatch, n_texts, data):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"chunk_id": f"d#{i}", "doc_id": "d", "seq": i, "text": f"t{i}",
+                    "token_count": 1}) + "\n"
+        for i in range(n_texts)
+    ), encoding="utf-8")
+
+    class FakeResponse:
+        status_code = 200
+
+        @staticmethod
+        def json():
+            return {"data": data}
+
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
+    provider_cfg = write_json(tmp_path / "provider.json", {
+        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    store_path = tmp_path / "store.vdb"
+    code = main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not store_path.exists() and not _leftovers(tmp_path)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -54,6 +56,17 @@ def test_batch_order_does_not_affect_results():
     b2, a2 = embed_texts(HASH8, ["second", "first"])
     assert np.array_equal(a, a2)
     assert np.array_equal(b, b2)
+
+
+@pytest.mark.parametrize("dims", [1, 7, 256])
+def test_batch_rows_equal_one_at_a_time(dims):
+    cfg = EmbeddingProviderConfig(kind="hash-test", dims=dims, seed=3)
+    texts = ["gNB", "PDSCH on the downlink", "gNB", "Ünïcode A3 event"]
+    batch = embed_texts(cfg, texts)
+    assert batch.shape == (4, dims) and batch.dtype == np.float32 and batch.flags.c_contiguous
+    for text, row in zip(texts, batch):
+        assert row.tobytes() == embed_text(cfg, text).tobytes()
+    assert embed_texts(cfg, []).shape == (0, dims)
 
 
 def test_http_provider_requires_endpoint_and_model():
@@ -175,3 +188,28 @@ def test_provider_from_fingerprint_round_trip():
     assert rebuilt.dims == 16 and rebuilt.seed == 9
     with pytest.raises(DataError):
         provider_from_fingerprint("http:bge:768")
+
+
+def test_threads_share_prefix_hashes_safely():
+    # Every thread copies the same cached prefix hashes; rows must not change.
+    cfg = EmbeddingProviderConfig(kind="hash-test", dims=64, seed=11)
+    texts = [f"chunk {i} of the RRC specification" for i in range(40)]
+    expected = embed_texts(cfg, texts).tobytes()
+    results: list[bytes] = []
+
+    def work():
+        for _ in range(20):
+            results.append(embed_texts(cfg, texts).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 160 and set(results) == {expected}

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telerag import vstore
-from telerag.embed import _hash_test_vector, cosine_similarity
+from telerag.embed import _hash_test_vectors, cosine_similarity
 from telerag.vstore import VectorRecord, VectorStore
 
 
@@ -40,14 +40,25 @@ def loop_hash_test_vector(text: str, dims: int, seed: int) -> np.ndarray:
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.text(max_size=64), dims=st.integers(1, 400), seed=st.integers(0, 2**63))
-@example(text="abc", dims=1, seed=0)
-@example(text="abc", dims=7, seed=0)
-@example(text="3GPP TS 38.331", dims=256, seed=0)
-@example(text="3GPP TS 38.331", dims=384, seed=7)
-def test_hash_test_vector_bit_identical_to_loop(text, dims, seed):
-    vectorised = _hash_test_vector(text, dims, seed)
-    assert vectorised.tobytes() == loop_hash_test_vector(text, dims, seed).tobytes()
+@given(
+    texts=st.lists(st.text(max_size=64), max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
+    ),
+    dims=st.integers(1, 400),
+    seed=st.integers(0, 2**63),
+)
+@example(texts=[], dims=5, seed=0)
+@example(texts=["abc"], dims=1, seed=0)
+@example(texts=["abc", "abd", "abc"], dims=7, seed=0)
+@example(texts=["3GPP TS 38.331"], dims=256, seed=0)
+@example(texts=["3GPP TS 38.331", ""], dims=384, seed=7)
+def test_hash_test_vector_bit_identical_to_loop(texts, dims, seed):
+    """Each row of a batch (repeats allowed) is the loop reference's vector."""
+    batch = _hash_test_vectors(texts, dims, seed)
+    assert batch.shape == (len(texts), dims)
+    assert batch.dtype == np.float32 and batch.flags.c_contiguous
+    for text, row in zip(texts, batch):
+        assert row.tobytes() == loop_hash_test_vector(text, dims, seed).tobytes()
 
 
 def oracle_top_k(records: dict[str, np.ndarray], query: np.ndarray, k: int):

@@ -344,3 +344,43 @@ def test_bound_store_saves_digest_and_offsets_insert_unbinds(tmp_path):
     store.insert(VectorRecord(chunk_id="c9", embedding=np.ones(4, dtype=np.float32)))
     assert store.corpus_sha256 == bytes(32)
     assert set(store.corpus_offsets().values()) == {0}
+
+
+def test_insert_many_matches_per_record_insert(tmp_path):
+    rng = np.random.default_rng(41)
+    rows = rng.normal(size=(150, 12)).astype(np.float32)
+    rows[70] = rows[3]  # a repeated vector, as repeated chunk texts give
+    ids = [f"c{i:04d}" for i in rng.permutation(150)]
+    one, many = VectorStore(12, "fp"), VectorStore(12, "fp")
+    for chunk_id, row in zip(ids, rows):
+        one.insert(VectorRecord(chunk_id=chunk_id, embedding=row))
+    for lo in range(0, 150, 64):  # blocks of 64, 64 and 22, as `embed` inserts them
+        many.insert_many(ids[lo : lo + 64], rows[lo : lo + 64])
+    one.save(tmp_path / "one.vdb")
+    many.save(tmp_path / "many.vdb")
+    assert (tmp_path / "one.vdb").read_bytes() == (tmp_path / "many.vdb").read_bytes()
+    queries = rng.normal(size=(20, 12))
+    assert many.search_many(queries, 7) == one.search_many(queries, 7)
+
+
+@pytest.mark.parametrize(
+    "ids, rows, error",
+    [
+        (["n0", "n1", "n0"], np.ones((3, 4), dtype=np.float32), DuplicateChunkError),
+        (["n0", "c00001"], np.ones((2, 4), dtype=np.float32), DuplicateChunkError),
+        (["n0", "n1"], np.array([[1, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32), DataError),
+        (["n0", "n1"], np.array([[1, 0, 0, 0], [np.nan, 1, 0, 0]], dtype=np.float32), DataError),
+        (["n0", "n1"], np.ones((2, 5), dtype=np.float32), DimensionMismatchError),
+    ],
+    ids=["duplicate-in-block", "already-stored", "zero-row", "nan-row", "wrong-width"],
+)
+def test_insert_many_rejects_whole_block(tmp_path, ids, rows, error):
+    store, _ = random_store(3, 4, seed=43)
+    store.save(tmp_path / "before.vdb")
+    with pytest.raises(error):
+        store.insert_many(ids, rows)
+    assert len(store) == 3
+    store.save(tmp_path / "after.vdb")
+    assert (tmp_path / "after.vdb").read_bytes() == (tmp_path / "before.vdb").read_bytes()
+    store.insert_many(["n0"], np.ones((1, 4), dtype=np.float32))  # the store still takes rows
+    assert len(store) == 4
