@@ -153,12 +153,8 @@ def _check_degeneracy(design: np.ndarray, names: list[str]) -> None:
 
 
 def _solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # Normal equations; fall back to the pseudo-inverse if they are ill-conditioned.
-    gram = design.T @ design
-    try:
-        return np.linalg.solve(gram, design.T @ target)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(design) @ target
+    # SVD-based: unlike the normal equations it does not square the condition number.
+    return np.linalg.lstsq(design, target, rcond=None)[0]
 
 
 def predict(model: FittedEnergyModel, records: Sequence[EnergyRecord]) -> np.ndarray:

@@ -1,27 +1,44 @@
 """Exact top-k vector store.
 
 A brute-force inner-product scan in the style of FAISS ``IndexFlatIP``:
-every query is scored against every record by float64 cosine similarity,
-so results are exact and reproducible. The ranking contract:
+every query is scored against every record, so results are exact and
+reproducible. The ranking contract:
 
+- a hit's score is the float64 cosine of the query and that record alone,
+  (q . y) / |y| / |q| with y cast to float64, so it depends only on those
+  two vectors: records holding the same vector always tie exactly, and a
+  query gets bit-identical hits in every batch, so ``search(q, k)`` equals
+  ``search_many([q], k)[0]``;
 - hits come in descending score order, and equal scores break on
-  ascending chunk_id;
-- records holding the same vector are scored once, so they always tie
-  exactly, whatever the BLAS kernel does with their positions;
-- ``search(q, k)`` is ``search_many([q], k)[0]``. A query's scores may
-  differ in the last bits between batches of different sizes, because
-  BLAS picks its kernel by shape.
+  ascending chunk_id.
 
-``search_many`` scores its queries in blocks of rows, sized so that a block
-of float64 scores with one column per record stays within
-``SCORE_BLOCK_BYTES`` (at least one query per block); a block has one
-column per distinct vector, so it is no larger. Top-k selection takes the
-maximum over each group of ``GROUP`` adjacent columns and gathers only the
-columns of groups that can hold a top-k record, so its working memory is one
-score block plus its group maxima and the gathered candidates, whatever the
-number of queries; the ranking contract above does not depend on it. The
-float64 scoring matrix and its norms are built once, under a lock, by the
-first search after the records change.
+Float64 scores are computed only for the few records a float32 screen
+cannot rule out. The first search after the records change builds, under a
+lock, each record's float64 norm and its float32 unit row
+fl32(y / |y|), normalised in float64 so that no component exceeds 1
+however large the stored ones are. ``search_many`` normalises each query
+the same way and scores its queries in blocks of rows with one float32
+matmul each, a block sized so that its float32 scores, one column per
+record, stay within ``SCORE_BLOCK_BYTES`` (at least one query per block).
+
+How far a screen score can sit from the cosine: with u = 2^-24, n = dims and
+x, y the exact unit vectors, each screen component is x_i (1 + e_i) with
+|e_i| <= u, so the exact dot product of the two screen rows is within
+2u + u^2 of x . y (sum |x_i y_i| <= 1 by Cauchy-Schwarz); summing the n
+products in float32, in any order, adds at most g_n (1 + u)^2 with
+g_n = nu / (1 - nu). So every screen score is within
+d = g_n (1 + u)^2 + 2u + u^2 of the cosine. Top-k takes t, the k-th largest
+of the maxima over each group of ``GROUP`` adjacent columns: at least k
+records screen at or above t, so their cosines, and so the k-th best
+cosine, are at least t - d. A record in the exact top k therefore screens at
+or above t - 2d. The candidates are the columns that screen at or above
+t - 2d - s, compared in float64, where s = (n + 8) 2^-48 covers the float64
+steps (the norms, the normalising division, the rescoring and the
+subtraction, each a few n 2^-53) and underflow of tiny components (at most
+n 2^-149). Only groups whose maximum reaches that bound are gathered, so the
+working memory is one score block plus its group maxima and the candidates,
+whatever the number of queries. The candidates are rescored in float64 and
+the best k kept.
 
 Records are held as one float32 (count, dims) block in insertion order.
 ``insert_many`` adds a block of rows at a time and checks all of it (shape,
@@ -50,6 +67,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -69,7 +87,7 @@ MAGIC = b"TRVS"
 FORMAT_VERSION = 2
 # The digest of a store that is not bound to a corpus file.
 UNBOUND = bytes(32)
-# Cap on one block of float64 scores (queries x records) in search_many.
+# Cap on one block of float32 screen scores (queries x records) in search_many.
 SCORE_BLOCK_BYTES = 8 << 20
 # Adjacent score columns per group whose maximum top-k selection looks at first.
 GROUP = 64
@@ -94,16 +112,15 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class _Scoring:
-    """The records as search sees them: ids in ascending order and a float64
-    matrix that holds every distinct vector once. The positions in ids of
-    the records holding matrix row r are members[starts[r] : starts[r + 1]],
-    ascending."""
+    """The records as search sees them, in insertion order: ids, float32
+    rows, each one's rank in chunk_id order, its float64 norm and its float32
+    unit row."""
 
     ids: list[str]
-    matrix: np.ndarray
+    rows: np.ndarray
+    rank: np.ndarray
     norms: np.ndarray
-    members: np.ndarray
-    starts: np.ndarray
+    screen: np.ndarray
 
 
 def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
@@ -116,38 +133,35 @@ def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
         raise DataError(f"embedding for {chunk_ids[int(zero.argmax())]!r} has zero norm")
 
 
-def _distinct(rows: np.ndarray, step: int) -> np.ndarray:
-    """Number the distinct rows of rows, equal when their bytes are equal.
-
-    Sorting the rows as void scalars puts copies side by side; neighbours are
-    compared step rows at a time, so no copy of all the rows is made.
-    """
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    perm = np.argsort(keys)
-    new = np.ones(len(keys), dtype=bool)
-    for lo in range(1, len(keys), step):
-        hi = min(len(keys), lo + step)
-        new[lo:hi] = keys[perm[lo:hi]] != keys[perm[lo - 1 : hi - 1]]
-    numbers = np.empty(len(keys), dtype=np.intp)
-    numbers[perm] = np.cumsum(new) - 1
-    return numbers
+def _margin(dims: int) -> float:
+    """2d + s of the module docstring: how far below t a column may screen
+    and still hold a top-k record."""
+    u = 2.0**-24
+    nu = dims * u
+    if nu >= 1:
+        return math.inf
+    d = nu / (1 - nu) * (1 + u) ** 2 + 2 * u + u * u
+    return 2 * d + (dims + 8) * 2.0**-48
 
 
-def _top_k(sims: np.ndarray, k: int, scoring: _Scoring) -> list[list[SearchHit]]:
-    """Per row of sims (one column per matrix row): the k best records by
-    (-score, position in ids).
+def _top_k(
+    sims: np.ndarray, q: np.ndarray, qnorms: np.ndarray, k: int, scoring: _Scoring
+) -> list[list[SearchHit]]:
+    """Per row of sims (the screen scores of queries q, one column per
+    record): the k best records by (-score, chunk_id).
 
-    At least k columns, and so at least k records, score at least t, the k-th
+    The candidates are the columns at or above t - _margin(dims), t the k-th
     largest of the maxima over groups of GROUP adjacent columns (the last
-    group may be shorter). So the best k records are among those whose column
-    scores at least t, and such columns sit only in groups whose maximum is at
-    least t: only those groups are gathered.
+    group may be shorter), so each row has at least k. Such columns sit only
+    in groups whose maximum reaches the same bound, so only those groups are
+    gathered. Only the candidates are rescored in float64.
     """
     m, n = sims.shape
     gmax = np.maximum.reduceat(sims, np.arange(0, n, GROUP), axis=1)
     ng = gmax.shape[1]
     if k <= ng:
-        t = np.partition(gmax, ng - k, axis=1)[:, ng - k, None]
+        t = np.partition(gmax, ng - k, axis=1)[:, ng - k, None].astype(np.float64)
+        t -= _margin(q.shape[1])
     else:
         t = np.full((m, 1), -np.inf)
     rows, groups = np.nonzero(gmax >= t)
@@ -155,22 +169,19 @@ def _top_k(sims: np.ndarray, k: int, scoring: _Scoring) -> list[list[SearchHit]]
     rows = np.repeat(rows, GROUP)
     inside = cols < n
     rows, cols = rows[inside], cols[inside]
-    scores = sims[rows, cols]
-    keep = scores >= t[rows, 0]
-    rows, cols, scores = rows[keep], cols[keep], scores[keep]
-    # Expand each kept column to the records holding its vector.
-    counts = scoring.starts[cols + 1] - scoring.starts[cols]
-    offsets = np.repeat(scoring.starts[cols] - (np.cumsum(counts) - counts), counts)
-    recs = scoring.members[offsets + np.arange(len(offsets))]
-    rows, scores = np.repeat(rows, counts), np.repeat(scores, counts)
-    order = np.lexsort((recs, -scores, rows))
-    rows, recs, scores = rows[order], recs[order], scores[order]
+    keep = sims[rows, cols] >= t[rows, 0]
+    rows, cols = rows[keep], cols[keep]
+    scores = np.einsum("ij,ij->i", q[rows], scoring.rows[cols].astype(np.float64))
+    scores /= scoring.norms[cols]
+    scores /= qnorms[rows]
+    order = np.lexsort((scoring.rank[cols], -scores, rows))
+    rows, cols, scores = rows[order], cols[order], scores[order]
     hits = []
     for start in np.searchsorted(rows, np.arange(m)).tolist():
-        best = zip(recs[start : start + k].tolist(), scores[start : start + k].tolist())
+        best = zip(cols[start : start + k].tolist(), scores[start : start + k].tolist())
         hits.append([
-            SearchHit(chunk_id=scoring.ids[rec], score=min(1.0, max(-1.0, score)), rank=rank)
-            for rank, (rec, score) in enumerate(best, start=1)
+            SearchHit(chunk_id=scoring.ids[col], score=min(1.0, max(-1.0, score)), rank=rank)
+            for rank, (col, score) in enumerate(best, start=1)
         ])
     return hits
 
@@ -258,25 +269,18 @@ class VectorStore:
         with self._lock:
             if self._scoring is None:
                 n = len(self._ids)
-                order = np.array(sorted(range(n), key=self._ids.__getitem__), dtype=np.intp)
+                rank = np.empty(n, dtype=np.intp)
+                rank[sorted(range(n), key=self._ids.__getitem__)] = np.arange(n)
+                norms = np.empty(n)
+                screen = np.empty((n, self.dims), dtype=np.float32)
+                rows = self._rows[:n]
                 step = max(1, SCORE_BLOCK_BYTES // (8 * self.dims))
-                vec = _distinct(self._rows[:n], step)[order]  # per record, ids ascending
-                # Matrix rows follow first occurrence in chunk_id order, so the
-                # matrix (and so the BLAS bits) does not depend on insertion order.
-                firsts = np.sort(np.unique(vec, return_index=True)[1])
-                renumber = np.empty_like(firsts)
-                renumber[vec[firsts]] = np.arange(len(firsts))
-                row_of = renumber[vec]
-                members = np.argsort(row_of, kind="stable")
-                starts = np.zeros(len(firsts) + 1, dtype=np.intp)
-                np.cumsum(np.bincount(row_of), out=starts[1:])
-                matrix = np.empty((len(firsts), self.dims))
-                for lo in range(0, len(firsts), step):
-                    matrix[lo : lo + step] = self._rows[order[firsts[lo : lo + step]]]
-                norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-                self._scoring = _Scoring(
-                    [self._ids[i] for i in order], matrix, norms, members, starts
-                )
+                for lo in range(0, n, step):
+                    block = rows[lo : lo + step].astype(np.float64)
+                    norms[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", block, block))
+                    block /= norms[lo : lo + step, None]
+                    screen[lo : lo + step] = block
+                self._scoring = _Scoring(list(self._ids), rows, rank, norms, screen)
             return self._scoring
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
@@ -308,13 +312,12 @@ class VectorStore:
             return [[] for _ in range(len(q))]
         scoring = self._prepare()
         n = len(scoring.ids)
-        step = max(1, SCORE_BLOCK_BYTES // (8 * n))
+        unit = (q / qnorms[:, None]).astype(np.float32)
+        step = max(1, SCORE_BLOCK_BYTES // (4 * n))
         hits: list[list[SearchHit]] = []
         for lo in range(0, len(q), step):
-            sims = q[lo : lo + step] @ scoring.matrix.T
-            sims /= scoring.norms
-            sims /= qnorms[lo : lo + step, None]
-            hits += _top_k(sims, min(k, n), scoring)
+            sims = unit[lo : lo + step] @ scoring.screen.T
+            hits += _top_k(sims, q[lo : lo + step], qnorms[lo : lo + step], min(k, n), scoring)
         return hits
 
     def save(self, path: str | Path) -> None:

@@ -111,8 +111,9 @@ def test_search_and_search_many_match_oracle(case, extra_k, per_block, group, da
     # Small groups give full groups, a short last group, k above the group
     # count and copies of one vector in different groups on these small stores.
     with mock.patch.object(vstore, "GROUP", group):
-        # Blocks of per_block queries, so a batch of up to 7 crosses block boundaries.
-        with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 8 * len(records) * per_block):
+        # Blocks of per_block queries (4-byte screen scores), so a batch of up
+        # to 7 crosses block boundaries.
+        with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 4 * len(records) * per_block):
             batched = store.search_many(queries, k)
         assert len(batched) == len(queries)
         for query, many_hits in zip(queries, batched):
@@ -138,7 +139,8 @@ def test_all_copies_of_one_vector_rank_by_chunk_id(group):
 def test_best_vector_alone_in_last_group(group):
     rng = np.random.default_rng(2)
     distinct = rng.normal(size=(2 * group + 1, 8)).astype(np.float32)
-    # Matrix rows follow chunk_id order, so the last id's vector is alone in the last group.
+    # Screen rows follow insertion order, here chunk_id order, so the last
+    # id's vector is alone in the last group.
     records = {f"d{i:02d}": vec for i, vec in enumerate(distinct)}
     store = build(8, records)
     query = distinct[-1].astype(np.float64)
@@ -182,3 +184,53 @@ def test_save_load_save_byte_identical(case, bound, data):
         assert second.read_bytes() == first.read_bytes()
     assert (loaded.corpus_sha256, loaded.corpus_offsets()) == (digest, offsets)
     assert loaded.search_many(queries, len(records)) == store.search_many(queries, len(records))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_near_ties_rank_as_float64_oracle(seed):
+    """Every cosine is 0.6 up to float32 rounding, far below what the float32
+    screen resolves: only its margin keeps the true top 3 among the candidates."""
+    rng = np.random.default_rng(seed)
+    dims = 256
+    q = rng.normal(size=dims)
+    q /= np.linalg.norm(q)
+    p = rng.normal(size=(200, dims))
+    p -= np.outer(p @ q, q)
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    rows = (0.6 * q + 0.8 * p).astype(np.float32)
+    order = rng.permutation(len(rows))
+    records = {f"n{i:03d}": rows[i] for i in order}
+    assert_matches_oracle(build(dims, records).search(q, 3), records, q, 3)
+
+
+def test_search_equals_its_row_of_search_many():
+    """A query's hits, scores compared with ==, do not depend on its batch."""
+    rng = np.random.default_rng(4)
+    dims = 256
+    rows = rng.normal(size=(1000, dims)).astype(np.float32)
+    records = {f"b{i:04d}": vec for i, vec in enumerate(rows)}
+    store = build(dims, records)
+    queries = rng.normal(size=(200, dims))
+    # Blocks of 37 queries, so the batch spans six score blocks.
+    with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", 4 * len(records) * 37):
+        batched = store.search_many(queries, 5)
+    for query, hits in zip(queries, batched):
+        assert store.search(query, 5) == hits
+
+
+def test_extreme_magnitudes_rank_as_oracle():
+    """Rows with components near 1e38 and all-subnormal rows (about 1e-40)
+    give finite scores and the oracle's ranking."""
+    rng = np.random.default_rng(5)
+    dims = 16
+    shapes = rng.uniform(-1.0, 1.0, size=(30, dims))
+    scales = np.repeat([1.0, 1e38, 1e-40], 10)
+    rows = (shapes * scales[:, None]).astype(np.float32)
+    assert np.abs(rows[10:20]).max() > 9e37
+    assert (np.abs(rows[20:]) < np.finfo(np.float32).tiny).all()
+    records = {f"x{i:02d}": row for i, row in enumerate(rows)}
+    store = build(dims, records)
+    queries = np.concatenate([rng.normal(size=(5, dims)), rows[[3, 14, 25]].astype(np.float64)])
+    for query, hits in zip(queries, store.search_many(queries, len(records))):
+        assert all(math.isfinite(hit.score) for hit in hits)
+        assert_matches_oracle(hits, records, query, len(records))
