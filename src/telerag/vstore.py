@@ -28,17 +28,17 @@ x, y the exact unit vectors, each screen component is x_i (1 + e_i) with
 products in float32, in any order, adds at most g_n (1 + u)^2 with
 g_n = nu / (1 - nu). So every screen score is within
 d = g_n (1 + u)^2 + 2u + u^2 of the cosine. Top-k takes t, the k-th largest
-of the maxima over each group of ``GROUP`` adjacent columns: at least k
-records screen at or above t, so their cosines, and so the k-th best
-cosine, are at least t - d. A record in the exact top k therefore screens at
-or above t - 2d. The candidates are the columns that screen at or above
-t - 2d - s, compared in float64, where s = (n + 8) 2^-48 covers the float64
-steps (the norms, the normalising division, the rescoring and the
-subtraction, each a few n 2^-53) and underflow of tiny components (at most
-n 2^-149). Only groups whose maximum reaches that bound are gathered, so the
-working memory is one score block plus its group maxima and the candidates,
-whatever the number of queries. The candidates are rescored in float64 and
-the best k kept.
+of the maxima over each group of ``GROUP`` adjacent columns (with fewer than
+k groups, the k-th largest screen score): at least k records screen at or
+above t, so their cosines, and so the k-th best cosine, are at least t - d.
+A record in the exact top k therefore screens at or above t - 2d. The
+candidates are the columns that screen at or above t - 2d - s, compared in
+float64, where s = (n + 8) 2^-48 covers the float64 steps (the norms, the
+normalising division, the rescoring and the subtraction, each a few n 2^-53)
+and underflow of tiny components (at most n 2^-149). Only groups whose maximum reaches that bound are gathered, and the
+candidates are rescored in float64 in slices of at most ``SCORE_BLOCK_BYTES``
+of rows. A block has at most one candidate per score, so working memory stays
+within about 14 ``SCORE_BLOCK_BYTES`` whatever the queries, k, dims or ties.
 
 Records are held as one float32 (count, dims) block in insertion order.
 ``insert_many`` adds a block of rows at a time and checks all of it (shape,
@@ -151,34 +151,34 @@ def _top_k(
     record): the k best records by (-score, chunk_id).
 
     The candidates are the columns at or above t - _margin(dims), t the k-th
-    largest of the maxima over groups of GROUP adjacent columns (the last
-    group may be shorter), so each row has at least k. Such columns sit only
-    in groups whose maximum reaches the same bound, so only those groups are
-    gathered. Only the candidates are rescored in float64.
+    largest of the maxima over groups of GROUP adjacent columns (the last may
+    be shorter), or of the row with fewer than k groups, so each row has at
+    least k. Such columns sit only in groups whose maximum reaches the same
+    bound, so only those are gathered, and only they are rescored in float64.
     """
     m, n = sims.shape
     gmax = np.maximum.reduceat(sims, np.arange(0, n, GROUP), axis=1)
     ng = gmax.shape[1]
-    if k <= ng:
-        t = np.partition(gmax, ng - k, axis=1)[:, ng - k, None].astype(np.float64)
-        t -= _margin(q.shape[1])
-    else:
-        t = np.full((m, 1), -np.inf)
+    pool, j = (gmax, ng - k) if k <= ng else (sims, n - k)
+    t = np.partition(pool, j, axis=1)[:, j, None].astype(np.float64) - _margin(q.shape[1])
     rows, groups = np.nonzero(gmax >= t)
     cols = (groups[:, None] * GROUP + np.arange(GROUP)).ravel()
     rows = np.repeat(rows, GROUP)
-    inside = cols < n
-    rows, cols = rows[inside], cols[inside]
-    keep = sims[rows, cols] >= t[rows, 0]
+    keep = (cols < n) & (sims[rows, np.minimum(cols, n - 1)] >= t[rows, 0])
     rows, cols = rows[keep], cols[keep]
-    scores = np.einsum("ij,ij->i", q[rows], scoring.rows[cols].astype(np.float64))
+    scores = np.empty(len(rows))
+    step = max(1, SCORE_BLOCK_BYTES // (16 * q.shape[1]))
+    for lo in range(0, len(rows), step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        scores[lo : lo + step] = np.einsum("ij,ij->i", q[r], scoring.rows[c].astype(np.float64))
     scores /= scoring.norms[cols]
     scores /= qnorms[rows]
+    # rows ascends, so order keeps each row's candidates in the row's own span.
     order = np.lexsort((scoring.rank[cols], -scores, rows))
-    rows, cols, scores = rows[order], cols[order], scores[order]
     hits = []
     for start in np.searchsorted(rows, np.arange(m)).tolist():
-        best = zip(cols[start : start + k].tolist(), scores[start : start + k].tolist())
+        top = order[start : start + k]
+        best = zip(cols[top].tolist(), scores[top].tolist())
         hits.append([
             SearchHit(chunk_id=scoring.ids[col], score=min(1.0, max(-1.0, score)), rank=rank)
             for rank, (col, score) in enumerate(best, start=1)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -234,3 +235,33 @@ def test_extreme_magnitudes_rank_as_oracle():
     for query, hits in zip(queries, store.search_many(queries, len(records))):
         assert all(math.isfinite(hit.score) for hit in hits)
         assert_matches_oracle(hits, records, query, len(records))
+
+
+@pytest.mark.parametrize("copies, k", [(True, 3), (False, 40)])
+def test_search_many_memory_within_score_blocks(copies, k):
+    """With every record a copy of one vector, each is a candidate for every
+    query; with k above the group count (32 here), the threshold comes from
+    the scores themselves. Either way the working memory of search_many stays
+    a fixed multiple of SCORE_BLOCK_BYTES."""
+    rng = np.random.default_rng(6)
+    dims, n = 32, 2000
+    rows = rng.normal(size=(n, dims)).astype(np.float32)
+    if copies:
+        rows[:] = rows[0]
+    records = {f"m{i:04d}": row for i, row in enumerate(rows)}
+    store = VectorStore(dims=dims, provider_fingerprint="hash-test:seed-0:0")
+    store.insert_many(list(records), rows)
+    # 150 queries in two score blocks of 131.
+    queries = rng.normal(size=(150, dims))
+    block = 1 << 20
+    with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", block):
+        store.search(queries[0], k)  # builds the screen before measuring
+        tracemalloc.start()
+        try:
+            batched = store.search_many(queries, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * block
+    for query, hits in zip(queries[:5], batched):
+        assert_matches_oracle(hits, records, query, k)
