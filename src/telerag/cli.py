@@ -241,11 +241,8 @@ def cmd_embed(args) -> int:
     config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
     with _run(out, "embed", config) as run:
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
-        batch = 64
-        for i in range(0, len(chunks), batch):
-            part = chunks[i : i + batch]
-            vectors = embed_mod.embed_texts(provider, [c.text for c in part])
-            store.insert_many([c.chunk_id for c in part], vectors)
+        store.insert_many([c.chunk_id for c in chunks],
+                          embed_mod.embed_texts(provider, [c.text for c in chunks]))
         store.bind_corpus(index.sha256, index.offsets)
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")

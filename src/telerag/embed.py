@@ -4,10 +4,15 @@ Two providers: an HTTP provider for real embedding models, and a
 seeded-hash test provider that maps text to a pseudo-random unit vector
 so the whole pipeline runs deterministically offline. ``embed_texts``
 returns a batch as one C-contiguous float32 (len(texts), dims) matrix, one
-row per text, for both providers; the HTTP reply is checked for that shape
-and for finite values as a whole. Similarity is cosine, computed in float64.
-numpy is imported by the functions that make or compare vectors, so
-importing this module (as every command does) does not load it.
+row per text, for both providers. It works in blocks of ``EMBED_BLOCK``
+texts: the HTTP provider sends one request per block, one after another, and
+each reply is checked for its shape and for finite values as a whole; the
+hash-test provider computes the blocks in worker processes forked from this
+one when there are several blocks and more than one usable CPU, because its
+SHA-256 calls on short inputs hold the GIL and threads would not overlap.
+Similarity is cosine, computed in float64. numpy and multiprocessing are
+imported by the functions that use them, so importing this module (as every
+command does) loads neither.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -23,6 +30,8 @@ from .modelclient import json_headers
 
 if TYPE_CHECKING:
     import numpy as np
+
+EMBED_BLOCK = 64  # texts per HTTP request and per worker task
 
 
 @dataclass(frozen=True)
@@ -125,15 +134,57 @@ def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarra
     return vectors
 
 
-def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
-    """Embed a batch of texts into one C-contiguous float32 (len(texts), cfg.dims)
-    matrix; a text's row does not depend on the rest of the batch."""
-    for text in texts:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _embed_block(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
+    """The rows of one block of texts. It is the worker processes' target, so
+    it is sent to them by name and must stay a plain module-level function."""
     if cfg.kind == "hash-test":
         return _hash_test_vectors(texts, cfg.dims, cfg.seed)
     return _http_embed(cfg, texts)
+
+
+def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
+    """Embed a batch of texts into one C-contiguous float32 (len(texts), cfg.dims)
+    matrix; a text's row does not depend on the rest of the batch.
+
+    The texts go in blocks of EMBED_BLOCK. Hash-test blocks are computed by
+    min(usable CPUs, blocks) forked worker processes when that is more than
+    one and this process runs no other thread (a fork copies only the calling
+    thread, so a lock another thread holds would stay held in the worker);
+    otherwise here, one after another. Every worker has exited when this
+    returns or raises, and a worker that dies raises ProviderError.
+    """
+    import numpy as np
+
+    for text in texts:
+        if not text.strip():
+            raise ValueError("cannot embed empty text")
+    out = np.empty((len(texts), cfg.dims), dtype=np.float32)
+    starts = range(0, len(texts), EMBED_BLOCK)
+    blocks = [texts[start : start + EMBED_BLOCK] for start in starts]
+    workers = min(_cpu_count(), len(blocks))
+    if cfg.kind != "hash-test" or workers < 2 or threading.active_count() > 1:
+        for start, block in zip(starts, blocks):
+            out[start : start + len(block)] = _embed_block(cfg, block)
+        return out
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            for start, rows in zip(starts, pool.map(_embed_block, [cfg] * len(blocks), blocks)):
+                out[start : start + len(rows)] = rows
+    except BrokenProcessPool as exc:
+        raise ProviderError(f"an embedding worker process died: {exc}") from exc
+    return out
 
 
 def embed_text(cfg: EmbeddingProviderConfig, text: str) -> np.ndarray:

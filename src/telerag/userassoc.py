@@ -229,7 +229,6 @@ def run_curve(
     n_values: Sequence[int],
     trials_per_n: int = 100,
     seed: int = 0,
-    concurrency: int = 1,
 ) -> AccuracyCurve:
     """Accuracy over seeded problem batches for each station count.
 
@@ -245,7 +244,7 @@ def run_curve(
     problems = [
         generate_problem(n, derive_seed(seed, n, i)) for n in n_values for i in range(trials_per_n)
     ]
-    outcomes = run_items(one, problems, concurrency, errored=lambda _: (False, True))
+    outcomes = run_items(one, problems, 1, errored=lambda _: (False, True))
     points = []
     for k, n in enumerate(n_values):
         batch = outcomes[k * trials_per_n : (k + 1) * trials_per_n]

@@ -306,6 +306,13 @@ class VectorStore:
         if not np.isfinite(q).all():
             raise DataError("query vector has non-finite components")
         qnorms = np.sqrt(np.einsum("ij,ij->i", q, q))
+        huge = np.isinf(qnorms)
+        if huge.any():
+            # A finite row above about 1e154 squares past the float64 range. Scaling
+            # it by a power of two is exact and leaves its cosines as they were.
+            q = q.copy()
+            q[huge] = np.ldexp(q[huge], -np.frexp(np.abs(q[huge]).max(axis=1))[1][:, None])
+            qnorms[huge] = np.sqrt(np.einsum("ij,ij->i", q[huge], q[huge]))
         if not qnorms.all():
             raise DataError("query vector has zero norm")
         if not self._ids:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -536,6 +537,15 @@ def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):
     assert leftovers(tmp_path) == []
 
 
+def write_chunk_corpus(path, texts):
+    path.write_text("".join(
+        json.dumps({"chunk_id": f"d#{i}", "doc_id": "d", "seq": i, "text": text,
+                    "token_count": 2}) + "\n"
+        for i, text in enumerate(texts)
+    ), encoding="utf-8")
+    return path
+
+
 def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
     from telerag import embed as embed_mod
 
@@ -547,27 +557,112 @@ def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
     outputs = [store_path, tmp_path / "store.vdb.manifest.json"]
     first = [p.read_bytes() for p in outputs]
 
-    large = tmp_path / "large.jsonl"
-    large.write_text("".join(
-        json.dumps({"chunk_id": f"d#{i}", "doc_id": "d", "seq": i, "text": f"text {i}",
-                    "token_count": 2}) + "\n"
-        for i in range(150)
-    ), encoding="utf-8")
+    large = write_chunk_corpus(tmp_path / "large.jsonl", [f"text {i}" for i in range(150)])
     real_embed_texts = embed_mod.embed_texts
+    real_vectors = embed_mod._hash_test_vectors
     calls = []
 
-    def embed_then_fail(cfg, texts):
+    def count_calls(cfg, texts):
         calls.append(len(texts))
-        if len(calls) == 2:
-            raise ProviderError("embedding endpoint returned HTTP 503")
         return real_embed_texts(cfg, texts)
 
-    monkeypatch.setattr(embed_mod, "embed_texts", embed_then_fail)
+    def fail_second_block(texts, dims, seed):
+        # Runs in the forked workers, which inherit this patch.
+        if texts[0] == "text 64":
+            raise ProviderError("embedding endpoint returned HTTP 503")
+        return real_vectors(texts, dims, seed)
+
+    monkeypatch.setattr(embed_mod, "embed_texts", count_calls)
+    monkeypatch.setattr(embed_mod, "_hash_test_vectors", fail_second_block)
+    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
     assert main(["embed", "--corpus", str(large), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 3
-    assert len(calls) == 2
+    assert calls == [150]
     assert [p.read_bytes() for p in outputs] == first
     assert leftovers(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_embed_store_bytes_same_on_one_cpu_and_several(tmp_path, monkeypatch):
+    from telerag import embed as embed_mod
+
+    corpus_path = write_chunk_corpus(
+        tmp_path / "corpus.jsonl", [f"chunk {i} of the spec" for i in range(300)])
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    stores = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(embed_mod, "_cpu_count", lambda: cpus)
+        store_path = tmp_path / f"store{cpus}.vdb"
+        assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                     "--out", str(store_path)]) == 0
+        assert multiprocessing.active_children() == []
+        stores.append(store_path.read_bytes())
+    assert stores[0] == stores[1]
+    assert len(VectorStore.load(tmp_path / "store3.vdb")) == 300
+
+
+def test_embed_empty_text_in_later_block_exits_2(tmp_path, capsys, monkeypatch):
+    from telerag import embed as embed_mod
+
+    texts = [f"text {i}" for i in range(150)]
+    texts[140] = "   "
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", texts)
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 2
+    assert capsys.readouterr().err == "error: cannot embed empty text\n"
+    assert not store_path.exists() and leftovers(tmp_path) == []
+
+
+def test_embed_worker_that_dies_exits_3(tmp_path, capsys, monkeypatch):
+    from telerag import embed as embed_mod
+
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", [f"text {i}" for i in range(150)])
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    real_vectors = embed_mod._hash_test_vectors
+
+    def die_on_last_block(texts, dims, seed):
+        if texts[0] == "text 128":
+            os._exit(1)
+        return real_vectors(texts, dims, seed)
+
+    monkeypatch.setattr(embed_mod, "_hash_test_vectors", die_on_last_block)
+    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: an embedding worker process died") and err.count("\n") == 1
+    assert not store_path.exists() and leftovers(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_embed_http_sends_64_text_requests_in_order(tmp_path, monkeypatch):
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", [f"t{i}" for i in range(150)])
+    sent = []
+
+    class FakeResponse:
+        status_code = 200
+
+        def __init__(self, n):
+            self.n = n
+
+        def json(self):
+            return {"data": [{"embedding": [1.0, 0.0, 0.0, 0.0]}] * self.n}
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        sent.append(json["input"])
+        return FakeResponse(len(json["input"]))
+
+    monkeypatch.setattr("requests.post", fake_post)
+    provider_cfg = write_json(tmp_path / "provider.json", {
+        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(tmp_path / "store.vdb")]) == 0
+    assert [len(texts) for texts in sent] == [64, 64, 22]
+    assert sum(sent, []) == [f"t{i}" for i in range(150)]
 
 
 @pytest.mark.parametrize(
@@ -698,7 +793,9 @@ def test_commands_without_vectors_do_not_import_numpy(tmp_path):
         "import json, sys\n"
         "from telerag.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]), file=sys.stderr)\n"
+        "loaded = sorted(m for m in ('numpy', 'multiprocessing', 'concurrent.futures')\n"
+        "                if m in sys.modules)\n"
+        "print(json.dumps([codes, loaded]), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -706,9 +803,9 @@ def test_commands_without_vectors_do_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, numpy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    codes, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert numpy_loaded is False
+    assert loaded == []
 
 
 def test_embed_store_bytes_pinned(tmp_path):

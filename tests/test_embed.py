@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import random
 import sys
 import threading
@@ -213,3 +215,44 @@ def test_threads_share_prefix_hashes_safely():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 160 and set(results) == {expected}
+
+
+def test_worker_processes_give_the_serial_rows(monkeypatch):
+    from telerag import embed
+
+    cfg = EmbeddingProviderConfig(kind="hash-test", dims=37, seed=2)
+    texts = [f"text {i}" for i in range(3 * embed.EMBED_BLOCK + 5)]
+    monkeypatch.setattr(embed, "_cpu_count", lambda: 1)
+    serial = embed_texts(cfg, texts)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(embed, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    pooled = embed_texts(cfg, texts)
+    assert len(forks) == 3
+    assert pooled.dtype == np.float32 and pooled.flags.c_contiguous
+    assert pooled.tobytes() == serial.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_no_fork_while_other_threads_run(monkeypatch):
+    from telerag import embed
+
+    def no_fork():
+        raise AssertionError("forked while another thread ran")
+
+    cfg = EmbeddingProviderConfig(kind="hash-test", dims=16, seed=4)
+    texts = [f"text {i}" for i in range(2 * embed.EMBED_BLOCK + 1)]
+    expected = embed_texts(cfg, texts).tobytes()
+    monkeypatch.setattr(embed, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(embed_texts(cfg, texts).tobytes()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and results == [expected]

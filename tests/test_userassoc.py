@@ -243,30 +243,10 @@ def test_write_curve_transcript_rejects_conflicting_repeat(tmp_path):
     assert not path.exists()
 
 
-def test_run_curve_threads_match_serial():
-    class HashFlakyBackend:
-        """Random guesses, with ModelError on some prompts."""
-
-        def __init__(self):
-            self.guess = RandomGuessBackend(seed=3)
-
-        def complete(self, prompt: str) -> Completion:
-            if derive_seed("fail", prompt) % 4 == 0:
-                raise ModelError("flaky")
-            return self.guess.complete(prompt)
-
-    serial = run_curve(HashFlakyBackend(), [2, 5, 9], trials_per_n=40, seed=12)
-    threaded = run_curve(HashFlakyBackend(), [2, 5, 9], trials_per_n=40, seed=12, concurrency=4)
-    assert threaded == serial
-    assert [p.n_bs for p in threaded.points] == [2, 5, 9]
-    assert all(p.errored > 0 and p.correct > 0 for p in serial.points)
-
-
 def test_run_curve_propagates_non_model_errors():
     class BrokenBackend:
         def complete(self, prompt: str) -> Completion:
             raise RuntimeError("bug, not a model failure")
 
-    for concurrency in (1, 3):
-        with pytest.raises(RuntimeError, match="bug"):
-            run_curve(BrokenBackend(), [3], trials_per_n=5, seed=1, concurrency=concurrency)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_curve(BrokenBackend(), [3], trials_per_n=5, seed=1)

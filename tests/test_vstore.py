@@ -72,6 +72,22 @@ def test_search_matches_brute_force_oracle():
         assert [h.chunk_id for h in hits] == brute_force_top_k(vectors, query, 5)
 
 
+def test_query_above_1e154_ranks_as_its_unscaled_copy():
+    # Its squared norm overflows float64; the hits must not collapse to +-0 scores.
+    store, _ = random_store(40, 16, seed=7)
+    rng = np.random.default_rng(70)
+    for _ in range(5):
+        query = rng.normal(size=16)
+        big = query * 1e160
+        hits, big_hits = store.search(query, 3), store.search(big, 3)
+        assert [h.chunk_id for h in big_hits] == [h.chunk_id for h in hits]
+        for h, b in zip(hits, big_hits):
+            assert abs(h.score - b.score) <= 1e-12
+        many = store.search_many(np.stack([query, big]), 3)
+        assert many == [hits, big_hits]
+        assert np.array_equal(big, query * 1e160)  # the caller's array is not scaled
+
+
 def test_equal_scores_tie_break_lexicographic():
     store = VectorStore(dims=4, provider_fingerprint="fp")
     vec = np.array([0.5, 0.5, 0.0, 0.0], dtype=np.float32)
