@@ -214,11 +214,10 @@ def cmd_ingest(args, parser: _Parser) -> int:
         bank = corpus_mod.Corpus()
         for path in txt_files:
             bank.ingest(path.name, path.read_bytes())
-        chunks = bank.chunk_all(chunk_size=args.chunk_size, overlap=args.overlap)
-        corpus_mod.write_chunks_jsonl(chunks, run.output(out))
+        token_counts = bank.write_jsonl(run.output(out), args.chunk_size, args.overlap)
     print(
-        f"ingested {len(bank.documents)} documents -> {len(chunks)} chunks, "
-        + _seq_stats([c.token_count for c in chunks])
+        f"ingested {len(bank.documents)} documents -> {len(token_counts)} chunks, "
+        + _seq_stats(token_counts)
     )
     print(f"corpus written to {out}")
     return 0
@@ -227,8 +226,7 @@ def cmd_ingest(args, parser: _Parser) -> int:
 def cmd_embed(args) -> int:
     from . import vstore
 
-    index = corpus_mod.CorpusIndex()
-    chunks = corpus_mod.read_chunks_jsonl(args.corpus, index)
+    chunk_file = corpus_mod.ChunkFile(args.corpus)
     provider = _provider_from_file(args.provider_config)
     out = Path(args.out)
     if out.exists() and not args.force:
@@ -241,9 +239,8 @@ def cmd_embed(args) -> int:
     config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
     with _run(out, "embed", config) as run:
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
-        store.insert_many([c.chunk_id for c in chunks],
-                          embed_mod.embed_texts(provider, [c.text for c in chunks]))
-        store.bind_corpus(index.sha256, index.offsets)
+        store.insert_many(*embed_mod.embed_chunk_file(provider, chunk_file))
+        store.bind_corpus(chunk_file.sha256, chunk_file.offsets)
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
     return 0

@@ -6,10 +6,16 @@ is pluggable; the default splits on whitespace and rejoins with single
 spaces, so chunk token streams concatenate back to the document's token
 stream when overlap is zero.
 
-A chunk JSONL file is read whole once, when it is embedded; that read also
-gives each line's byte offset and the file's SHA-256, which the vector store
-keeps. Evaluation then checks the file against that digest and reads only the
-lines its hits name, through ``CorpusLines``.
+``Corpus.write_jsonl`` chunks and encodes the documents in groups of about
+``GROUP_CHARS`` characters, one ``forkpool.fork_map`` task per group, so a
+large corpus is chunked on every usable CPU; the file's bytes do not depend
+on the grouping.
+
+A chunk JSONL file is read whole once, when it is embedded, into a
+``ChunkFile``: the file's SHA-256 and each chunk line's byte offset, which the
+vector store keeps, and the lines themselves, which the embedding tasks parse
+a block at a time. Evaluation then checks the file against that digest and
+reads only the lines its hits name, through ``CorpusLines``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import hashlib
 import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, Protocol, Sequence
 
@@ -45,6 +51,8 @@ class WhitespaceTokenizer:
 
 DEFAULT_TOKENIZER = WhitespaceTokenizer()
 DEFAULT_CHUNK_SIZE = 512
+# Characters of document text per task of Corpus.write_jsonl.
+GROUP_CHARS = 1 << 20
 # One encoder for every corpus line; json.dumps would build a new one per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -112,6 +120,38 @@ class Corpus:
             chunks.extend(chunk_document(doc, chunk_size, overlap, self.tokenizer))
         return chunks
 
+    def write_jsonl(
+        self, path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE, overlap: int = 0
+    ) -> list[int]:
+        """Write the chunks of chunk_all() to path as write_chunks_jsonl does
+        and return their token counts, in the same order.
+
+        The documents go in groups of about GROUP_CHARS characters, each
+        chunked and encoded by one task of forkpool.fork_map; the bytes are
+        written in document order.
+        """
+        groups: list[list[Document]] = [[]]
+        size = 0
+        for doc in self.documents:
+            if size >= GROUP_CHARS:
+                groups.append([])
+                size = 0
+            groups[-1].append(doc)
+            size += len(doc.text)
+
+        def encode(i: int) -> tuple[bytes, list[int]]:
+            chunks = [c for doc in groups[i]
+                      for c in chunk_document(doc, chunk_size, overlap, self.tokenizer)]
+            return _jsonl_bytes(chunks), [c.token_count for c in chunks]
+
+        from . import forkpool
+
+        parts = forkpool.fork_map(encode, len(groups))
+        with open(path, "wb") as f:
+            for data, _ in parts:
+                f.write(data)
+        return [n for _, counts in parts for n in counts]
+
 
 def chunk_document(
     doc: Document,
@@ -154,18 +194,24 @@ def chunk_document(
         seq += 1
 
 
+def _jsonl_bytes(chunks: Sequence[Chunk]) -> bytes:
+    """The chunks as UTF-8 JSON lines with LF endings."""
+    return "".join(
+        _encode_line({
+            "chunk_id": c.chunk_id,
+            "doc_id": c.doc_id,
+            "seq": c.seq,
+            "text": c.text,
+            "token_count": c.token_count,
+        }) + "\n"
+        for c in chunks
+    ).encode("utf-8")
+
+
 def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
     """Persist chunks as UTF-8 JSON lines with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for c in chunks:
-            record = {
-                "chunk_id": c.chunk_id,
-                "doc_id": c.doc_id,
-                "seq": c.seq,
-                "text": c.text,
-                "token_count": c.token_count,
-            }
-            f.write(_encode_line(record) + "\n")
+    with open(path, "wb") as f:
+        f.write(_jsonl_bytes(chunks))
 
 
 _CHUNK_FIELDS = {"chunk_id": str, "doc_id": str, "seq": int, "text": str, "token_count": int}
@@ -185,35 +231,46 @@ def _chunk_from_line(line: bytes) -> Chunk:
         raise ValueError(f"malformed chunk record: {exc}") from None
 
 
-@dataclass
-class CorpusIndex:
-    """Where read_chunks_jsonl found its chunks: the byte offset of each
-    chunk's line, in file order, and the SHA-256 of the file's bytes."""
+class ChunkFile:
+    """A chunk JSONL file read whole: the SHA-256 of its bytes and, for each
+    chunk line in file order, its byte offset, its line number and its bytes.
+    Lines end at b"\\n" only; blank lines hold no chunk and are skipped."""
 
-    offsets: list[int] = field(default_factory=list)
-    sha256: bytes = b""
-
-
-def read_chunks_jsonl(path: str | Path, index: CorpusIndex | None = None) -> list[Chunk]:
-    """Load chunks written by write_chunks_jsonl; a malformed line raises
-    DataError naming path:line. Lines end at b"\\n" only; blank lines are
-    skipped. When index is given, it receives the offsets and the digest."""
-    with open(path, "rb") as f:
-        data = f.read()
-    chunks: list[Chunk] = []
-    offsets: list[int] = []
-    offset = 0
-    try:
+    def __init__(self, path: str | Path) -> None:
+        with open(path, "rb") as f:
+            data = f.read()
+        self.path = path
+        self.sha256 = hashlib.sha256(data).digest()
+        self.offsets: list[int] = []
+        self._linenos: list[int] = []
+        self._lines: list[bytes] = []
+        offset = 0
         for lineno, line in enumerate(data.split(b"\n"), start=1):
             if line.strip():
-                chunks.append(_chunk_from_line(line))
-                offsets.append(offset)
+                self.offsets.append(offset)
+                self._linenos.append(lineno)
+                self._lines.append(line)
             offset += len(line) + 1
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if index is not None:
-        index.offsets, index.sha256 = offsets, hashlib.sha256(data).digest()
-    return chunks
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def chunks(self, start: int = 0, stop: int | None = None) -> list[Chunk]:
+        """Parse chunk lines start to stop (all by default); a malformed line
+        raises DataError naming path:line."""
+        chunks = []
+        for line, lineno in zip(self._lines[start:stop], self._linenos[start:stop]):
+            try:
+                chunks.append(_chunk_from_line(line))
+            except ValueError as exc:
+                raise DataError(f"{self.path}:{lineno}: {exc}") from exc
+        return chunks
+
+
+def read_chunks_jsonl(path: str | Path) -> list[Chunk]:
+    """Load chunks written by write_chunks_jsonl, through ChunkFile; a malformed
+    line raises DataError naming path:line."""
+    return ChunkFile(path).chunks()
 
 
 def file_sha256(f: BinaryIO) -> bytes:

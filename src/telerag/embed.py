@@ -7,29 +7,31 @@ returns a batch as one C-contiguous float32 (len(texts), dims) matrix, one
 row per text, for both providers. It works in blocks of ``EMBED_BLOCK``
 texts: the HTTP provider sends one request per block, one after another, and
 each reply is checked for its shape and for finite values as a whole; the
-hash-test provider computes the blocks in worker processes forked from this
-one when there are several blocks and more than one usable CPU, because its
+hash-test provider's blocks go through ``forkpool.fork_map``, so several
+blocks are computed by worker processes forked from this one, because its
 SHA-256 calls on short inputs hold the GIL and threads would not overlap.
-Similarity is cosine, computed in float64. numpy and multiprocessing are
-imported by the functions that use them, so importing this module (as every
-command does) loads neither.
-"""
+``embed_chunk_file`` embeds a whole chunk JSONL file in the same blocks, each
+block's task parsing its own lines. Similarity is cosine, computed in
+float64. numpy and the fork pool are imported by the functions that use
+them, so importing this module (as every command does) loads neither."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 import math
-import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from .errors import DataError, ProviderError
 from .modelclient import json_headers
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .corpus import ChunkFile
+
+T = TypeVar("T")
 
 EMBED_BLOCK = 64  # texts per HTTP request and per worker task
 
@@ -134,57 +136,73 @@ def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarra
     return vectors
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _embed_block(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
-    """The rows of one block of texts. It is the worker processes' target, so
-    it is sent to them by name and must stay a plain module-level function."""
+    """The rows of one block of texts."""
     if cfg.kind == "hash-test":
         return _hash_test_vectors(texts, cfg.dims, cfg.seed)
     return _http_embed(cfg, texts)
+
+
+def _map_blocks(cfg: EmbeddingProviderConfig, fn: Callable[[int], T], n: int) -> list[T]:
+    """[fn(0), ..., fn(n - 1)] for n tasks that embed with cfg: through
+    forkpool.fork_map for the hash-test provider, here one after another for
+    the http one. A worker process that dies raises ProviderError."""
+    if cfg.kind != "hash-test":
+        return [fn(i) for i in range(n)]
+    from . import forkpool
+
+    try:
+        return forkpool.fork_map(fn, n)
+    except forkpool.WorkerDiedError as exc:
+        raise ProviderError(
+            f"an embedding worker process died (exit code {exc.exitcode})"
+        ) from exc
 
 
 def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
     """Embed a batch of texts into one C-contiguous float32 (len(texts), cfg.dims)
     matrix; a text's row does not depend on the rest of the batch.
 
-    The texts go in blocks of EMBED_BLOCK. Hash-test blocks are computed by
-    min(usable CPUs, blocks) forked worker processes when that is more than
-    one and this process runs no other thread (a fork copies only the calling
-    thread, so a lock another thread holds would stay held in the worker);
-    otherwise here, one after another. Every worker has exited when this
-    returns or raises, and a worker that dies raises ProviderError.
+    The texts go in blocks of EMBED_BLOCK through _map_blocks, so several
+    hash-test blocks are computed by forked worker processes.
     """
     import numpy as np
 
     for text in texts:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-    out = np.empty((len(texts), cfg.dims), dtype=np.float32)
     starts = range(0, len(texts), EMBED_BLOCK)
-    blocks = [texts[start : start + EMBED_BLOCK] for start in starts]
-    workers = min(_cpu_count(), len(blocks))
-    if cfg.kind != "hash-test" or workers < 2 or threading.active_count() > 1:
-        for start, block in zip(starts, blocks):
-            out[start : start + len(block)] = _embed_block(cfg, block)
-        return out
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            for start, rows in zip(starts, pool.map(_embed_block, [cfg] * len(blocks), blocks)):
-                out[start : start + len(rows)] = rows
-    except BrokenProcessPool as exc:
-        raise ProviderError(f"an embedding worker process died: {exc}") from exc
+    blocks = _map_blocks(
+        cfg, lambda i: _embed_block(cfg, texts[starts[i] : starts[i] + EMBED_BLOCK]), len(starts)
+    )
+    out = np.empty((len(texts), cfg.dims), dtype=np.float32)
+    for start, rows in zip(starts, blocks):
+        out[start : start + len(rows)] = rows
     return out
+
+
+def embed_chunk_file(
+    cfg: EmbeddingProviderConfig, chunk_file: ChunkFile
+) -> tuple[list[str], np.ndarray]:
+    """The chunk ids of a chunk JSONL file and their rows, one C-contiguous
+    float32 (chunks, cfg.dims) matrix, in file order.
+
+    Each task of _map_blocks parses its own EMBED_BLOCK chunk lines and embeds
+    their texts, so the hash-test provider's workers share the parse as well as
+    the digests and send back only ids and rows.
+    """
+    import numpy as np
+
+    def embed_block(i: int) -> tuple[list[str], np.ndarray]:
+        chunks = chunk_file.chunks(i * EMBED_BLOCK, (i + 1) * EMBED_BLOCK)
+        return [c.chunk_id for c in chunks], embed_texts(cfg, [c.text for c in chunks])
+
+    ids: list[str] = []
+    out = np.empty((len(chunk_file), cfg.dims), dtype=np.float32)
+    for block_ids, rows in _map_blocks(cfg, embed_block, -(-len(chunk_file) // EMBED_BLOCK)):
+        out[len(ids) : len(ids) + len(rows)] = rows
+        ids += block_ids
+    return ids, out
 
 
 def embed_text(cfg: EmbeddingProviderConfig, text: str) -> np.ndarray:

@@ -341,8 +341,9 @@ class VectorStore:
         offsets = np.zeros(n, dtype="<u8") if self._offsets is None else self._offsets[order]
         f.write(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, self.dims, n, len(fp_bytes)))
         f.write(fp_bytes + self.corpus_sha256 + struct.pack("<Q", len(id_bytes)) + id_bytes)
-        f.write(offsets.astype("<u8").tobytes())
-        f.write(self._rows[order].astype("<f4").tobytes())
+        # Cast only where the native layout is not little-endian; write the buffers as they are.
+        f.write(offsets.astype("<u8", copy=False))
+        f.write(self._rows[order].astype("<f4", copy=False))
 
     @classmethod
     def read_header(cls, path: str | Path) -> tuple[int, int, int, str]:

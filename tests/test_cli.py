@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from telerag import userassoc
+from telerag import forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
 from telerag.errors import DataError, ProviderError
@@ -546,7 +546,7 @@ def write_chunk_corpus(path, texts):
     return path
 
 
-def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
+def test_failed_embed_keeps_earlier_store(tmp_path, capsys, monkeypatch):
     from telerag import embed as embed_mod
 
     provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
@@ -558,13 +558,7 @@ def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
     first = [p.read_bytes() for p in outputs]
 
     large = write_chunk_corpus(tmp_path / "large.jsonl", [f"text {i}" for i in range(150)])
-    real_embed_texts = embed_mod.embed_texts
     real_vectors = embed_mod._hash_test_vectors
-    calls = []
-
-    def count_calls(cfg, texts):
-        calls.append(len(texts))
-        return real_embed_texts(cfg, texts)
 
     def fail_second_block(texts, dims, seed):
         # Runs in the forked workers, which inherit this patch.
@@ -572,26 +566,24 @@ def test_failed_embed_keeps_earlier_store(tmp_path, monkeypatch):
             raise ProviderError("embedding endpoint returned HTTP 503")
         return real_vectors(texts, dims, seed)
 
-    monkeypatch.setattr(embed_mod, "embed_texts", count_calls)
     monkeypatch.setattr(embed_mod, "_hash_test_vectors", fail_second_block)
-    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    capsys.readouterr()
     assert main(["embed", "--corpus", str(large), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 3
-    assert calls == [150]
+    assert capsys.readouterr().err == "error: embedding endpoint returned HTTP 503\n"
     assert [p.read_bytes() for p in outputs] == first
     assert leftovers(tmp_path) == []
     assert multiprocessing.active_children() == []
 
 
 def test_embed_store_bytes_same_on_one_cpu_and_several(tmp_path, monkeypatch):
-    from telerag import embed as embed_mod
-
     corpus_path = write_chunk_corpus(
         tmp_path / "corpus.jsonl", [f"chunk {i} of the spec" for i in range(300)])
     provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
     stores = []
     for cpus in (1, 3):
-        monkeypatch.setattr(embed_mod, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
         store_path = tmp_path / f"store{cpus}.vdb"
         assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                      "--out", str(store_path)]) == 0
@@ -602,13 +594,11 @@ def test_embed_store_bytes_same_on_one_cpu_and_several(tmp_path, monkeypatch):
 
 
 def test_embed_empty_text_in_later_block_exits_2(tmp_path, capsys, monkeypatch):
-    from telerag import embed as embed_mod
-
     texts = [f"text {i}" for i in range(150)]
     texts[140] = "   "
     corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", texts)
     provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
-    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
     store_path = tmp_path / "store.vdb"
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 2
@@ -629,7 +619,7 @@ def test_embed_worker_that_dies_exits_3(tmp_path, capsys, monkeypatch):
         return real_vectors(texts, dims, seed)
 
     monkeypatch.setattr(embed_mod, "_hash_test_vectors", die_on_last_block)
-    monkeypatch.setattr(embed_mod, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
     store_path = tmp_path / "store.vdb"
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 3
@@ -663,6 +653,105 @@ def test_embed_http_sends_64_text_requests_in_order(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "store.vdb")]) == 0
     assert [len(texts) for texts in sent] == [64, 64, 22]
     assert sum(sent, []) == [f"t{i}" for i in range(150)]
+
+
+def make_mixed_docs_dir(tmp_path):
+    """Documents that make many groups at a 200-character GROUP_CHARS: an empty
+    one, non-ASCII text and names that sanitize to the same doc id."""
+    docs = tmp_path / "mixed"
+    docs.mkdir()
+    rng = random.Random(5)
+    words = ["gNB", "Übergabe", "κανάλι", "信道", "RRC", "handover", "PDCP", "ñ"]
+    for i in range(12):
+        (docs / f"spec{i:02d}.txt").write_text(
+            " ".join(rng.choice(words) for _ in range(rng.randrange(1, 120))), encoding="utf-8")
+    (docs / "empty.txt").write_text("", encoding="utf-8")
+    (docs / "Spec 00.txt").write_text("\t gNB  RRC\n\nÜbergabe ", encoding="utf-8")
+    (docs / "spec_00.txt").write_text("κανάλι " * 40, encoding="utf-8")
+    return docs
+
+
+def test_ingest_bytes_same_on_one_cpu_and_several(tmp_path, capsys, monkeypatch):
+    from telerag import corpus as corpus_mod
+
+    docs = make_mixed_docs_dir(tmp_path)
+    monkeypatch.setattr(corpus_mod, "GROUP_CHARS", 200)
+    outputs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"corpus{cpus}.jsonl"
+        assert main(["ingest", "--input", str(docs), "--out", str(out),
+                     "--chunk-size", "16", "--overlap", "5"]) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append((out.read_bytes(), capsys.readouterr().out.splitlines()[0]))
+    assert outputs[0] == outputs[1]
+    # The reference: every document chunked and written in one piece.
+    bank = corpus_mod.Corpus()
+    for path in sorted(docs.glob("*.txt")):
+        bank.ingest(path.name, path.read_bytes())
+    reference = tmp_path / "reference.jsonl"
+    corpus_mod.write_chunks_jsonl(bank.chunk_all(chunk_size=16, overlap=5), reference)
+    assert outputs[0][0] == reference.read_bytes()
+    doc_ids = [c.doc_id for c in read_chunks_jsonl(reference)]
+    assert "spec_00" in doc_ids and "spec_00-1" in doc_ids and "empty" not in doc_ids
+
+
+def test_ingest_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
+    from telerag import corpus as corpus_mod
+
+    docs = make_mixed_docs_dir(tmp_path)
+    real_chunk_document = corpus_mod.chunk_document
+
+    def die_on_last_doc(doc, *args):
+        if doc.doc_id == "spec11":
+            os._exit(1)
+        return real_chunk_document(doc, *args)
+
+    monkeypatch.setattr(corpus_mod, "GROUP_CHARS", 200)
+    monkeypatch.setattr(corpus_mod, "chunk_document", die_on_last_doc)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a worker process died (exit code 1)\n"
+    assert not out.exists() and leftovers(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_embed_malformed_line_in_later_block_names_path_line(tmp_path, capsys, monkeypatch):
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", [f"text {i}" for i in range(200)])
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[170] = lines[170].replace('"seq": 170', '"seq": "170"')
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError) as expected:
+        read_chunks_jsonl(corpus_path)
+    assert "corpus.jsonl:171: " in str(expected.value)
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert not store_path.exists() and leftovers(tmp_path) == []
+
+
+def test_embed_blank_lines_keep_stored_offsets(tmp_path, monkeypatch):
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", [f"text {i}" for i in range(150)])
+    lines = corpus_path.read_bytes().split(b"\n")
+    for at in (140, 100, 64, 63, 1, 0):  # blank lines inside and across blocks
+        lines.insert(at, b" \t" if at % 2 else b"")
+    raw = b"\n".join(lines)
+    corpus_path.write_bytes(raw)
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 0
+    offsets = VectorStore.load(store_path).corpus_offsets()
+    assert len(offsets) == 150
+    for chunk_id, offset in offsets.items():
+        assert offset == 0 or raw[offset - 1 : offset] == b"\n"
+        assert raw[offset:].startswith(b'{"chunk_id": "' + chunk_id.encode() + b'"')
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ import pytest
 
 from telerag.errors import DataError
 from telerag.corpus import (
+    ChunkFile,
     Corpus,
-    CorpusIndex,
     CorpusLines,
     Document,
     WhitespaceTokenizer,
@@ -192,8 +192,8 @@ def write_indexed_corpus(tmp_path):
     # A blank line and a CRLF line: offsets count bytes, lines end at b"\n".
     raw = path.read_bytes().replace(b"\n", b"\n\n", 1).replace(b"}\n", b"}\r\n", 2)
     path.write_bytes(raw)
-    index = CorpusIndex()
-    assert read_chunks_jsonl(path, index) == chunks
+    index = ChunkFile(path)
+    assert index.chunks() == chunks and read_chunks_jsonl(path) == chunks
     return chunks, path, index
 
 

@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from telerag import forkpool
 from telerag.embed import (
     EmbeddingProviderConfig,
     cosine_similarity,
@@ -222,7 +223,7 @@ def test_worker_processes_give_the_serial_rows(monkeypatch):
 
     cfg = EmbeddingProviderConfig(kind="hash-test", dims=37, seed=2)
     texts = [f"text {i}" for i in range(3 * embed.EMBED_BLOCK + 5)]
-    monkeypatch.setattr(embed, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 1)
     serial = embed_texts(cfg, texts)
     forks = []
     real_fork = os.fork
@@ -231,7 +232,7 @@ def test_worker_processes_give_the_serial_rows(monkeypatch):
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(embed, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 3)
     monkeypatch.setattr(os, "fork", counted_fork)
     pooled = embed_texts(cfg, texts)
     assert len(forks) == 3
@@ -249,7 +250,7 @@ def test_no_fork_while_other_threads_run(monkeypatch):
     cfg = EmbeddingProviderConfig(kind="hash-test", dims=16, seed=4)
     texts = [f"text {i}" for i in range(2 * embed.EMBED_BLOCK + 1)]
     expected = embed_texts(cfg, texts).tobytes()
-    monkeypatch.setattr(embed, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 3)
     monkeypatch.setattr(os, "fork", no_fork)
     results = []
     thread = threading.Thread(target=lambda: results.append(embed_texts(cfg, texts).tobytes()))
