@@ -6,7 +6,7 @@ per-category accuracy reports, plus two telecom use cases (energy-model
 fitting and a user-association reasoning probe).
 """
 
-from .corpus import Chunk, Corpus, Document, WhitespaceTokenizer, chunk_document, count_tokens
+from .corpus import Chunk, Corpus, Document, chunk_document, count_tokens
 from .embed import EmbeddingProviderConfig, cosine_similarity, embed_text, embed_texts
 from .errors import (
     DataError,
@@ -23,9 +23,7 @@ from .evalharness import (
     EvalReport,
     McqItem,
     ModelAnswer,
-    compare_runs,
     load_dataset,
-    parse_answer,
     render_prompt,
     score,
 )
@@ -72,14 +70,12 @@ __all__ = [
     "TeleragError",
     "VectorRecord",
     "VectorStore",
-    "WhitespaceTokenizer",
     "answer_with_rag",
     "augment",
     "build_backend",
     "build_query",
     "check_answer",
     "chunk_document",
-    "compare_runs",
     "cosine_similarity",
     "count_tokens",
     "embed_text",
@@ -87,7 +83,6 @@ __all__ = [
     "generate_problem",
     "load_dataset",
     "oracle",
-    "parse_answer",
     "render_problem_prompt",
     "render_prompt",
     "run_evaluation",

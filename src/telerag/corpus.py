@@ -1,8 +1,8 @@
 """Plain-text ingestion and token-window chunking.
 
 Documents are split into fixed-size token windows (default 512 tokens,
-no overlap) which are the unit of embedding and retrieval. The tokenizer
-is pluggable; the default splits on whitespace and rejoins with single
+no overlap) which are the unit of embedding and retrieval. Tokens are
+whitespace-separated and a chunk's text is its tokens joined by single
 spaces, so chunk token streams concatenate back to the document's token
 stream when overlap is zero.
 
@@ -26,30 +26,11 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Protocol, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 from .errors import DataError
 
 
-class Tokenizer(Protocol):
-    """Tokenize text and rejoin token windows into chunk text."""
-
-    def tokenize(self, text: str) -> list[str]: ...
-
-    def detokenize(self, tokens: Sequence[str]) -> str: ...
-
-
-class WhitespaceTokenizer:
-    """Default tokenizer: whitespace-separated tokens, joined by single spaces."""
-
-    def tokenize(self, text: str) -> list[str]:
-        return text.split()
-
-    def detokenize(self, tokens: Sequence[str]) -> str:
-        return " ".join(tokens)
-
-
-DEFAULT_TOKENIZER = WhitespaceTokenizer()
 DEFAULT_CHUNK_SIZE = 512
 # Characters of document text per task of Corpus.write_jsonl.
 GROUP_CHARS = 1 << 20
@@ -77,9 +58,9 @@ class Chunk:
     token_count: int
 
 
-def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
-    """Number of tokens under the given (default whitespace) tokenizer."""
-    return len((tokenizer or DEFAULT_TOKENIZER).tokenize(text))
+def count_tokens(text: str) -> int:
+    """Number of whitespace-separated tokens."""
+    return len(text.split())
 
 
 def _sanitize_doc_id(source_name: str) -> str:
@@ -93,8 +74,7 @@ def _sanitize_doc_id(source_name: str) -> str:
 class Corpus:
     """A set of ingested documents with collision-free doc ids."""
 
-    def __init__(self, tokenizer: Tokenizer | None = None) -> None:
-        self.tokenizer = tokenizer or DEFAULT_TOKENIZER
+    def __init__(self) -> None:
         self.documents: list[Document] = []
         self._used_ids: set[str] = set()
 
@@ -117,7 +97,7 @@ class Corpus:
         """Chunk every ingested document, in ingestion order."""
         chunks: list[Chunk] = []
         for doc in self.documents:
-            chunks.extend(chunk_document(doc, chunk_size, overlap, self.tokenizer))
+            chunks.extend(chunk_document(doc, chunk_size, overlap))
         return chunks
 
     def write_jsonl(
@@ -140,8 +120,7 @@ class Corpus:
             size += len(doc.text)
 
         def encode(i: int) -> tuple[bytes, list[int]]:
-            chunks = [c for doc in groups[i]
-                      for c in chunk_document(doc, chunk_size, overlap, self.tokenizer)]
+            chunks = [c for doc in groups[i] for c in chunk_document(doc, chunk_size, overlap)]
             return _jsonl_bytes(chunks), [c.token_count for c in chunks]
 
         from . import forkpool
@@ -157,7 +136,6 @@ def chunk_document(
     doc: Document,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     overlap: int = 0,
-    tokenizer: Tokenizer | None = None,
 ) -> list[Chunk]:
     """Split a document into token windows of at most chunk_size tokens.
 
@@ -169,8 +147,7 @@ def chunk_document(
         raise ValueError("chunk_size must be >= 1")
     if overlap < 0 or overlap >= chunk_size:
         raise ValueError("overlap must satisfy 0 <= overlap < chunk_size")
-    tok = tokenizer or DEFAULT_TOKENIZER
-    tokens = tok.tokenize(doc.text)
+    tokens = doc.text.split()
     if not tokens:
         return []
     stride = chunk_size - overlap
@@ -184,7 +161,7 @@ def chunk_document(
                 chunk_id=f"{doc.doc_id}#{seq}",
                 doc_id=doc.doc_id,
                 seq=seq,
-                text=tok.detokenize(window),
+                text=" ".join(window),
                 token_count=len(window),
             )
         )

@@ -295,15 +295,6 @@ def read_records_csv(path: str | Path) -> list[EnergyRecord]:
     return records
 
 
-def write_records_csv(records: Sequence[EnergyRecord], path: str | Path) -> None:
-    rows = (
-        [r.bs_id, repr(r.load), repr(r.max_tx_power), repr(r.shutdown_duration), repr(r.energy)]
-        for r in records
-    )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(csv_text(ENERGY_CSV_COLUMNS, rows))
-
-
 def write_plot_csv(
     records: Sequence[EnergyRecord],
     models: Sequence[FittedEnergyModel],

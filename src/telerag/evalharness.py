@@ -197,12 +197,17 @@ def _item_from_normalized(rec: dict) -> McqItem:
     for key in ("item_id", "category", "question", "options", "correct_index"):
         if key not in rec:
             raise DataError(f"missing {key!r}")
+    options, correct_index = rec["options"], rec["correct_index"]
+    if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
+        raise DataError("'options' must be a JSON array of strings")
+    if type(correct_index) is not int:
+        raise DataError("'correct_index' must be an integer")
     return McqItem(
         item_id=str(rec["item_id"]),
         category=normalize_category(str(rec["category"])),
         question=str(rec["question"]),
-        options=tuple(str(o) for o in rec["options"]),
-        correct_index=int(rec["correct_index"]),
+        options=tuple(options),
+        correct_index=correct_index,
         explanation=rec.get("explanation"),
     )
 
@@ -277,34 +282,19 @@ def render_prompt(item: McqItem) -> str:
 _INT_RE = re.compile(r"\d+")
 
 
-def parse_answer(raw: str, n_options: int, strict: bool = False) -> ModelAnswer:
-    """Extract the selected option number from a model reply.
+def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> ModelAnswer:
+    """Extract the selected option number from a model reply to item.
 
     Cascade: (1) leading integer, (2) first in-range integer in the first
     line, (3) unique case-insensitive containment of one option's text.
-    strict=True applies rule 1 only. Use parse_answer_for_item to enable
-    rule 3, which needs the option texts.
+    strict=True applies rule 1 only.
     """
-    return _parse(raw, n_options, options=None, strict=strict, item_id="")
-
-
-def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> ModelAnswer:
-    """parse_answer with the item's option texts available for rule 3."""
-    return _parse(raw, len(item.options), options=item.options, strict=strict, item_id=item.item_id)
-
-
-def _parse(
-    raw: str,
-    n_options: int,
-    options: Sequence[str] | None,
-    strict: bool,
-    item_id: str,
-) -> ModelAnswer:
-    if n_options < 2:
-        raise ValueError("n_options must be >= 2")
+    n_options = len(item.options)
 
     def answer(idx: int | None, status: ParseStatus) -> ModelAnswer:
-        return ModelAnswer(item_id=item_id, raw_text=raw, parsed_index=idx, parse_status=status)
+        return ModelAnswer(
+            item_id=item.item_id, raw_text=raw, parsed_index=idx, parse_status=status
+        )
 
     lead = re.match(r"\s*(\d+)", raw)
     if lead and 1 <= int(lead.group(1)) <= n_options:
@@ -317,15 +307,14 @@ def _parse(
         idx = int(match.group(0))
         if 1 <= idx <= n_options:
             return answer(idx, "embedded_number")
-    if options is not None:
-        lowered = raw.casefold()
-        contained = [
-            i
-            for i, opt in enumerate(options, start=1)
-            if opt.strip() and opt.strip().casefold() in lowered
-        ]
-        if len(contained) == 1:
-            return answer(contained[0], "text_match")
+    lowered = raw.casefold()
+    contained = [
+        i
+        for i, opt in enumerate(item.options, start=1)
+        if opt.strip() and opt.strip().casefold() in lowered
+    ]
+    if len(contained) == 1:
+        return answer(contained[0], "text_match")
     return answer(None, "unparsed")
 
 
@@ -398,32 +387,10 @@ def score(
     )
 
 
-def report_from_dict(data: dict) -> EvalReport:
-    def stats(d: dict) -> CategoryStats:
-        return CategoryStats(
-            count=d["count"],
-            correct=d["correct"],
-            errored=d.get("errored", 0),
-            accuracy_percent=d["accuracy_percent"],
-        )
-
-    return EvalReport(
-        categories={cat: stats(d) for cat, d in data["categories"].items()},
-        overall=stats(data["overall"]),
-        dataset_fingerprint=data["dataset_fingerprint"],
-        run=data.get("run", {}),
-    )
-
-
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(dataclasses.asdict(report), f, ensure_ascii=False, sort_keys=True, indent=2)
         f.write("\n")
-
-
-def read_report_json(path: str | Path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as f:
-        return report_from_dict(json.load(f))
 
 
 def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
@@ -442,39 +409,4 @@ def report_csv(report: EvalReport) -> str:
     return csv_text(
         ["category", "count", "correct", "errored", "accuracy"],
         ([cat, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"] for cat, s in stats),
-    )
-
-
-def compare_runs(report_a: EvalReport, report_b: EvalReport) -> list[dict]:
-    """Per-category and overall accuracy deltas (b - a) for two runs on one dataset."""
-    if report_a.dataset_fingerprint != report_b.dataset_fingerprint:
-        raise DataError("reports were produced from different datasets")
-    rows: list[dict] = []
-    for cat in CATEGORIES:
-        if cat in report_a.categories and cat in report_b.categories:
-            a = report_a.categories[cat].accuracy_percent
-            b = report_b.categories[cat].accuracy_percent
-            rows.append(
-                {"category": cat, "accuracy_a": a, "accuracy_b": b, "delta": round_percent(b - a)}
-            )
-    a = report_a.overall.accuracy_percent
-    b = report_b.overall.accuracy_percent
-    rows.append(
-        {"category": "Overall", "accuracy_a": a, "accuracy_b": b, "delta": round_percent(b - a)}
-    )
-    return rows
-
-
-def delta_csv(rows: Sequence[dict]) -> str:
-    return csv_text(
-        ["category", "accuracy_a", "accuracy_b", "delta"],
-        (
-            [
-                row["category"],
-                f"{row['accuracy_a']:.2f}",
-                f"{row['accuracy_b']:.2f}",
-                f"{row['delta']:+.2f}",
-            ]
-            for row in rows
-        ),
     )

@@ -22,7 +22,7 @@ from .errors import ModelError, ModelProtocolError, ModelUnavailableError, Trans
 
 API_KEY_ENV = "MODEL_API_KEY"
 
-MODEL_KINDS = ("http", "mock_script", "mock_oracle", "mock_constant")
+MODEL_KINDS = ("http", "mock_script", "mock_constant")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -33,8 +33,7 @@ class ModelConfig:
     """Backend selection plus decoding/transport parameters.
 
     Evaluation runs keep temperature at 0 so reruns are comparable.
-    mock_script replays a transcript file; mock_oracle is built per use case
-    (it needs domain context, see userassoc); mock_constant always returns
+    mock_script replays a transcript file; mock_constant always returns
     `reply`.
     """
 
@@ -226,19 +225,14 @@ class ConstantBackend:
 
 
 def build_backend(cfg: ModelConfig) -> ModelBackend:
-    """Construct a backend from config; mock_oracle needs domain context instead."""
+    """Construct the backend that cfg.kind names."""
     if cfg.kind == "http":
         return HttpBackend(cfg)
     if cfg.kind == "mock_script":
         assert cfg.script_path is not None
         return TranscriptBackend(cfg.script_path)
-    if cfg.kind == "mock_constant":
-        assert cfg.reply is not None
-        return ConstantBackend(cfg.reply)
-    raise ValueError(
-        "mock_oracle backends are domain-specific; construct them directly "
-        "(see userassoc.OracleBackend)"
-    )
+    assert cfg.reply is not None
+    return ConstantBackend(cfg.reply)
 
 
 def run_items(

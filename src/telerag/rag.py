@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import Chunk, Tokenizer, count_tokens
+from .corpus import Chunk, count_tokens
 from .embed import EmbeddingProviderConfig, embed_text
 from .errors import DataError, FingerprintMismatchError
 from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
@@ -111,21 +111,6 @@ def retrieve_many(
     return contexts
 
 
-def _retrieve_items(
-    store: VectorStore | None,
-    provider: EmbeddingProviderConfig | None,
-    items: Sequence[McqItem],
-    cfg: RagConfig,
-    chunks: Mapping[str, Chunk] | None,
-) -> list[list[tuple[Chunk, SearchHit]]]:
-    if store is None:
-        return [[] for _ in items]
-    if provider is None or chunks is None:
-        raise ValueError("retrieval needs provider and chunks alongside the store")
-    queries = [build_query(item, cfg.query_mode) for item in items]
-    return retrieve_many(store, provider, queries, cfg, chunks)
-
-
 def augment(item: McqItem, context: Sequence[Chunk]) -> AugmentedPrompt:
     """Prepend context chunks (rank order, blank-line separated) to the MCQ prompt.
 
@@ -143,25 +128,16 @@ def augment(item: McqItem, context: Sequence[Chunk]) -> AugmentedPrompt:
 
 def answer_with_rag(
     backend: ModelBackend,
-    store: VectorStore | None,
-    provider: EmbeddingProviderConfig | None,
     item: McqItem,
-    cfg: RagConfig | None = None,
+    retrieved: Sequence[tuple[Chunk, SearchHit]],
     *,
-    chunks: Mapping[str, Chunk] | None = None,
-    tokenizer: Tokenizer | None = None,
     strict_parse: bool = False,
-    retrieved: Sequence[tuple[Chunk, SearchHit]] | None = None,
 ) -> ItemResult:
-    """Run one item through retrieve → augment → generate → parse.
+    """Run one item through augment → generate → parse.
 
-    store=None disables retrieval and evaluates the plain prompt. A caller
-    that already ran retrieve_many for this item passes its entry as
-    retrieved, which then takes the place of the retrieval step.
+    retrieved holds the item's chunks and hits, best-ranked first; an empty
+    list gives the plain MCQ prompt.
     """
-    cfg = cfg or RagConfig()
-    if retrieved is None:
-        retrieved = _retrieve_items(store, provider, [item], cfg, chunks)[0]
     prompt = augment(item, [c for c, _ in retrieved])
     completion = backend.complete(prompt.prompt_text)
     answer = parse_answer_for_item(completion.text, item, strict=strict_parse)
@@ -169,7 +145,7 @@ def answer_with_rag(
         answer=answer,
         context_chunk_ids=prompt.context_chunk_ids,
         context_scores=tuple(hit.score for _, hit in retrieved),
-        prompt_token_estimate=count_tokens(prompt.prompt_text, tokenizer),
+        prompt_token_estimate=count_tokens(prompt.prompt_text),
     )
 
 
@@ -182,30 +158,26 @@ def run_evaluation(
     chunks: Mapping[str, Chunk] | None = None,
     cfg: RagConfig | None = None,
     concurrency: int = 4,
-    tokenizer: Tokenizer | None = None,
     strict_parse: bool = False,
 ) -> list[ItemResult]:
     """Evaluate every item; model failures mark the item errored, never skip it.
 
     Results come back in dataset order regardless of completion order.
-    Retrieval for all items runs first, in one batch.
+    With a store, retrieval for all items runs first, in one batch; without
+    one every item gets the plain prompt.
     """
     cfg = cfg or RagConfig()
-    contexts = _retrieve_items(store, provider, items, cfg, chunks)
+    if store is None:
+        contexts: list[list[tuple[Chunk, SearchHit]]] = [[] for _ in items]
+    elif provider is None or chunks is None:
+        raise ValueError("retrieval needs provider and chunks alongside the store")
+    else:
+        queries = [build_query(item, cfg.query_mode) for item in items]
+        contexts = retrieve_many(store, provider, queries, cfg, chunks)
 
     def one(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
-        item, retrieved = pair
-        return answer_with_rag(
-            backend,
-            store,
-            provider,
-            item,
-            cfg,
-            chunks=chunks,
-            tokenizer=tokenizer,
-            strict_parse=strict_parse,
-            retrieved=retrieved,
-        )
+        # item goes by keyword: the benchmark's tracer reads it from kwargs.
+        return answer_with_rag(backend, item=pair[0], retrieved=pair[1], strict_parse=strict_parse)
 
     def errored(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
         return ItemResult(

@@ -17,7 +17,6 @@ from telerag import forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
 from telerag.errors import DataError, ProviderError
-from telerag.evalharness import read_report_json
 from telerag.modelclient import write_transcript
 from telerag.vstore import VectorStore
 
@@ -251,9 +250,9 @@ def test_eval_constant_guess_near_chance(tmp_path):
     code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--report", str(report_path), "--csv", str(csv_path)])
     assert code == 0
-    report = read_report_json(report_path)
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     sigma = (0.25 * 0.75 / n_items) ** 0.5 * 100
-    assert abs(report.overall.accuracy_percent - 25.0) <= 3 * sigma
+    assert abs(report["overall"]["accuracy_percent"] - 25.0) <= 3 * sigma
     assert csv_path.read_text().startswith("category,count,correct,errored,accuracy")
     audit_lines = (tmp_path / "report.json.audit.jsonl").read_text().splitlines()
     assert len(audit_lines) == n_items
@@ -275,11 +274,11 @@ def test_eval_rag_empty_store_matches_plain(tmp_path):
     assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--rag", str(store_path), "--corpus", str(empty_corpus),
                  "--report", str(rag_report)]) == 0
-    plain = read_report_json(plain_report)
-    augmented = read_report_json(rag_report)
-    assert augmented.categories == plain.categories
-    assert augmented.overall == plain.overall
-    assert augmented.dataset_fingerprint == plain.dataset_fingerprint
+    plain = json.loads(plain_report.read_text(encoding="utf-8"))
+    augmented = json.loads(rag_report.read_text(encoding="utf-8"))
+    assert augmented["categories"] == plain["categories"]
+    assert augmented["overall"] == plain["overall"]
+    assert augmented["dataset_fingerprint"] == plain["dataset_fingerprint"]
 
 
 def test_eval_with_transcript_mock_hits_exact_accuracy(tmp_path):
@@ -300,10 +299,10 @@ def test_eval_with_transcript_mock_hits_exact_accuracy(tmp_path):
     report_path = tmp_path / "report.json"
     assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--report", str(report_path)]) == 0
-    report = read_report_json(report_path)
-    assert report.overall.correct == 15
-    assert report.overall.accuracy_percent == 75.0
-    assert report.run["model"]["kind"] == "mock_script"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["overall"]["correct"] == 15
+    assert report["overall"]["accuracy_percent"] == 75.0
+    assert report["run"]["model"]["kind"] == "mock_script"
 
 
 def test_usecase_energy_synthetic_defaults(tmp_path, capsys):
@@ -863,6 +862,19 @@ def test_model_config_concurrency_key_is_data_error(tmp_path, capsys):
                  "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: unknown model config key(s): concurrency\n"
+
+
+def test_eval_rejects_assoc_only_model_kind(tmp_path, capsys):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_oracle"})
+    report = tmp_path / "r.json"
+    code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown model kind: 'mock_oracle'" in err
+    assert not report.exists()
 
 
 def test_commands_without_vectors_do_not_import_numpy(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from telerag.energymodel import (
     DEFAULT_EQ2_PARAMS,
+    ENERGY_CSV_COLUMNS,
     EnergyRecord,
     FittedEnergyModel,
     check_feature_selection,
@@ -17,9 +18,9 @@ from telerag.energymodel import (
     read_records_csv,
     render_task_prompts,
     write_plot_csv,
-    write_records_csv,
 )
 from telerag.errors import DataError, DegenerateDataError
+from telerag.evalharness import csv_text
 
 TRUE_PARAMS = {"PS": 0.31, "alpha": 0.18, "beta": 3.4}
 
@@ -221,7 +222,11 @@ def test_feature_selection_does_not_match_inside_words():
 def test_records_csv_round_trip(tmp_path):
     records = generate_synthetic(20, TRUE_PARAMS, noise_sd=0.01, seed=13)
     path = tmp_path / "energy.csv"
-    write_records_csv(records, path)
+    rows = (
+        [r.bs_id, repr(r.load), repr(r.max_tx_power), repr(r.shutdown_duration), repr(r.energy)]
+        for r in records
+    )
+    path.write_text(csv_text(ENERGY_CSV_COLUMNS, rows), encoding="utf-8")
     assert read_records_csv(path) == records
 
 

@@ -8,24 +8,17 @@ import pytest
 from telerag.errors import DataError
 from telerag.evalharness import (
     CATEGORIES,
-    CategoryStats,
-    EvalReport,
     McqItem,
     ModelAnswer,
-    compare_runs,
     dataset_fingerprint,
-    delta_csv,
     load_dataset,
     normalize_category,
-    parse_answer,
     parse_answer_for_item,
-    read_report_json,
     render_prompt,
     report_csv,
     round_percent,
     score,
     weighted_overall_accuracy,
-    write_report_json,
 )
 
 TABLE_COUNTS = [500, 2000, 4500, 1000, 2000]
@@ -162,6 +155,20 @@ def test_load_normalized_jsonl(tmp_path):
     assert items[1].correct_index == 3
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("options", "ABCD"), ("correct_index", 1.9), ("correct_index", True)],
+)
+def test_load_normalized_rejects_mistyped_fields(tmp_path, field, value):
+    row = {"item_id": "a", "category": "Lexicon", "question": "?",
+           "options": ["A", "B", "C", "D"], "correct_index": 1}
+    row[field] = value
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"line 1: '{field}' must be"):
+        load_dataset(path)
+
+
 def test_load_malformed_json(tmp_path):
     path = tmp_path / "d.json"
     path.write_text("{not json", encoding="utf-8")
@@ -199,28 +206,32 @@ def test_render_prompt_template_exact():
 
 
 def test_parse_answer_leading_number():
-    ans = parse_answer("3. The SSB periodicity", 4)
+    item = make_item(n_options=4)
+    ans = parse_answer_for_item("3. The SSB periodicity", item)
     assert ans.parsed_index == 3
     assert ans.parse_status == "leading_number"
-    assert parse_answer("  2) yes", 4).parsed_index == 2
+    assert ans.item_id == item.item_id
+    assert parse_answer_for_item("  2) yes", item).parsed_index == 2
 
 
 def test_parse_answer_embedded_number():
-    ans = parse_answer("The answer is 2", 4)
+    item = make_item(n_options=4)
+    ans = parse_answer_for_item("The answer is 2", item)
     assert ans.parsed_index == 2
     assert ans.parse_status == "embedded_number"
     # Only the first line counts for embedded numbers.
-    assert parse_answer("no digits here\n2", 4).parsed_index is None
+    assert parse_answer_for_item("no digits here\n2", item).parsed_index is None
 
 
 def test_parse_answer_out_of_range_unparsed():
-    ans = parse_answer("7", 4)
+    ans = parse_answer_for_item("7", make_item(n_options=4))
     assert ans.parsed_index is None
     assert ans.parse_status == "unparsed"
 
 
 def test_parse_answer_skips_out_of_range_embedded():
-    assert parse_answer("Of the 7 options, 2 is right", 4).parsed_index == 2
+    ans = parse_answer_for_item("Of the 7 options, 2 is right", make_item(n_options=4))
+    assert ans.parsed_index == 2
 
 
 def test_parse_answer_text_match():
@@ -240,8 +251,9 @@ def test_parse_answer_text_match():
 
 
 def test_parse_answer_strict_mode():
-    assert parse_answer("The answer is 2", 4, strict=True).parsed_index is None
-    assert parse_answer("2. yes", 4, strict=True).parsed_index == 2
+    item = make_item(n_options=4)
+    assert parse_answer_for_item("The answer is 2", item, strict=True).parsed_index is None
+    assert parse_answer_for_item("2. yes", item, strict=True).parsed_index == 2
 
 
 def test_parse_answer_never_out_of_range_fuzz():
@@ -250,7 +262,7 @@ def test_parse_answer_never_out_of_range_fuzz():
     for _ in range(500):
         raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         n = rng.randint(2, 5)
-        ans = parse_answer(raw, n)
+        ans = parse_answer_for_item(raw, make_item(n_options=n, correct=1))
         if ans.parsed_index is not None:
             assert 1 <= ans.parsed_index <= n
         assert (ans.parsed_index is None) == (ans.parse_status == "unparsed")
@@ -331,15 +343,6 @@ def test_dataset_fingerprint_order_invariant():
     assert dataset_fingerprint(items) != dataset_fingerprint(other)
 
 
-def test_report_json_round_trip(tmp_path):
-    items = [make_item(i, category=CATEGORIES[i % 5]) for i in range(10)]
-    answers = [answer_for(it, it.correct_index) for it in items]
-    report = score(items, answers, run_meta={"model": {"kind": "mock_constant"}})
-    path = tmp_path / "r.json"
-    write_report_json(report, path)
-    assert read_report_json(path) == report
-
-
 def test_report_csv_shape():
     items = [make_item(i, category="Lexicon") for i in range(4)]
     answers = [answer_for(it, it.correct_index if i < 3 else 1)
@@ -349,40 +352,6 @@ def test_report_csv_shape():
     assert lines[0] == "category,count,correct,errored,accuracy"
     assert lines[1] == "Lexicon,4,3,0,75.00"
     assert lines[2] == "Overall,4,3,0,75.00"
-
-
-def _report_with(accuracy_by_cat: dict[str, float], fingerprint: str = "fp") -> EvalReport:
-    categories = {
-        cat: CategoryStats(count=100, correct=int(acc), errored=0, accuracy_percent=acc)
-        for cat, acc in accuracy_by_cat.items()
-    }
-    overall_acc = round_percent(
-        sum(acc for acc in accuracy_by_cat.values()) / len(accuracy_by_cat)
-    )
-    overall = CategoryStats(
-        count=100 * len(categories), correct=0, errored=0, accuracy_percent=overall_acc
-    )
-    return EvalReport(categories=categories, overall=overall, dataset_fingerprint=fingerprint)
-
-
-def test_compare_runs_reference_delta():
-    plain = _report_with({"Standards specifications": 44.27})
-    augmented = _report_with({"Standards specifications": 56.63})
-    rows = compare_runs(plain, augmented)
-    assert rows[0]["category"] == "Standards specifications"
-    assert rows[0]["delta"] == 12.36
-    text = delta_csv(rows)
-    assert "Standards specifications,44.27,56.63,+12.36" in text
-
-
-def test_compare_runs_identical_reports_zero_delta():
-    report = _report_with({"Lexicon": 50.0, "Standards overview": 25.0})
-    assert all(row["delta"] == 0.0 for row in compare_runs(report, report))
-
-
-def test_compare_runs_fingerprint_mismatch():
-    with pytest.raises(DataError):
-        compare_runs(_report_with({"Lexicon": 1.0}, "aa"), _report_with({"Lexicon": 2.0}, "bb"))
 
 
 def test_load_10k_dataset_with_reference_category_counts(tmp_path):

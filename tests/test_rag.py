@@ -152,7 +152,7 @@ def test_empty_store_degrades_to_plain_prompting():
     item = make_item()
     store = VectorStore(dims=PROVIDER.dims, provider_fingerprint=PROVIDER.fingerprint)
     backend = EchoBackend()
-    answer_with_rag(backend, store, PROVIDER, item, RagConfig(), chunks={})
+    run_evaluation(backend, [item], store=store, provider=PROVIDER, chunks={}, concurrency=1)
     assert backend.prompts == [render_prompt(item)]
 
 
@@ -167,10 +167,9 @@ def test_answer_with_rag_parses_scripted_reply():
     item = make_item()
     chunks = [make_chunk("a#0", "relevant context text")]
     store = build_store(chunks)
-    result = answer_with_rag(
-        ConstantBackend(f"2. {item.options[1]}"), store, PROVIDER, item,
-        RagConfig(k=1), chunks=chunk_map(chunks),
-    )
+    retrieved = retrieve_many(store, PROVIDER, [build_query(item)], RagConfig(k=1),
+                              chunk_map(chunks))[0]
+    result = answer_with_rag(ConstantBackend(f"2. {item.options[1]}"), item, retrieved)
     assert result.answer.parsed_index == 2
     assert result.context_chunk_ids == ("a#0",)
     assert len(result.context_scores) == 1
