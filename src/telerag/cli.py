@@ -19,6 +19,7 @@ import math
 import os
 import random
 import sys
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +31,8 @@ from . import evalharness, rag, userassoc
 from .errors import DataError, FingerprintMismatchError, ModelError, ProviderError, TeleragError
 from .modelclient import ModelConfig, build_backend
 
-_ASSOC_MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
+T = typing.TypeVar("T")
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
 
 
 class _UsageError(Exception):
@@ -150,30 +152,23 @@ def _load_json_file(path: str) -> dict:
     return data
 
 
-def _provider_from_file(path: str) -> embed_mod.EmbeddingProviderConfig:
-    data = _load_json_file(path)
-    allowed = {"kind", "dims", "endpoint", "model_name", "seed", "timeout_s"}
-    unknown = set(data) - allowed
+def _config_from_dict(data: dict, cls: type[T], label: str) -> T:
+    """cls(**data), with data's keys and value types checked against cls's annotations:
+    an int passes for a float, a bool never for a number, null only where None may.
+    Any failure is a DataError."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise DataError(f"unknown provider config key(s): {', '.join(sorted(unknown))}")
+        raise DataError(f"unknown {label} config key(s): {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        types = typing.get_args(hints[key]) or (hints[key],)
+        if type(value) not in types and not (float in types and type(value) is int):
+            names = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+            raise DataError(f"{label} config key {key!r} must be {names}, got {json.dumps(value)}")
     try:
-        return embed_mod.EmbeddingProviderConfig(**data)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid provider config {path}: {exc}") from exc
-
-
-def _model_config_from_dict(data: dict, path: str) -> ModelConfig:
-    allowed = {
-        "kind", "endpoint", "model_name", "temperature", "max_tokens", "api_shape",
-        "script_path", "reply", "max_attempts", "backoff_s", "timeout_s",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise DataError(f"unknown model config key(s): {', '.join(sorted(unknown))}")
-    try:
-        return ModelConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid model config {path}: {exc}") from exc
+        raise DataError(f"invalid {label} config: {exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -227,7 +222,8 @@ def cmd_embed(args) -> int:
     from . import vstore
 
     chunk_file = corpus_mod.ChunkFile(args.corpus)
-    provider = _provider_from_file(args.provider_config)
+    data = _load_json_file(args.provider_config)
+    provider = _config_from_dict(data, embed_mod.EmbeddingProviderConfig, "provider")
     out = Path(args.out)
     if out.exists() and not args.force:
         _, _, _, existing_fp = vstore.VectorStore.read_header(out)
@@ -248,7 +244,7 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     items = evalharness.load_dataset(args.dataset)
-    model_cfg = _model_config_from_dict(_load_json_file(args.model_config), args.model_config)
+    model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
     backend = build_backend(model_cfg)
     cfg = rag.RagConfig(
         k=args.k, max_context_tokens=args.max_context_tokens, query_mode=args.query_mode
@@ -272,7 +268,8 @@ def cmd_eval(args) -> int:
                 )
             chunks_by_id = corpus_mod.CorpusLines(corpus_file, store.corpus_offsets())
             if args.provider_config:
-                provider = _provider_from_file(args.provider_config)
+                data = _load_json_file(args.provider_config)
+                provider = _config_from_dict(data, embed_mod.EmbeddingProviderConfig, "provider")
             else:
                 provider = embed_mod.provider_from_fingerprint(store.provider_fingerprint)
             settings = {
@@ -362,22 +359,6 @@ def cmd_usecase_energy(args, parser: _Parser) -> int:
     return 0
 
 
-def _assoc_backend(args):
-    data = _load_json_file(args.model_config)
-    kind = data.get("kind")
-    if kind in _ASSOC_MOCK_KINDS:
-        if kind == "mock_oracle":
-            return userassoc.OracleBackend(), {"kind": kind}
-        if kind == "mock_strongest":
-            return userassoc.StrongestBackend(), {"kind": kind}
-        return (
-            userassoc.RandomGuessBackend(seed=int(data.get("seed", 0))),
-            {"kind": kind, "seed": int(data.get("seed", 0))},
-        )
-    cfg = _model_config_from_dict(data, args.model_config)
-    return build_backend(cfg), cfg.summary()
-
-
 def cmd_usecase_assoc(args, parser: _Parser) -> int:
     try:
         counts = [int(part) for part in args.bs_counts.split(",") if part.strip()]
@@ -389,10 +370,13 @@ def cmd_usecase_assoc(args, parser: _Parser) -> int:
         parser.error(f"--bs-counts values must be <= {userassoc.MAX_STATIONS}")
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    backend, model_summary = _assoc_backend(args)
+    data = _load_json_file(args.model_config)
+    mock = data.get("kind") in userassoc.MOCK_KINDS
+    model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
+    backend = model_cfg.backend() if mock else build_backend(model_cfg)
     seed = _resolve_seed(args.seed)
     out = Path(args.out)
-    config = {"bs_counts": counts, "trials": args.trials, "model": model_summary}
+    config = {"bs_counts": counts, "trials": args.trials, "model": model_cfg.summary()}
     with _run(out, "usecase-assoc", config, seed=seed) as run:
         curve = userassoc.run_curve(backend, counts, trials_per_n=args.trials, seed=seed)
         run.output(out).write_text(userassoc.curve_csv(curve), encoding="utf-8")
@@ -486,10 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProviderError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, UnicodeDecodeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TeleragError as exc:
+    except (TeleragError, UnicodeDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

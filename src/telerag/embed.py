@@ -5,11 +5,12 @@ seeded-hash test provider that maps text to a pseudo-random unit vector
 so the whole pipeline runs deterministically offline. ``embed_texts``
 returns a batch as one C-contiguous float32 (len(texts), dims) matrix, one
 row per text, for both providers. It works in blocks of ``EMBED_BLOCK``
-texts: the HTTP provider sends one request per block, one after another, and
-each reply is checked for its shape and for finite values as a whole; the
-hash-test provider's blocks go through ``forkpool.fork_map``, so several
-blocks are computed by worker processes forked from this one, because its
-SHA-256 calls on short inputs hold the GIL and threads would not overlap.
+texts: the HTTP provider sends one ``modelclient.post_json`` request per
+block, one after another with one attempt each, and each reply is checked
+for its shape and for finite values as a whole; the hash-test provider's
+blocks go through ``forkpool.fork_map``, so several blocks are computed by
+worker processes forked from this one, because its SHA-256 calls on short
+inputs hold the GIL and threads would not overlap.
 ``embed_chunk_file`` embeds a whole chunk JSONL file in the same blocks, each
 block's task parsing its own lines. Similarity is cosine, computed in
 float64. numpy and the fork pool are imported by the functions that use
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from .errors import DataError, ProviderError
-from .modelclient import json_headers
+from .errors import DataError, ModelError, ProviderError
+from .modelclient import post_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,6 +59,8 @@ class EmbeddingProviderConfig:
             raise ValueError("dims must be positive")
         if self.kind == "http" and not (self.endpoint and self.model_name):
             raise ValueError("http provider requires endpoint and model_name")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be a finite number > 0")
 
     @property
     def fingerprint(self) -> str:
@@ -109,21 +112,19 @@ def _hash_test_vectors(texts: Sequence[str], dims: int, seed: int) -> np.ndarray
     return (values / np.array(norms)[:, None]).astype(np.float32)
 
 
-def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
+def _embed_block(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
+    """The rows of one block of texts; an http reply is checked as a whole."""
+    if cfg.kind == "hash-test":
+        return _hash_test_vectors(texts, cfg.dims, cfg.seed)
     import numpy as np
-    import requests
 
     payload = {"model": cfg.model_name, "input": list(texts)}
     try:
-        resp = requests.post(
-            cfg.endpoint, json=payload, headers=json_headers(), timeout=cfg.timeout_s
-        )
-    except requests.RequestException as exc:
+        reply, _ = post_json(cfg.endpoint, payload, timeout_s=cfg.timeout_s)
+    except ModelError as exc:
         raise ProviderError(f"embedding request failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise ProviderError(f"embedding endpoint returned HTTP {resp.status_code}")
     try:
-        vectors = np.asarray([item["embedding"] for item in resp.json()["data"]], dtype=np.float32)
+        vectors = np.asarray([item["embedding"] for item in reply["data"]], dtype=np.float32)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProviderError(f"malformed embedding response: {exc}") from exc
     if vectors.shape != (len(texts), cfg.dims):
@@ -134,13 +135,6 @@ def _http_embed(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarra
     if not np.isfinite(vectors).all():
         raise ProviderError("embedding contains non-finite components")
     return vectors
-
-
-def _embed_block(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
-    """The rows of one block of texts."""
-    if cfg.kind == "hash-test":
-        return _hash_test_vectors(texts, cfg.dims, cfg.seed)
-    return _http_embed(cfg, texts)
 
 
 def _map_blocks(cfg: EmbeddingProviderConfig, fn: Callable[[int], T], n: int) -> list[T]:

@@ -44,7 +44,7 @@ class ModelError(TeleragError):
 
 
 class ModelUnavailableError(ModelError):
-    """All retry attempts against the model backend were exhausted."""
+    """Every attempt at the remote endpoint failed with a retryable error."""
 
 
 class ModelProtocolError(ModelError):

@@ -164,39 +164,47 @@ def _resolve_answer(answer: str, options: Sequence[str]) -> int:
     return matches[0]
 
 
+def _require_text(entry: dict, keys: Iterable[str]) -> None:
+    """DataError unless keys are present as JSON strings and 'explanation' a string or null."""
+    for key in keys:
+        if key not in entry:
+            raise DataError(f"missing {key!r}")
+        if type(entry[key]) is not str:
+            raise DataError(f"{key!r} must be a string")
+    if type(entry.get("explanation")) not in (str, type(None)):
+        raise DataError("'explanation' must be a string or null")
+
+
 def _item_from_raw_entry(item_id: str, entry: dict) -> McqItem:
-    if "question" not in entry:
-        raise DataError("missing 'question'")
     options = []
     for i in range(1, 6):
         key = f"option {i}"
         if key in entry:
             if len(options) != i - 1:
                 raise DataError(f"non-contiguous option keys (gap before {key!r})")
-            options.append(str(entry[key]))
-    if "answer" not in entry:
-        raise DataError("missing 'answer'")
-    if "category" not in entry:
-        raise DataError("missing 'category'")
-    category = normalize_category(str(entry["category"]))
+            options.append(entry[key])
+    option_keys = [f"option {i}" for i in range(1, len(options) + 1)]
+    _require_text(entry, ["question", "answer", "category", *option_keys])
+    category = normalize_category(entry["category"])
     problems = validate_item_fields(category, options, 1)
     if problems:
         raise DataError("; ".join(problems))
-    correct = _resolve_answer(str(entry["answer"]), options)
+    correct = _resolve_answer(entry["answer"], options)
     return McqItem(
         item_id=item_id,
         category=category,
-        question=str(entry["question"]),
+        question=entry["question"],
         options=tuple(options),
         correct_index=correct,
-        explanation=str(entry["explanation"]) if entry.get("explanation") else None,
+        explanation=entry.get("explanation") or None,
     )
 
 
 def _item_from_normalized(rec: dict) -> McqItem:
-    for key in ("item_id", "category", "question", "options", "correct_index"):
+    for key in ("item_id", "options", "correct_index"):
         if key not in rec:
             raise DataError(f"missing {key!r}")
+    _require_text(rec, ("category", "question"))
     options, correct_index = rec["options"], rec["correct_index"]
     if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
         raise DataError("'options' must be a JSON array of strings")
@@ -204,8 +212,8 @@ def _item_from_normalized(rec: dict) -> McqItem:
         raise DataError("'correct_index' must be an integer")
     return McqItem(
         item_id=str(rec["item_id"]),
-        category=normalize_category(str(rec["category"])),
-        question=str(rec["question"]),
+        category=normalize_category(rec["category"]),
+        question=rec["question"],
         options=tuple(options),
         correct_index=correct_index,
         explanation=rec.get("explanation"),

@@ -1,22 +1,24 @@
 """Uniform completion interface over remote models and deterministic mocks.
 
-The http backend speaks a minimal JSON protocol (completion- or chat-shaped)
-with retry-and-backoff. The transcript backend replays recorded replies keyed
-by the SHA-256 of the exact prompt, which is how evaluation runs stay
-reproducible without any live model. `run_items` is the one concurrent
-completion loop that evaluation and the association curve share.
+`post_json` is the one HTTP transport: the http backend (completion- or chat-
+shaped) uses it with retry-and-backoff, http embedding with one attempt. The
+transcript backend replays recorded replies keyed by the SHA-256 of the exact
+prompt, which is how evaluation runs stay reproducible without any live
+model. `run_items` is the one concurrent completion loop that evaluation and
+the association curve share.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .errors import ModelError, ModelProtocolError, ModelUnavailableError, TranscriptMissError
 
@@ -62,6 +64,12 @@ class ModelConfig:
             raise ValueError("mock_script model requires script_path")
         if self.kind == "mock_constant" and self.reply is None:
             raise ValueError("mock_constant model requires reply")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError("backoff_s must be a finite number >= 0")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be a finite number > 0")
 
     def summary(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
@@ -88,85 +96,70 @@ class ModelBackend(Protocol):
     def complete(self, prompt: str) -> Completion: ...
 
 
-def json_headers() -> dict[str, str]:
-    """Headers for a JSON POST, with a Bearer token when API_KEY_ENV is set."""
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    return headers
-
-
 def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def post_json(url: str, payload: dict, *, timeout_s: float, max_attempts: int = 1,
+              backoff_s: float = 0.0) -> tuple[Any, int]:
+    """POST payload as JSON to url, with a Bearer token from API_KEY_ENV if set;
+    return the decoded reply and the number of attempts made.
+
+    Connection errors, HTTP 429 and 5xx are retried, sleeping backoff_s *
+    2**(n - 1) after attempt n, and raise ModelUnavailableError once
+    max_attempts are spent. Any other status but 200 raises ModelError, and a
+    reply that is not JSON ModelProtocolError."""
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if api_key := os.environ.get(API_KEY_ENV):
+        headers["Authorization"] = f"Bearer {api_key}"
+    for attempt in range(1, max_attempts + 1):
+        if attempt > 1:
+            time.sleep(backoff_s * 2 ** (attempt - 2))
+        try:
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
+        except requests.RequestException as exc:
+            failure = str(exc)
+            continue
+        if resp.status_code == 429 or resp.status_code >= 500:  # rate limited or server error
+            failure = f"HTTP {resp.status_code}"
+            continue
+        if resp.status_code != 200:
+            raise ModelError(f"{url} returned HTTP {resp.status_code}")
+        try:
+            return resp.json(), attempt
+        except ValueError as exc:
+            raise ModelProtocolError(f"reply from {url} is not JSON: {exc}") from exc
+    raise ModelUnavailableError(f"{url} unavailable after {max_attempts} attempt(s): {failure}")
+
+
 class HttpBackend:
-    """Remote model over POST JSON; retries transient failures with backoff."""
+    """Remote model over post_json, with the config's attempts and backoff."""
 
     def __init__(self, cfg: ModelConfig) -> None:
         if cfg.kind != "http":
             raise ValueError("HttpBackend requires kind='http'")
         self.cfg = cfg
 
-    def _payload(self, prompt: str) -> dict:
-        base = {
-            "model": self.cfg.model_name,
-            "temperature": self.cfg.temperature,
-            "max_tokens": self.cfg.max_tokens,
-        }
-        if self.cfg.api_shape == "chat":
-            base["messages"] = [{"role": "user", "content": prompt}]
-        else:
-            base["prompt"] = prompt
-        return base
-
-    def _request_once(self, prompt: str) -> str:
-        import requests
-
-        try:
-            resp = requests.post(
-                self.cfg.endpoint,
-                json=self._payload(prompt),
-                headers=json_headers(),
-                timeout=self.cfg.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise _Retryable(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:  # rate limited or server error
-            raise _Retryable(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ModelError(f"model endpoint returned HTTP {resp.status_code}")
-        try:
-            text = resp.json()["text"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelProtocolError(f"malformed model response: {exc}") from exc
-        if not isinstance(text, str):
-            raise ModelProtocolError("model response 'text' is not a string")
-        return text
-
     def complete(self, prompt: str) -> Completion:
         if not prompt:
             raise ValueError("prompt must be non-empty")
+        cfg = self.cfg
+        payload: dict = {"model": cfg.model_name, "temperature": cfg.temperature,
+                         "max_tokens": cfg.max_tokens}
+        if cfg.api_shape == "chat":
+            payload["messages"] = [{"role": "user", "content": prompt}]
+        else:
+            payload["prompt"] = prompt
         start = time.monotonic()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                text = self._request_once(prompt)
-            except _Retryable as exc:
-                if attempt >= self.cfg.max_attempts:
-                    raise ModelUnavailableError(
-                        f"model unavailable after {attempt} attempts: {exc}"
-                    ) from exc
-                time.sleep(self.cfg.backoff_s * 2 ** (attempt - 1))
-                continue
-            latency_ms = max(0, int(round((time.monotonic() - start) * 1000)))
-            return Completion(text=text, latency_ms=latency_ms, attempt_count=attempt)
-
-
-class _Retryable(Exception):
-    """Internal marker for transient transport failures."""
+        reply, attempts = post_json(cfg.endpoint, payload, timeout_s=cfg.timeout_s,
+                                    max_attempts=cfg.max_attempts, backoff_s=cfg.backoff_s)
+        text = reply.get("text") if isinstance(reply, dict) else None
+        if not isinstance(text, str):
+            raise ModelProtocolError("malformed model response: no string 'text'")
+        latency_ms = max(0, int(round((time.monotonic() - start) * 1000)))
+        return Completion(text=text, latency_ms=latency_ms, attempt_count=attempts)
 
 
 class TranscriptBackend:

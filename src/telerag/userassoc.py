@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,6 +24,7 @@ from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
 MAX_STATIONS = 26
+MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
 
 _NUMBER_WORDS = {
     2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven",
@@ -222,6 +223,27 @@ class RandomGuessBackend:
             latency_ms=0,
             attempt_count=1,
         )
+
+
+@dataclass(frozen=True)
+class MockConfig:
+    """A mock association model: kind is one of MOCK_KINDS; seed seeds mock_random."""
+
+    kind: str
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in MOCK_KINDS:
+            raise ValueError(f"unknown mock kind: {self.kind!r}")
+
+    def backend(self) -> ModelBackend:
+        if self.kind == "mock_random":
+            return RandomGuessBackend(seed=self.seed)
+        return OracleBackend() if self.kind == "mock_oracle" else StrongestBackend()
+
+    def summary(self) -> dict:
+        """Deterministic snapshot for manifests; only mock_random names its seed."""
+        return asdict(self) if self.kind == "mock_random" else {"kind": self.kind}
 
 
 def run_curve(

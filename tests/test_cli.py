@@ -654,6 +654,27 @@ def test_embed_http_sends_64_text_requests_in_order(tmp_path, monkeypatch):
     assert sum(sent, []) == [f"t{i}" for i in range(150)]
 
 
+def test_embed_http_503_is_one_request_and_exit_3(tmp_path, capsys, monkeypatch):
+    corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", ["t0", "t1"])
+    posts = []
+
+    class Unavailable:
+        status_code = 503
+
+    monkeypatch.setattr("requests.post", lambda *a, **k: posts.append(k["json"]) or Unavailable())
+    monkeypatch.setattr("time.sleep", lambda s: pytest.fail("an embedding request was retried"))
+    provider_cfg = write_json(tmp_path / "provider.json", {
+        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    store_path = tmp_path / "store.vdb"
+    assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                 "--out", str(store_path)]) == 3
+    assert posts == [{"model": "m", "input": ["t0", "t1"]}]
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedding request failed: ") and err.count("\n") == 1
+    assert "HTTP 503" in err
+    assert not store_path.exists() and leftovers(tmp_path) == []
+
+
 def make_mixed_docs_dir(tmp_path):
     """Documents that make many groups at a 200-character GROUP_CHARS: an empty
     one, non-ASCII text and names that sanitize to the same doc id."""
@@ -862,6 +883,79 @@ def test_model_config_concurrency_key_is_data_error(tmp_path, capsys):
                  "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: unknown model config key(s): concurrency\n"
+
+
+HTTP_MODEL = {"kind": "http", "endpoint": "http://fake/complete", "model_name": "m"}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("embed", {"kind": "hash-test", "dims": 3.5}),
+        ("embed", {"kind": "hash-test", "dims": True}),
+        ("embed", {"kind": "hash-test", "dims": 4, "seed": "x"}),
+        ("embed", {"kind": "hash-test", "dims": 4, "seed": 1.5}),
+        ("embed", {"kind": "http", "dims": 4, "endpoint": "http://fake/embed",
+                   "model_name": "m", "timeout_s": 0}),
+        ("eval", {"kind": "mock_constant", "reply": 5}),
+        ("eval", {"kind": "mock_script", "script_path": 5}),
+        ("eval", {**HTTP_MODEL, "temperature": "hot"}),
+        ("eval", {**HTTP_MODEL, "max_attempts": 0}),
+        ("eval", {**HTTP_MODEL, "backoff_s": -1}),
+        ("eval", {**HTTP_MODEL, "timeout_s": 0}),
+        ("usecase-assoc", {"kind": "mock_random", "seed": 1.9, "extra": 5}),
+        ("usecase-assoc", {"kind": "mock_random", "seed": 1.9}),
+    ],
+)
+def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, config):
+    class Reply:
+        status_code = 200
+
+        def __init__(self, payload):
+            self.payload = payload
+
+        def json(self):
+            return self.payload
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        rows = [{"embedding": [1.0, 0.0, 0.0, 0.0]}] * len(json.get("input", []))
+        return Reply({"text": "1", "data": rows})
+
+    monkeypatch.setattr("requests.post", fake_post)
+    config_path = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    if command == "embed":
+        corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", ["t0", "t1"])
+        argv = ["--corpus", str(corpus_path), "--provider-config", config_path, "--out", str(out)]
+    elif command == "eval":
+        dataset, _ = make_dataset_jsonl(tmp_path, n_items=2)
+        argv = ["--dataset", str(dataset), "--model-config", config_path, "--report", str(out)]
+    else:
+        argv = ["--bs-counts", "2", "--trials", "2", "--seed", "1", "--model-config", config_path,
+                "--out", str(out)]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "config, recorded",
+    [
+        ({"kind": "mock_oracle"}, {"kind": "mock_oracle"}),
+        ({"kind": "mock_strongest", "seed": 5}, {"kind": "mock_strongest"}),
+        ({"kind": "mock_random", "seed": 5}, {"kind": "mock_random", "seed": 5}),
+        ({"kind": "mock_random"}, {"kind": "mock_random", "seed": 0}),
+    ],
+)
+def test_usecase_assoc_manifest_records_mock_config(tmp_path, config, recorded):
+    out = tmp_path / "curve.csv"
+    assert main(["usecase-assoc", "--bs-counts", "2", "--trials", "2", "--seed", "1",
+                 "--model-config", write_json(tmp_path / "model.json", config),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    assert manifest["config"]["model"] == recorded
 
 
 def test_eval_rejects_assoc_only_model_kind(tmp_path, capsys):

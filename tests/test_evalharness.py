@@ -169,6 +169,35 @@ def test_load_normalized_rejects_mistyped_fields(tmp_path, field, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "suffix, field, value",
+    [
+        (".jsonl", "question", None),
+        (".jsonl", "category", 5),
+        (".jsonl", "explanation", [1, 2]),
+        (".json", "question", ["Q?"]),
+        (".json", "option 1", None),
+        (".json", "option 2", 7),
+        (".json", "answer", 1),
+        (".json", "category", None),
+        (".json", "explanation", {"text": "e"}),
+    ],
+)
+def test_load_rejects_non_string_text_fields(tmp_path, suffix, field, value):
+    if suffix == ".jsonl":
+        entry = {"item_id": "a", "category": "Lexicon", "question": "Q?",
+                 "options": ["A", "B"], "correct_index": 1}
+    else:
+        entry = {"question": "Q?", "option 1": "A", "option 2": "B",
+                 "answer": "option 1: A", "category": "Lexicon"}
+    entry[field] = value
+    path = tmp_path / f"d{suffix}"
+    text = json.dumps(entry) + "\n" if suffix == ".jsonl" else json.dumps({"q0": entry})
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"'{field}' must be a string"):
+        load_dataset(path)
+
+
 def test_load_malformed_json(tmp_path):
     path = tmp_path / "d.json"
     path.write_text("{not json", encoding="utf-8")
