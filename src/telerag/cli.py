@@ -6,7 +6,10 @@ formulas), usecase-assoc (association accuracy curve). Every run writes a
 manifest next to its primary output and replaces its outputs only when it
 succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 
-Exit codes: 0 ok, 1 usage, 2 data/validation, 3 provider/model failure.
+Each subcommand's parser names its cmd_* function, and each flag's argparse
+type checks its value; a bad value, or --overlap not below --chunk-size, is a
+usage error. Exit codes: 0 ok, 1 usage, 2 data/validation, 3 provider/model
+failure.
 """
 
 from __future__ import annotations
@@ -129,10 +132,7 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
             "finished_at": _utcnow(),
             "outputs": [str(p) for p in run.paths],
         }
-        with open(run.output(str(primary_out) + ".manifest.json"), "w",
-                  encoding="utf-8", newline="\n") as f:
-            json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
-            f.write("\n")
+        evalharness.write_json(manifest, run.output(str(primary_out) + ".manifest.json"))
         for path in dict.fromkeys(run.paths):  # a path given twice is moved once
             _tmp(path).replace(path)
     finally:
@@ -141,10 +141,15 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
         lock_path.unlink(missing_ok=True)
 
 
+def _reject_constant(name: str) -> float:
+    """json's hook for NaN, Infinity and -Infinity, which strict JSON does not allow."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_constant=_reject_constant)
     except ValueError as exc:
         raise DataError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -171,13 +176,28 @@ def _config_from_dict(data: dict, cls: type[T], label: str) -> T:
         raise DataError(f"invalid {label} config: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _flag_type(convert: typing.Callable[[str], T], valid: typing.Callable[[T], bool],
+               wanted: str) -> typing.Callable[[str], T]:
+    """An argparse type: convert(text) if that succeeds and is valid, else a usage
+    error saying the flag must be `wanted`."""
+    def check(text: str) -> T:
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+    return check
+
+
+_positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_float = _flag_type(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_station_counts = _flag_type(
+    lambda text: [int(part) for part in text.split(",") if part.strip()],
+    lambda counts: bool(counts) and all(2 <= c <= userassoc.MAX_STATIONS for c in counts),
+    f"comma-separated integers from 2 to {userassoc.MAX_STATIONS}",
+)
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
@@ -195,10 +215,10 @@ def _seq_stats(values: list[int]) -> str:
     )
 
 
-def cmd_ingest(args, parser: _Parser) -> int:
+def cmd_ingest(args) -> int:
     if not 0 <= args.overlap < args.chunk_size:
-        parser.error(f"--overlap must be >= 0 and < --chunk-size {args.chunk_size}, "
-                     f"got {args.overlap}")
+        raise _UsageError(f"--overlap must be >= 0 and < --chunk-size {args.chunk_size}, "
+                          f"got {args.overlap}")
     input_dir = Path(args.input)
     txt_files = sorted(input_dir.glob("*.txt")) if input_dir.is_dir() else []
     if not txt_files:
@@ -321,9 +341,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_usecase_energy(args, parser: _Parser) -> int:
-    if not 0.0 <= args.noise_sd < math.inf:
-        parser.error(f"--noise-sd must be a finite number >= 0, got {args.noise_sd}")
+def cmd_usecase_energy(args) -> int:
     from . import energymodel
 
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
@@ -347,10 +365,8 @@ def cmd_usecase_energy(args, parser: _Parser) -> int:
             }
             for m in models
         ]
-        payload = fitted[0] if len(fitted) == 1 else {"models": fitted}
-        with open(run.output(out), "w", encoding="utf-8", newline="\n") as f:
-            json.dump(payload, f, ensure_ascii=False, sort_keys=True, indent=2)
-            f.write("\n")
+        evalharness.write_json(fitted[0] if len(fitted) == 1 else {"models": fitted},
+                               run.output(out))
         if args.plot_csv:
             energymodel.write_plot_csv(records, models, run.output(args.plot_csv))
     for m in models:
@@ -359,23 +375,14 @@ def cmd_usecase_energy(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_usecase_assoc(args, parser: _Parser) -> int:
-    try:
-        counts = [int(part) for part in args.bs_counts.split(",") if part.strip()]
-    except ValueError:
-        parser.error(f"--bs-counts must be comma-separated integers, got {args.bs_counts!r}")
-    if not counts or any(c < 2 for c in counts):
-        parser.error("--bs-counts values must be >= 2")
-    if any(c > userassoc.MAX_STATIONS for c in counts):
-        parser.error(f"--bs-counts values must be <= {userassoc.MAX_STATIONS}")
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
+def cmd_usecase_assoc(args) -> int:
     data = _load_json_file(args.model_config)
     mock = data.get("kind") in userassoc.MOCK_KINDS
     model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
     backend = model_cfg.backend() if mock else build_backend(model_cfg)
     seed = _resolve_seed(args.seed)
     out = Path(args.out)
+    counts = args.bs_counts
     config = {"bs_counts": counts, "trials": args.trials, "model": model_cfg.summary()}
     with _run(out, "usecase-assoc", config, seed=seed) as run:
         curve = userassoc.run_curve(backend, counts, trials_per_n=args.trials, seed=seed)
@@ -394,18 +401,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="chunk .txt documents into a corpus JSONL")
+    p.set_defaults(run=cmd_ingest)
     p.add_argument("--input", required=True, help="directory of .txt files")
     p.add_argument("--out", required=True, help="output corpus JSONL path")
     p.add_argument("--chunk-size", type=_positive_int, default=corpus_mod.DEFAULT_CHUNK_SIZE)
     p.add_argument("--overlap", type=int, default=0)
 
     p = sub.add_parser("embed", help="embed a corpus into a vector store")
+    p.set_defaults(run=cmd_embed)
     p.add_argument("--corpus", required=True)
     p.add_argument("--provider-config", required=True, help="embedding provider JSON config")
     p.add_argument("--out", required=True, help="output store path")
     p.add_argument("--force", action="store_true", help="replace a store built by another provider")
 
     p = sub.add_parser("eval", help="run the MCQ benchmark")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model-config", required=True, help="model backend JSON config")
     p.add_argument("--rag", default=None, help="vector store path; enables retrieval")
@@ -422,19 +432,21 @@ def build_parser() -> _Parser:
                    help="only accept answers that start with the option number")
 
     p = sub.add_parser("usecase-energy", help="fit the energy formulas")
+    p.set_defaults(run=cmd_usecase_energy)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", default=None, help="CSV with columns bs_id,L,MTX,DSS,E")
     src.add_argument("--synthetic", action="store_true", help="generate seeded synthetic records")
     p.add_argument("--n-bs", type=_positive_int, default=90)
-    p.add_argument("--noise-sd", type=float, default=0.02)
+    p.add_argument("--noise-sd", type=_non_negative_float, default=0.02)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model", choices=["eq1", "eq2", "both"], default="both")
     p.add_argument("--out", required=True, help="output fit JSON path")
     p.add_argument("--plot-csv", default=None, help="load/truth/prediction CSV path")
 
     p = sub.add_parser("usecase-assoc", help="association accuracy curve")
-    p.add_argument("--bs-counts", default="2,4,6,8,10")
-    p.add_argument("--trials", type=int, default=100)
+    p.set_defaults(run=cmd_usecase_assoc)
+    p.add_argument("--bs-counts", type=_station_counts, default="2,4,6,8,10")
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--model-config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output curve CSV path")
@@ -444,26 +456,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        if args.command == "ingest":
-            return cmd_ingest(args, parser)
-        if args.command == "embed":
-            return cmd_embed(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "usecase-energy":
-            return cmd_usecase_energy(args, parser)
-        if args.command == "usecase-assoc":
-            return cmd_usecase_assoc(args, parser)
-        raise AssertionError(f"unhandled command {args.command}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from .errors import DataError
 DEFAULT_CHUNK_SIZE = 512
 # Characters of document text per task of Corpus.write_jsonl.
 GROUP_CHARS = 1 << 20
-# One encoder for every corpus line; json.dumps would build a new one per call.
+# One encoder for every corpus and audit line; json.dumps would build a new one per call.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 

@@ -124,6 +124,11 @@ def round_percent(value: float) -> float:
     return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+def accuracy_percent(correct: int, count: int) -> float:
+    """correct out of count as a rounded percentage; 0.0 when there are no items."""
+    return round_percent(100.0 * correct / count) if count else 0.0
+
+
 def dataset_fingerprint(items: Sequence[McqItem]) -> str:
     """SHA-256 over the canonicalized items (explanations excluded)."""
     canonical = [
@@ -367,37 +372,26 @@ def score(
         elif ans.parsed_index == it.correct_index:
             tally[1] += 1
 
-    categories: dict[str, CategoryStats] = {}
-    for cat in CATEGORIES:
-        if cat not in tallies:
-            continue
-        count, correct, errored = tallies[cat]
-        categories[cat] = CategoryStats(
-            count=count,
-            correct=correct,
-            errored=errored,
-            accuracy_percent=round_percent(100.0 * correct / count),
-        )
-    total = sum(s.count for s in categories.values())
-    total_correct = sum(s.correct for s in categories.values())
-    total_errored = sum(s.errored for s in categories.values())
-    overall = CategoryStats(
-        count=total,
-        correct=total_correct,
-        errored=total_errored,
-        accuracy_percent=round_percent(100.0 * total_correct / total) if total else 0.0,
-    )
+    def stats(count: int, correct: int, errored: int) -> CategoryStats:
+        return CategoryStats(count, correct, errored, accuracy_percent(correct, count))
+
+    totals = [sum(tally[j] for tally in tallies.values()) for j in range(3)]
     return EvalReport(
-        categories=categories,
-        overall=overall,
+        categories={cat: stats(*tallies[cat]) for cat in CATEGORIES if cat in tallies},
+        overall=stats(*totals),
         dataset_fingerprint=dataset_fingerprint(items),
         run=dict(run_meta or {}),
     )
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
+    write_json(dataclasses.asdict(report), path)
+
+
+def write_json(obj: object, path: str | Path) -> None:
+    """obj as UTF-8 JSON with sorted keys, two-space indents and a final LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(dataclasses.asdict(report), f, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(obj, f, ensure_ascii=False, sort_keys=True, indent=2)
         f.write("\n")
 
 

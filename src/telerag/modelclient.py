@@ -175,6 +175,8 @@ class TranscriptBackend:
                 try:
                     rec = json.loads(line)
                     digest, reply = rec["prompt_sha256"], rec["reply"]
+                    if not isinstance(reply, str):
+                        raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
                     known = self._replies.setdefault(digest, reply)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ModelProtocolError(
@@ -239,7 +241,9 @@ def run_items(
     concurrency <= 1 is a plain serial loop. Otherwise min(concurrency,
     len(items)) threads each take the next index from a shared iterator and
     fill that slot, so at most `concurrency` calls run at once. Any other
-    exception stops the threads from taking more items and is raised here.
+    exception stops the threads from taking more items; once the calls in
+    flight finish, the exception of the lowest failed index is raised here,
+    the one a serial run would raise (the rule of forkpool.fork_map).
     """
 
     def one(item: T) -> R:
@@ -253,19 +257,19 @@ def run_items(
     results: list = [None] * len(items)
     pending = iter(range(len(items)))
     lock = threading.Lock()
-    failures: list[BaseException] = []
+    failures: dict[int, BaseException] = {}
 
     def take() -> int | None:
         with lock:
             return None if failures else next(pending, None)
 
     def work() -> None:
-        try:
-            while (i := take()) is not None:
+        while (i := take()) is not None:
+            try:
                 results[i] = one(items[i])
-        except BaseException as exc:
-            with lock:
-                failures.append(exc)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
 
     threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
     for thread in threads:
@@ -273,5 +277,5 @@ def run_items(
     for thread in threads:
         thread.join()
     if failures:
-        raise failures[0]
+        raise failures[min(failures)]
     return results

@@ -8,12 +8,11 @@ byte-identical prompts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import Chunk, count_tokens
+from .corpus import Chunk, _encode_line, count_tokens
 from .embed import EmbeddingProviderConfig, embed_text
 from .errors import DataError, FingerprintMismatchError
 from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
@@ -23,8 +22,6 @@ if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
     from .vstore import SearchHit, VectorStore
 
 QUERY_MODES = ("question_only", "question_plus_options")
-# One encoder for every audit line; json.dumps would build a new one per call.
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .evalharness import csv_text, round_percent
+from .evalharness import accuracy_percent, csv_text
 from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
@@ -113,6 +113,13 @@ def generate_problem(n: int, seed: int) -> AssocProblem:
     low, high = SIGNAL_RANGE_DBM
     signals = rng.sample(range(low, high + 1), k=n)
     return AssocProblem.from_signals(f"assoc-n{n}-s{seed}", signals)
+
+
+def _problem_set(n_values: Sequence[int], trials_per_n: int, seed: int) -> list[AssocProblem]:
+    """The problems a curve run poses: trials_per_n seeded ones per station count, in order."""
+    return [
+        generate_problem(n, derive_seed(seed, n, i)) for n in n_values for i in range(trials_per_n)
+    ]
 
 
 def render_problem_prompt(problem: AssocProblem) -> str:
@@ -263,10 +270,8 @@ def run_curve(
         completion = backend.complete(render_problem_prompt(problem))
         return check_answer(problem, completion.text).correct, False
 
-    problems = [
-        generate_problem(n, derive_seed(seed, n, i)) for n in n_values for i in range(trials_per_n)
-    ]
-    outcomes = run_items(one, problems, 1, errored=lambda _: (False, True))
+    outcomes = run_items(one, _problem_set(n_values, trials_per_n, seed), 1,
+                         errored=lambda _: (False, True))
     points = []
     for k, n in enumerate(n_values):
         batch = outcomes[k * trials_per_n : (k + 1) * trials_per_n]
@@ -278,7 +283,7 @@ def run_curve(
                 trials=trials_per_n,
                 correct=correct,
                 errored=errored,
-                accuracy_percent=round_percent(100.0 * correct / trials_per_n),
+                accuracy_percent=accuracy_percent(correct, trials_per_n),
             )
         )
     return AccuracyCurve(points=tuple(points))
@@ -299,17 +304,15 @@ def export_problems_jsonl(
 ) -> None:
     """Write the exact problem set a curve run would use, for transcript building."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for n in n_values:
-            for i in range(trials_per_n):
-                p = generate_problem(n, derive_seed(seed, n, i))
-                rec = {
-                    "problem_id": p.problem_id,
-                    "n": p.n,
-                    "signals_dbm": list(p.signals_dbm),
-                    "forbidden_index": p.forbidden_index,
-                    "correct_index": p.correct_index,
-                }
-                f.write(json.dumps(rec) + "\n")
+        for p in _problem_set(n_values, trials_per_n, seed):
+            rec = {
+                "problem_id": p.problem_id,
+                "n": p.n,
+                "signals_dbm": list(p.signals_dbm),
+                "forbidden_index": p.forbidden_index,
+                "correct_index": p.correct_index,
+            }
+            f.write(json.dumps(rec) + "\n")
 
 
 def write_curve_transcript(
@@ -332,8 +335,7 @@ def write_curve_transcript(
     for n, correct in targets.items():
         if not (0 <= correct <= trials_per_n):
             raise ValueError(f"correct count {correct} out of range for {trials_per_n} trials")
-        for i in range(trials_per_n):
-            problem = generate_problem(n, derive_seed(seed, n, i))
+        for i, problem in enumerate(_problem_set([n], trials_per_n, seed)):
             station = oracle(problem) if i < correct else problem.forbidden_index
             reply = f"The device should connect to base station {station}."
             prompt = render_problem_prompt(problem)

@@ -186,6 +186,21 @@ def _top_k(
     return hits
 
 
+def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, int, str]:
+    """(version, dims, count, fingerprint) from the start of store file f,
+    leaving f just past the fingerprint."""
+    head = f.read(24)
+    if head[:4] != MAGIC:
+        raise StoreFormatError(f"not a vector store file (bad magic): {path}")
+    if len(head) < 24:
+        raise StoreFormatError(f"truncated store file: {path}")
+    version, dims, count, fp_len = struct.unpack("<IIQI", head[4:])
+    fp_bytes = f.read(fp_len)
+    if len(fp_bytes) < fp_len:
+        raise StoreFormatError(f"truncated store file: {path}")
+    return version, dims, count, fp_bytes.decode("utf-8")
+
+
 class VectorStore:
     """In-memory vector store with exact cosine top-k search."""
 
@@ -349,18 +364,7 @@ class VectorStore:
     def read_header(cls, path: str | Path) -> tuple[int, int, int, str]:
         """(version, dims, count, fingerprint) without loading the records."""
         with open(path, "rb") as f:
-            head = f.read(20)
-            if len(head) < 20 or head[:4] != MAGIC:
-                raise StoreFormatError(f"not a vector store file (bad magic): {path}")
-            version, dims, count = struct.unpack("<IIQ", head[4:20])
-            fp_len_raw = f.read(4)
-            if len(fp_len_raw) < 4:
-                raise StoreFormatError(f"truncated store file: {path}")
-            (fp_len,) = struct.unpack("<I", fp_len_raw)
-            fp_bytes = f.read(fp_len)
-            if len(fp_bytes) < fp_len:
-                raise StoreFormatError(f"truncated store file: {path}")
-        return version, dims, count, fp_bytes.decode("utf-8")
+            return _read_header(f, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
@@ -372,17 +376,14 @@ class VectorStore:
         so no step loops over the records in Python.
         """
         with open(path, "rb") as f:
+            version, dims, count, fingerprint = _read_header(f, path)
+            if version != FORMAT_VERSION:
+                raise StoreFormatError(
+                    f"unsupported store format version {version}; re-run telerag embed"
+                )
+            digest_at = f.tell()
+            f.seek(0)  # the blocks below are read at their offsets in the file
             data = f.read()
-        if data[:4] != MAGIC:
-            raise StoreFormatError(f"not a vector store file (bad magic): {path}")
-        if len(data) < 24:
-            raise StoreFormatError(f"truncated store file: {path}")
-        version, dims, count, fp_len = struct.unpack_from("<IIQI", data, 4)
-        if version != FORMAT_VERSION:
-            raise StoreFormatError(
-                f"unsupported store format version {version}; re-run telerag embed"
-            )
-        digest_at = 24 + fp_len
         ids_at = digest_at + 40
         if ids_at > len(data):
             raise StoreFormatError(f"truncated store file: {path}")
@@ -400,7 +401,7 @@ class VectorStore:
             raise StoreFormatError(f"malformed ids block in {path}: {exc}") from None
         if not isinstance(ids, list) or len(ids) != count or set(map(type, ids)) - {str}:
             raise StoreFormatError(f"ids block of {path} is not a list of {count} strings")
-        store = cls(dims=dims, provider_fingerprint=data[24:digest_at].decode("utf-8"))
+        store = cls(dims=dims, provider_fingerprint=fingerprint)
         store._index = dict(zip(ids, range(count)))
         if len(store._index) != count:
             dup = next(c for i, c in enumerate(ids) if store._index[c] != i)

@@ -905,6 +905,7 @@ HTTP_MODEL = {"kind": "http", "endpoint": "http://fake/complete", "model_name": 
         ("eval", {**HTTP_MODEL, "timeout_s": 0}),
         ("usecase-assoc", {"kind": "mock_random", "seed": 1.9, "extra": 5}),
         ("usecase-assoc", {"kind": "mock_random", "seed": 1.9}),
+        ("eval", {"kind": "mock_constant", "reply": "1", "temperature": float("nan")}),
     ],
 )
 def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, config):
@@ -1046,9 +1047,14 @@ def _leftovers(root: Path) -> list[Path]:
         ("eval", ["--max-context-tokens", "0"]),
         ("usecase-energy", ["--n-bs", "0"]),
         ("usecase-energy", ["--noise-sd", "-1"]),
+        ("usecase-assoc", ["--trials", "0"]),
+        ("usecase-assoc", ["--bs-counts", "1"]),
+        ("usecase-assoc", ["--bs-counts", "2,27"]),
+        ("usecase-assoc", ["--bs-counts", "2,x"]),
     ],
     ids=["chunk-size", "overlap-negative", "overlap-not-below-chunk-size", "k",
-         "max-context-tokens", "n-bs", "noise-sd"],
+         "max-context-tokens", "n-bs", "noise-sd", "trials", "bs-counts-below-2",
+         "bs-counts-above-max", "bs-counts-not-integer"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     docs = make_docs_dir(tmp_path, sizes=(40,))
@@ -1060,6 +1066,8 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
                  "--report", str(tmp_path / "r.json")],
         "usecase-energy": ["usecase-energy", "--synthetic", "--seed", "1",
                            "--out", str(tmp_path / "fit.json")],
+        "usecase-assoc": ["usecase-assoc", "--model-config", model_cfg, "--seed", "1",
+                          "--out", str(tmp_path / "curve.csv")],
     }[command]
     capsys.readouterr()
     assert main(base + flags) == 1
@@ -1067,7 +1075,7 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert flags[-2] in err
     assert not _leftovers(tmp_path)
-    assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "fit.json").exists()
+    assert not any((tmp_path / name).exists() for name in ("c.jsonl", "fit.json", "curve.csv"))
 
 
 @pytest.mark.parametrize(

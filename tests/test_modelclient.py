@@ -78,10 +78,15 @@ def test_transcript_backend_replays(tmp_path):
         backend.complete("prompt three")
 
 
-def test_transcript_rejects_malformed_line(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    ['{"prompt_sha256": "x"}', '{"prompt_sha256": "x", "reply": 5}'],
+    ids=["no-reply", "reply-not-a-string"],
+)
+def test_transcript_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"prompt_sha256": "x"}\n', encoding="utf-8")
-    with pytest.raises(ModelProtocolError):
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ModelProtocolError, match="line 1"):
         TranscriptBackend(path)
 
 
@@ -238,6 +243,20 @@ def test_run_items_other_exception_propagates(concurrency):
     with pytest.raises(KeyError, match="not a model failure"):
         run_items(call, list(range(200)), concurrency, _errored)
     assert len(calls) < 200  # the threads stop taking items after the failure
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_run_items_raises_the_failure_a_serial_run_raises(concurrency):
+    def call(item):
+        if item == 1:
+            time.sleep(0.2)
+            raise KeyError("item 1")
+        if item == 3:
+            raise ValueError("item 3")
+        return item
+
+    with pytest.raises(KeyError, match="item 1"):
+        run_items(call, list(range(8)), concurrency, _errored)
 
 
 class SleepingBackend:
