@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import ModelError, ModelProtocolError, ModelUnavailableError, Trans
 API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_constant")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -175,6 +177,9 @@ class TranscriptBackend:
                 try:
                     rec = json.loads(line)
                     digest, reply = rec["prompt_sha256"], rec["reply"]
+                    if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
+                        raise TypeError("'prompt_sha256' must be 64 lowercase hex digits, "
+                                        f"got {json.dumps(digest)}")
                     if not isinstance(reply, str):
                         raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
                     known = self._replies.setdefault(digest, reply)
@@ -184,7 +189,7 @@ class TranscriptBackend:
                     ) from exc
                 if known != reply:
                     raise ModelProtocolError(
-                        f"transcript line {lineno} in {path} gives prompt {str(digest)[:12]}… "
+                        f"transcript line {lineno} in {path} gives prompt {digest[:12]}… "
                         "a different reply than an earlier line"
                     )
 

@@ -6,6 +6,10 @@ the second strongest. Problems are generated with distinct integer signals,
 so the correct answer is always unique. Deterministic mock backends solve,
 sabotage, or randomly guess the problems, and a transcript backend replays
 recorded model answers for exact curve reproduction.
+
+A curve's problems are numbered in one order and run in blocks of
+CURVE_BLOCK on forkpool.fork_map: each worker generates, asks and grades its
+own block, so a backend must answer each prompt from that prompt alone.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import forkpool
 from .errors import DataError
 from .evalharness import accuracy_percent, csv_text
 from .modelclient import Completion, ModelBackend, run_items, write_transcript
@@ -25,6 +30,7 @@ from .modelclient import Completion, ModelBackend, run_items, write_transcript
 SIGNAL_RANGE_DBM = (-110, -50)
 MAX_STATIONS = 26
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
+CURVE_BLOCK = 500  # problems per fork_map task of run_curve
 
 _NUMBER_WORDS = {
     2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven",
@@ -115,11 +121,21 @@ def generate_problem(n: int, seed: int) -> AssocProblem:
     return AssocProblem.from_signals(f"assoc-n{n}-s{seed}", signals)
 
 
-def _problem_set(n_values: Sequence[int], trials_per_n: int, seed: int) -> list[AssocProblem]:
-    """The problems a curve run poses: trials_per_n seeded ones per station count, in order."""
-    return [
-        generate_problem(n, derive_seed(seed, n, i)) for n in n_values for i in range(trials_per_n)
-    ]
+def _problem_set(
+    n_values: Sequence[int], trials_per_n: int, seed: int, flat: range | None = None
+) -> list[AssocProblem]:
+    """The problems a curve run poses, trials_per_n seeded ones per station count.
+
+    Problem p has station count n_values[p // trials_per_n] and trial
+    p % trials_per_n; flat picks a range of these numbers (default: all).
+    """
+    if flat is None:
+        flat = range(len(n_values) * trials_per_n)
+    problems = []
+    for p in flat:
+        n = n_values[p // trials_per_n]
+        problems.append(generate_problem(n, derive_seed(seed, n, p % trials_per_n)))
+    return problems
 
 
 def render_problem_prompt(problem: AssocProblem) -> str:
@@ -170,10 +186,7 @@ def check_answer(problem: AssocProblem, raw_model_text: str) -> CheckedAnswer:
             break
     if chosen is None:
         for match in _INT_RE.finditer(raw_model_text):
-            try:
-                idx = int(match.group(0))
-            except ValueError:
-                continue
+            idx = int(match.group(0))
             if 1 <= idx <= problem.n:
                 chosen = idx
                 break
@@ -261,7 +274,12 @@ def run_curve(
 ) -> AccuracyCurve:
     """Accuracy over seeded problem batches for each station count.
 
-    Model errors count as incorrect and are tallied separately.
+    Model errors count as incorrect and are tallied separately. The problems
+    run in blocks of CURVE_BLOCK on forkpool.fork_map: each task generates,
+    asks and grades its block and sends back one (correct, errored) pair per
+    problem. A curve of one block runs in this process; a larger one runs on
+    every usable CPU, so backend state kept across calls stays in one worker
+    and an http model has up to min(CPUs, blocks) requests in flight.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -270,8 +288,15 @@ def run_curve(
         completion = backend.complete(render_problem_prompt(problem))
         return check_answer(problem, completion.text).correct, False
 
-    outcomes = run_items(one, _problem_set(n_values, trials_per_n, seed), 1,
+    total = len(n_values) * trials_per_n
+
+    def block(b: int) -> list[tuple[bool, bool]]:
+        flat = range(b * CURVE_BLOCK, min(total, (b + 1) * CURVE_BLOCK))
+        return run_items(one, _problem_set(n_values, trials_per_n, seed, flat), 1,
                          errored=lambda _: (False, True))
+
+    blocks = forkpool.fork_map(block, -(-total // CURVE_BLOCK))
+    outcomes = [outcome for done in blocks for outcome in done]
     points = []
     for k, n in enumerate(n_values):
         batch = outcomes[k * trials_per_n : (k + 1) * trials_per_n]

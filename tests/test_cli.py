@@ -369,6 +369,58 @@ def test_usecase_assoc_reference_transcript_replay(tmp_path):
     ]
 
 
+def test_usecase_assoc_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
+    # 13 counts x 100 trials: three blocks, two of them spanning two station counts.
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_random", "seed": 3})
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"curve{cpus}.csv"
+        problems = tmp_path / f"problems{cpus}.jsonl"
+        assert main(["usecase-assoc", "--bs-counts", ",".join(map(str, range(2, 27, 2))),
+                     "--trials", "100", "--seed", "9", "--model-config", model_cfg,
+                     "--out", str(out), "--problems-out", str(problems)]) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append((out.read_bytes(), problems.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert leftovers(tmp_path) == []
+
+
+def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
+    here = os.getpid()
+    real_check_answer = userassoc.check_answer
+
+    def die_at_eight(problem, text):
+        if problem.n == 8 and os.getpid() != here:
+            os._exit(1)
+        return real_check_answer(problem, text)
+
+    monkeypatch.setattr(userassoc, "check_answer", die_at_eight)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    out = tmp_path / "curve.csv"
+    assert main(["usecase-assoc", "--bs-counts", "2,4,8", "--trials", "400", "--seed", "1",
+                 "--model-config", write_json(tmp_path / "model.json", {"kind": "mock_oracle"}),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a worker process died (exit code 1)\n"
+    assert not out.exists() and leftovers(tmp_path) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_eval_refuses_transcript_line_without_digest(tmp_path, capsys):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text('{"prompt_sha256": 5, "reply": "1"}\n', encoding="utf-8")
+    model_cfg = write_json(tmp_path / "model.json",
+                           {"kind": "mock_script", "script_path": str(transcript)})
+    report = tmp_path / "report.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad transcript line 1 in ") and err.count("\n") == 1
+    assert "'prompt_sha256' must be 64 lowercase hex digits, got 5" in err
+    assert not report.exists() and leftovers(tmp_path) == []
+
+
 def test_usecase_assoc_rejects_count_below_two(tmp_path, capsys):
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_oracle"})
     code = main(["usecase-assoc", "--bs-counts", "1", "--model-config", model_cfg,

@@ -80,8 +80,12 @@ def test_transcript_backend_replays(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ['{"prompt_sha256": "x"}', '{"prompt_sha256": "x", "reply": 5}'],
-    ids=["no-reply", "reply-not-a-string"],
+    ['{"prompt_sha256": "x"}', '{"prompt_sha256": "x", "reply": 5}',
+     '{"prompt_sha256": 5, "reply": "1"}', '{"prompt_sha256": "x", "reply": "1"}',
+     json.dumps({"prompt_sha256": prompt_sha256("p").upper(), "reply": "1"}),
+     json.dumps({"prompt_sha256": prompt_sha256("p") + "0", "reply": "1"})],
+    ids=["no-reply", "reply-not-a-string", "digest-not-a-string", "digest-not-hex",
+         "digest-uppercase", "digest-too-long"],
 )
 def test_transcript_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "bad.jsonl"

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
 
 import pytest
 
+from telerag import forkpool
 from telerag.errors import DataError, ModelError
 from telerag.modelclient import Completion, TranscriptBackend
 from telerag.userassoc import (
+    CURVE_BLOCK,
     PHI2_REFERENCE_CURVE,
     REFERENCE_TRANSCRIPT_SEED,
     AssocProblem,
@@ -250,3 +254,86 @@ def test_run_curve_propagates_non_model_errors():
 
     with pytest.raises(RuntimeError, match="bug"):
         run_curve(BrokenBackend(), [3], trials_per_n=5, seed=1)
+
+
+# 1,200 problems: three blocks; the first spans n=2 and n=3, the second n=3, 5 and 8.
+BLOCK_COUNTS, BLOCK_TRIALS = [2, 3, 5, 8], 300
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks fork_map makes."""
+    made = []
+    real_fork = os.fork
+
+    def counted_fork():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return made
+
+
+class NoFiveStations:
+    """Answers like the oracle, but every prompt with five stations is a model error."""
+
+    def complete(self, prompt: str) -> Completion:
+        problem = parse_problem_prompt(prompt)
+        if problem.n == 5:
+            raise ModelError("no reply")
+        return Completion(text=f"base station {oracle(problem)}", latency_ms=0, attempt_count=1)
+
+
+@pytest.mark.parametrize("make", ["oracle", "random", "transcript", "errors"])
+def test_forked_curve_equals_serial(tmp_path, monkeypatch, forks, make):
+    assert len(BLOCK_COUNTS) * BLOCK_TRIALS > 2 * CURVE_BLOCK
+    path = tmp_path / "replay.jsonl"
+    write_curve_transcript(path, {2: 300, 3: 120, 5: 77, 8: 31}, trials_per_n=BLOCK_TRIALS,
+                           seed=12)
+    backend = {
+        "oracle": OracleBackend,
+        "random": lambda: RandomGuessBackend(seed=7),
+        "transcript": lambda: TranscriptBackend(path),
+        "errors": NoFiveStations,
+    }[make]
+    curves = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+        curves.append(run_curve(backend(), BLOCK_COUNTS, trials_per_n=BLOCK_TRIALS, seed=12))
+        assert len(forks) == (0 if cpus == 1 else 2)
+        assert multiprocessing.active_children() == []
+    assert curves[0] == curves[1]
+    points = curves[0].points
+    if make == "transcript":
+        assert [p.correct for p in points] == [300, 120, 77, 31]
+    if make == "errors":
+        assert [(p.correct, p.errored) for p in points] == [(300, 0), (300, 0), (0, 300), (300, 0)]
+
+
+def test_error_in_a_worker_is_raised_here(monkeypatch, forks):
+    class BrokenAtEight:
+        def complete(self, prompt: str) -> Completion:
+            if parse_problem_prompt(prompt).n == 8:
+                raise RuntimeError("bug at eight stations")
+            return OracleBackend().complete(prompt)
+
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="^bug at eight stations$"):
+        run_curve(BrokenAtEight(), BLOCK_COUNTS, trials_per_n=BLOCK_TRIALS, seed=12)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_raises_worker_died_error(monkeypatch):
+    here = os.getpid()
+
+    class DiesAtEight:
+        def complete(self, prompt: str) -> Completion:
+            if parse_problem_prompt(prompt).n == 8 and os.getpid() != here:
+                os._exit(9)
+            return OracleBackend().complete(prompt)
+
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    with pytest.raises(forkpool.WorkerDiedError, match="exit code 9"):
+        run_curve(DiesAtEight(), BLOCK_COUNTS, trials_per_n=BLOCK_TRIALS, seed=12)
+    assert multiprocessing.active_children() == []
