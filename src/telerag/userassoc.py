@@ -7,9 +7,10 @@ so the correct answer is always unique. Deterministic mock backends solve,
 sabotage, or randomly guess the problems, and a transcript backend replays
 recorded model answers for exact curve reproduction.
 
-A curve's problems are numbered in one order and run in blocks of
-CURVE_BLOCK on forkpool.fork_map: each worker generates, asks and grades its
-own block, so a backend must answer each prompt from that prompt alone.
+A curve's problems are numbered in one order. A curve of more than
+CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on
+forkpool.fork_map: each worker generates, asks and grades its own block, so a
+backend must answer each prompt from that prompt alone.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ SIGNAL_RANGE_DBM = (-110, -50)
 MAX_STATIONS = 26
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
 CURVE_BLOCK = 500  # problems per fork_map task of run_curve
+# A curve of at most this many problems runs in one task, in this process: on
+# two CPUs, forking cost more than it saved up to about 2,000-5,000 problems.
+CURVE_IN_PROCESS_MAX = 5000
 
 _NUMBER_WORDS = {
     2: "two", 3: "three", 4: "four", 5: "five", 6: "six", 7: "seven",
@@ -163,7 +167,7 @@ def oracle(problem: AssocProblem) -> int:
 
 
 _STATION_PHRASE_RE = re.compile(r"base\s+station\s+(\d+)", re.IGNORECASE)
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"(-?\d+)")
 
 
 @dataclass(frozen=True)
@@ -178,19 +182,21 @@ def check_answer(problem: AssocProblem, raw_model_text: str) -> CheckedAnswer:
     Cascade: first in-range "base station k" phrase, then the first bare
     integer in [1, n]. Unextractable replies are incorrect.
     """
-    chosen: int | None = None
-    for match in _STATION_PHRASE_RE.finditer(raw_model_text):
-        idx = int(match.group(1))
-        if 1 <= idx <= problem.n:
-            chosen = idx
-            break
+    chosen = _first_in_range(_STATION_PHRASE_RE, raw_model_text, problem.n)
     if chosen is None:
-        for match in _INT_RE.finditer(raw_model_text):
-            idx = int(match.group(0))
-            if 1 <= idx <= problem.n:
-                chosen = idx
-                break
+        chosen = _first_in_range(_INT_RE, raw_model_text, problem.n)
     return CheckedAnswer(chosen=chosen, correct=chosen == oracle(problem))
+
+
+def _first_in_range(pattern: re.Pattern, text: str, n: int) -> int | None:
+    for match in pattern.finditer(text):
+        try:
+            idx = int(match.group(1))
+        except ValueError:  # a digit run past int()'s length limit names no station
+            continue
+        if 1 <= idx <= n:
+            return idx
+    return None
 
 
 def parse_problem_prompt(prompt: str) -> AssocProblem:
@@ -274,12 +280,15 @@ def run_curve(
 ) -> AccuracyCurve:
     """Accuracy over seeded problem batches for each station count.
 
-    Model errors count as incorrect and are tallied separately. The problems
-    run in blocks of CURVE_BLOCK on forkpool.fork_map: each task generates,
-    asks and grades its block and sends back one (correct, errored) pair per
-    problem. A curve of one block runs in this process; a larger one runs on
-    every usable CPU, so backend state kept across calls stays in one worker
-    and an http model has up to min(CPUs, blocks) requests in flight.
+    Model errors count as incorrect and are tallied separately. A curve of at
+    most CURVE_IN_PROCESS_MAX problems runs in this process. A larger one runs
+    in blocks of CURVE_BLOCK on forkpool.fork_map, on every usable CPU: each
+    task generates, asks and grades its block and sends back one (correct,
+    errored) pair per problem, so backend state kept across calls stays in one
+    worker. The curve is the same on any CPU count for a backend that answers
+    each prompt the same way every time. An http model has up to min(CPUs,
+    blocks) requests in flight, so its errored counts can depend on the CPU
+    count.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -289,13 +298,14 @@ def run_curve(
         return check_answer(problem, completion.text).correct, False
 
     total = len(n_values) * trials_per_n
+    size = CURVE_BLOCK if total > CURVE_IN_PROCESS_MAX else max(total, 1)
 
     def block(b: int) -> list[tuple[bool, bool]]:
-        flat = range(b * CURVE_BLOCK, min(total, (b + 1) * CURVE_BLOCK))
+        flat = range(b * size, min(total, (b + 1) * size))
         return run_items(one, _problem_set(n_values, trials_per_n, seed, flat), 1,
                          errored=lambda _: (False, True))
 
-    blocks = forkpool.fork_map(block, -(-total // CURVE_BLOCK))
+    blocks = forkpool.fork_map(block, -(-total // size))
     outcomes = [outcome for done in blocks for outcome in done]
     points = []
     for k, n in enumerate(n_values):

@@ -371,6 +371,7 @@ def test_usecase_assoc_reference_transcript_replay(tmp_path):
 
 def test_usecase_assoc_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
     # 13 counts x 100 trials: three blocks, two of them spanning two station counts.
+    monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", userassoc.CURVE_BLOCK)
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_random", "seed": 3})
     outputs = []
     for cpus in (1, 2):
@@ -396,6 +397,7 @@ def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
         return real_check_answer(problem, text)
 
     monkeypatch.setattr(userassoc, "check_answer", die_at_eight)
+    monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", userassoc.CURVE_BLOCK)
     monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
     out = tmp_path / "curve.csv"
     assert main(["usecase-assoc", "--bs-counts", "2,4,8", "--trials", "400", "--seed", "1",

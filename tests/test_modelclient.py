@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -79,18 +80,23 @@ def test_transcript_backend_replays(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line",
-    ['{"prompt_sha256": "x"}', '{"prompt_sha256": "x", "reply": 5}',
-     '{"prompt_sha256": 5, "reply": "1"}', '{"prompt_sha256": "x", "reply": "1"}',
-     json.dumps({"prompt_sha256": prompt_sha256("p").upper(), "reply": "1"}),
-     json.dumps({"prompt_sha256": prompt_sha256("p") + "0", "reply": "1"})],
+    "line, reason",
+    [('{"prompt_sha256": "x"}', "'reply'"),
+     (json.dumps({"prompt_sha256": prompt_sha256("p"), "reply": 5}),
+      "'reply' must be a string"),
+     ('{"prompt_sha256": 5, "reply": "1"}', "'prompt_sha256' must be 64 lowercase hex"),
+     ('{"prompt_sha256": "x", "reply": "1"}', "'prompt_sha256' must be 64 lowercase hex"),
+     (json.dumps({"prompt_sha256": prompt_sha256("p").upper(), "reply": "1"}),
+      "'prompt_sha256' must be 64 lowercase hex"),
+     (json.dumps({"prompt_sha256": prompt_sha256("p") + "0", "reply": "1"}),
+      "'prompt_sha256' must be 64 lowercase hex")],
     ids=["no-reply", "reply-not-a-string", "digest-not-a-string", "digest-not-hex",
          "digest-uppercase", "digest-too-long"],
 )
-def test_transcript_rejects_malformed_line(tmp_path, line):
+def test_transcript_rejects_malformed_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(ModelProtocolError, match="line 1"):
+    with pytest.raises(ModelProtocolError, match=f"line 1 .*{re.escape(reason)}"):
         TranscriptBackend(path)
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from telerag import forkpool
+from telerag import forkpool, userassoc
 from telerag.errors import DataError, ModelError
 from telerag.modelclient import Completion, TranscriptBackend
 from telerag.userassoc import (
@@ -148,6 +148,13 @@ def test_check_answer_ignores_negative_numbers():
     assert answer.correct
 
 
+def test_check_answer_skips_digit_runs_too_long_for_int():
+    huge = "9" * 5000
+    assert check_answer(REFERENCE_EXAMPLE, huge).chosen is None
+    assert check_answer(REFERENCE_EXAMPLE, f"base station {huge}, no: base station 3").chosen == 3
+    assert check_answer(REFERENCE_EXAMPLE, f"{huge} or 3").chosen == 3
+
+
 def test_parse_problem_prompt_round_trip():
     problem = generate_problem(7, 4242)
     parsed = parse_problem_prompt(render_problem_prompt(problem))
@@ -261,6 +268,12 @@ BLOCK_COUNTS, BLOCK_TRIALS = [2, 3, 5, 8], 300
 
 
 @pytest.fixture
+def forked_curves(monkeypatch):
+    """Curves of more than one block fork, so these tests stay small."""
+    monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", CURVE_BLOCK)
+
+
+@pytest.fixture
 def forks(monkeypatch):
     """Counts the forks fork_map makes."""
     made = []
@@ -284,6 +297,7 @@ class NoFiveStations:
         return Completion(text=f"base station {oracle(problem)}", latency_ms=0, attempt_count=1)
 
 
+@pytest.mark.usefixtures("forked_curves")
 @pytest.mark.parametrize("make", ["oracle", "random", "transcript", "errors"])
 def test_forked_curve_equals_serial(tmp_path, monkeypatch, forks, make):
     assert len(BLOCK_COUNTS) * BLOCK_TRIALS > 2 * CURVE_BLOCK
@@ -310,6 +324,7 @@ def test_forked_curve_equals_serial(tmp_path, monkeypatch, forks, make):
         assert [(p.correct, p.errored) for p in points] == [(300, 0), (300, 0), (0, 300), (300, 0)]
 
 
+@pytest.mark.usefixtures("forked_curves")
 def test_error_in_a_worker_is_raised_here(monkeypatch, forks):
     class BrokenAtEight:
         def complete(self, prompt: str) -> Completion:
@@ -324,6 +339,7 @@ def test_error_in_a_worker_is_raised_here(monkeypatch, forks):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("forked_curves")
 def test_worker_that_dies_raises_worker_died_error(monkeypatch):
     here = os.getpid()
 
@@ -336,4 +352,14 @@ def test_worker_that_dies_raises_worker_died_error(monkeypatch):
     monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
     with pytest.raises(forkpool.WorkerDiedError, match="exit code 9"):
         run_curve(DiesAtEight(), BLOCK_COUNTS, trials_per_n=BLOCK_TRIALS, seed=12)
+    assert multiprocessing.active_children() == []
+
+
+def test_curve_forks_only_above_the_cutoff(monkeypatch, forks):
+    monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", 600)
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    at_cutoff = run_curve(OracleBackend(), [2, 3], trials_per_n=300, seed=4)
+    assert forks == [] and [p.correct for p in at_cutoff.points] == [300, 300]
+    above = run_curve(OracleBackend(), [2, 3], trials_per_n=301, seed=4)
+    assert len(forks) == 2 and [p.correct for p in above.points] == [301, 301]
     assert multiprocessing.active_children() == []
