@@ -6,85 +6,49 @@ per-category accuracy reports, plus two telecom use cases (energy-model
 fitting and a user-association reasoning probe).
 """
 
-from .corpus import Chunk, Corpus, Document, chunk_document, count_tokens
-from .embed import EmbeddingProviderConfig, cosine_similarity, embed_text, embed_texts
-from .errors import (
-    DataError,
-    DegenerateDataError,
-    DimensionMismatchError,
-    DuplicateChunkError,
-    FingerprintMismatchError,
-    ModelError,
-    ProviderError,
-    StoreFormatError,
-    TeleragError,
-)
-from .evalharness import (
-    EvalReport,
-    McqItem,
-    ModelAnswer,
-    load_dataset,
-    render_prompt,
-    score,
-)
-from .modelclient import Completion, ModelConfig, build_backend
-from .rag import AugmentedPrompt, RagConfig, answer_with_rag, augment, build_query, run_evaluation
-from .userassoc import AssocProblem, check_answer, generate_problem, oracle, render_problem_prompt
+import importlib
 
 __version__ = "0.1.0"
 
-# vstore imports numpy; it loads on first use of one of its names, so the
-# commands that never touch a vector start without numpy.
-_VSTORE_NAMES = ("SearchHit", "VectorRecord", "VectorStore")
+# Values the command-line parser shares with a command module; they live here
+# so that building the parser imports no command module.
+DEFAULT_CHUNK_SIZE = 512
+MAX_STATIONS = 26
+QUERY_MODES = ("question_only", "question_plus_options")
+
+# Each public name's home module. A module loads the first time one of its names
+# is used, so `import telerag` alone loads no submodule (and no numpy, which
+# vstore brings).
+_HOME = {
+    name: module
+    for module, names in {
+        "corpus": ("Chunk", "Corpus", "Document", "chunk_document", "count_tokens"),
+        "embed": ("EmbeddingProviderConfig", "cosine_similarity", "embed_text", "embed_texts"),
+        "errors": (
+            "DataError", "DegenerateDataError", "DimensionMismatchError", "DuplicateChunkError",
+            "FingerprintMismatchError", "ModelError", "ProviderError", "StoreFormatError",
+            "TeleragError",
+        ),
+        "evalharness": (
+            "EvalReport", "McqItem", "ModelAnswer", "load_dataset", "render_prompt", "score",
+        ),
+        "modelclient": ("Completion", "ModelConfig", "build_backend"),
+        "rag": (
+            "AugmentedPrompt", "RagConfig", "answer_with_rag", "augment", "build_query",
+            "run_evaluation",
+        ),
+        "userassoc": (
+            "AssocProblem", "check_answer", "generate_problem", "oracle", "render_problem_prompt",
+        ),
+        "vstore": ("SearchHit", "VectorRecord", "VectorStore"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _VSTORE_NAMES:
-        from . import vstore
-
-        return getattr(vstore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AssocProblem",
-    "AugmentedPrompt",
-    "Chunk",
-    "Completion",
-    "Corpus",
-    "DataError",
-    "DegenerateDataError",
-    "DimensionMismatchError",
-    "Document",
-    "DuplicateChunkError",
-    "EmbeddingProviderConfig",
-    "EvalReport",
-    "FingerprintMismatchError",
-    "McqItem",
-    "ModelAnswer",
-    "ModelConfig",
-    "ModelError",
-    "ProviderError",
-    "RagConfig",
-    "SearchHit",
-    "StoreFormatError",
-    "TeleragError",
-    "VectorRecord",
-    "VectorStore",
-    "answer_with_rag",
-    "augment",
-    "build_backend",
-    "build_query",
-    "check_answer",
-    "chunk_document",
-    "cosine_similarity",
-    "count_tokens",
-    "embed_text",
-    "embed_texts",
-    "generate_problem",
-    "load_dataset",
-    "oracle",
-    "render_problem_prompt",
-    "render_prompt",
-    "run_evaluation",
-    "score",
-]
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

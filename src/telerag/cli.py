@@ -20,17 +20,15 @@ import fcntl
 import json
 import math
 import os
-import random
 import sys
 import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from . import embed as embed_mod
-# vstore and energymodel pull in numpy, so only the commands that use them import them.
-from . import evalharness, rag, userassoc
+# Each command imports only the modules it runs, so start-up and --help load none
+# of them (vstore and energymodel bring numpy).
+from . import DEFAULT_CHUNK_SIZE, MAX_STATIONS, QUERY_MODES
 from .errors import DataError, FingerprintMismatchError, ModelError, ProviderError, TeleragError
 from .modelclient import ModelConfig, build_backend
 
@@ -106,6 +104,8 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
     place in order, the manifest last; when it raises nothing is replaced.
     Leftover .tmp files and the lock are always removed.
     """
+    from .evalharness import write_json
+
     lock_path = Path(str(primary_out) + ".lock")
     for reclaim in (True, False):
         try:
@@ -132,7 +132,7 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
             "finished_at": _utcnow(),
             "outputs": [str(p) for p in run.paths],
         }
-        evalharness.write_json(manifest, run.output(str(primary_out) + ".manifest.json"))
+        write_json(manifest, run.output(str(primary_out) + ".manifest.json"))
         for path in dict.fromkeys(run.paths):  # a path given twice is moved once
             _tmp(path).replace(path)
     finally:
@@ -195,12 +195,14 @@ _positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_float = _flag_type(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _station_counts = _flag_type(
     lambda text: [int(part) for part in text.split(",") if part.strip()],
-    lambda counts: bool(counts) and all(2 <= c <= userassoc.MAX_STATIONS for c in counts),
-    f"comma-separated integers from 2 to {userassoc.MAX_STATIONS}",
+    lambda counts: bool(counts) and all(2 <= c <= MAX_STATIONS for c in counts),
+    f"comma-separated integers from 2 to {MAX_STATIONS}",
 )
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
+    import random
+
     seed = random.randrange(2**32) if arg_seed is None else arg_seed
     print(f"seed: {seed}")
     return seed
@@ -216,6 +218,8 @@ def _seq_stats(values: list[int]) -> str:
 
 
 def cmd_ingest(args) -> int:
+    from . import corpus
+
     if not 0 <= args.overlap < args.chunk_size:
         raise _UsageError(f"--overlap must be >= 0 and < --chunk-size {args.chunk_size}, "
                           f"got {args.overlap}")
@@ -226,7 +230,7 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     config = {"input": str(input_dir), "chunk_size": args.chunk_size, "overlap": args.overlap}
     with _run(out, "ingest", config) as run:
-        bank = corpus_mod.Corpus()
+        bank = corpus.Corpus()
         for path in txt_files:
             bank.ingest(path.name, path.read_bytes())
         token_counts = bank.write_jsonl(run.output(out), args.chunk_size, args.overlap)
@@ -239,11 +243,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from . import vstore
+    from . import corpus, embed, vstore
 
-    chunk_file = corpus_mod.ChunkFile(args.corpus)
+    chunk_file = corpus.ChunkFile(args.corpus)
     data = _load_json_file(args.provider_config)
-    provider = _config_from_dict(data, embed_mod.EmbeddingProviderConfig, "provider")
+    provider = _config_from_dict(data, embed.EmbeddingProviderConfig, "provider")
     out = Path(args.out)
     if out.exists() and not args.force:
         _, _, _, existing_fp = vstore.VectorStore.read_header(out)
@@ -255,7 +259,7 @@ def cmd_embed(args) -> int:
     config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
     with _run(out, "embed", config) as run:
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
-        store.insert_many(*embed_mod.embed_chunk_file(provider, chunk_file))
+        store.insert_many(*embed.embed_chunk_file(provider, chunk_file))
         store.bind_corpus(chunk_file.sha256, chunk_file.offsets)
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
@@ -263,6 +267,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evalharness, rag
+
     items = evalharness.load_dataset(args.dataset)
     model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
     backend = build_backend(model_cfg)
@@ -278,20 +284,20 @@ def cmd_eval(args) -> int:
             ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
         )
         if args.rag:
-            from . import vstore
+            from . import corpus, embed, vstore
 
             store = vstore.VectorStore.load(args.rag)
-            if corpus_mod.file_sha256(corpus_file) != store.corpus_sha256:
+            if corpus.file_sha256(corpus_file) != store.corpus_sha256:
                 raise DataError(
                     f"{args.corpus} is not the corpus {args.rag} was embedded from; "
                     "re-run telerag embed"
                 )
-            chunks_by_id = corpus_mod.CorpusLines(corpus_file, store.corpus_offsets())
+            chunks_by_id = corpus.CorpusLines(corpus_file, store.corpus_offsets())
             if args.provider_config:
                 data = _load_json_file(args.provider_config)
-                provider = _config_from_dict(data, embed_mod.EmbeddingProviderConfig, "provider")
+                provider = _config_from_dict(data, embed.EmbeddingProviderConfig, "provider")
             else:
-                provider = embed_mod.provider_from_fingerprint(store.provider_fingerprint)
+                provider = embed.provider_from_fingerprint(store.provider_fingerprint)
             settings = {
                 "max_context_tokens": cfg.max_context_tokens,
                 "query_mode": cfg.query_mode,
@@ -342,7 +348,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_usecase_energy(args) -> int:
-    from . import energymodel
+    from . import energymodel, evalharness
 
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
     out = Path(args.out)
@@ -376,6 +382,8 @@ def cmd_usecase_energy(args) -> int:
 
 
 def cmd_usecase_assoc(args) -> int:
+    from . import userassoc
+
     data = _load_json_file(args.model_config)
     mock = data.get("kind") in userassoc.MOCK_KINDS
     model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
@@ -404,7 +412,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_ingest)
     p.add_argument("--input", required=True, help="directory of .txt files")
     p.add_argument("--out", required=True, help="output corpus JSONL path")
-    p.add_argument("--chunk-size", type=_positive_int, default=corpus_mod.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--overlap", type=int, default=0)
 
     p = sub.add_parser("embed", help="embed a corpus into a vector store")
@@ -423,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--provider-config", default=None, help="embedding provider JSON config")
     p.add_argument("--k", type=_positive_int, default=3)
     p.add_argument("--max-context-tokens", type=_positive_int, default=1536)
-    p.add_argument("--query-mode", choices=rag.QUERY_MODES, default="question_plus_options")
+    p.add_argument("--query-mode", choices=QUERY_MODES, default="question_plus_options")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--csv", default=None, help="output per-category CSV path")
     p.add_argument("--audit", default=None, help="audit JSONL path (default: <report>.audit.jsonl)")

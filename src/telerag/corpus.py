@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, Sequence
 
+from . import DEFAULT_CHUNK_SIZE
 from .errors import DataError
 
-
-DEFAULT_CHUNK_SIZE = 512
 # Characters of document text per task of Corpus.write_jsonl.
 GROUP_CHARS = 1 << 20
 # One encoder for every corpus and audit line; json.dumps would build a new one per call.

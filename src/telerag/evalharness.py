@@ -292,7 +292,20 @@ def render_prompt(item: McqItem) -> str:
     return "\n".join(lines)
 
 
-_INT_RE = re.compile(r"\d+")
+_LEAD_RE = re.compile(r"\A\s*(\d+)")
+_INT_RE = re.compile(r"(\d+)")
+
+
+def first_in_range(pattern: re.Pattern, text: str, n: int) -> int | None:
+    """Group 1 of the first match of pattern in text that is an integer from 1 to n."""
+    for match in pattern.finditer(text):
+        try:
+            idx = int(match.group(1))
+        except ValueError:  # a digit run past int()'s length limit names nothing
+            continue
+        if 1 <= idx <= n:
+            return idx
+    return None
 
 
 def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> ModelAnswer:
@@ -309,17 +322,15 @@ def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> Mode
             item_id=item.item_id, raw_text=raw, parsed_index=idx, parse_status=status
         )
 
-    lead = re.match(r"\s*(\d+)", raw)
-    if lead and 1 <= int(lead.group(1)) <= n_options:
-        return answer(int(lead.group(1)), "leading_number")
+    lead = first_in_range(_LEAD_RE, raw, n_options)
+    if lead is not None:
+        return answer(lead, "leading_number")
     if strict:
         return answer(None, "unparsed")
     lines = raw.strip().splitlines()
-    first_line = lines[0] if lines else ""
-    for match in _INT_RE.finditer(first_line):
-        idx = int(match.group(0))
-        if 1 <= idx <= n_options:
-            return answer(idx, "embedded_number")
+    embedded = first_in_range(_INT_RE, lines[0] if lines else "", n_options)
+    if embedded is not None:
+        return answer(embedded, "embedded_number")
     lowered = raw.casefold()
     contained = [
         i

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from . import QUERY_MODES
 from .corpus import Chunk, _encode_line, count_tokens
 from .embed import EmbeddingProviderConfig, embed_text
 from .errors import DataError, FingerprintMismatchError
@@ -20,8 +21,6 @@ from .modelclient import ModelBackend, run_items
 
 if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
     from .vstore import SearchHit, VectorStore
-
-QUERY_MODES = ("question_only", "question_plus_options")
 
 
 @dataclass(frozen=True)

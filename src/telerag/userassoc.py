@@ -23,13 +23,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import forkpool
+from . import MAX_STATIONS, forkpool
 from .errors import DataError
-from .evalharness import accuracy_percent, csv_text
+from .evalharness import accuracy_percent, csv_text, first_in_range
 from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
-MAX_STATIONS = 26
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
 CURVE_BLOCK = 500  # problems per fork_map task of run_curve
 # A curve of at most this many problems runs in one task, in this process: on
@@ -182,21 +181,10 @@ def check_answer(problem: AssocProblem, raw_model_text: str) -> CheckedAnswer:
     Cascade: first in-range "base station k" phrase, then the first bare
     integer in [1, n]. Unextractable replies are incorrect.
     """
-    chosen = _first_in_range(_STATION_PHRASE_RE, raw_model_text, problem.n)
+    chosen = first_in_range(_STATION_PHRASE_RE, raw_model_text, problem.n)
     if chosen is None:
-        chosen = _first_in_range(_INT_RE, raw_model_text, problem.n)
+        chosen = first_in_range(_INT_RE, raw_model_text, problem.n)
     return CheckedAnswer(chosen=chosen, correct=chosen == oracle(problem))
-
-
-def _first_in_range(pattern: re.Pattern, text: str, n: int) -> int | None:
-    for match in pattern.finditer(text):
-        try:
-            idx = int(match.group(1))
-        except ValueError:  # a digit run past int()'s length limit names no station
-            continue
-        if 1 <= idx <= n:
-            return idx
-    return None
 
 
 def parse_problem_prompt(prompt: str) -> AssocProblem:

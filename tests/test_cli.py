@@ -1031,31 +1031,53 @@ def test_commands_without_vectors_do_not_import_numpy(tmp_path):
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
     assoc_cfg = write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
-    argvs = [
-        ["--help"],
-        ["ingest", "--input", str(docs), "--out", str(tmp_path / "corpus.jsonl")],
-        ["eval", "--dataset", str(dataset), "--model-config", model_cfg,
-         "--report", str(tmp_path / "report.json")],
-        ["usecase-assoc", "--bs-counts", "2,3", "--trials", "4", "--seed", "1",
-         "--model-config", assoc_cfg, "--out", str(tmp_path / "curve.csv")],
+    # Each argv, the telerag modules it must load (None: not pinned) and those it must not.
+    cases = [
+        (["--help"], {"telerag", "cli", "errors", "modelclient"}, set()),
+        (["ingest", "--input", str(docs), "--out", str(tmp_path / "corpus.jsonl")],
+         None, {"rag", "userassoc", "vstore"}),
+        (["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+          "--report", str(tmp_path / "report.json")],
+         None, {"userassoc", "forkpool", "vstore"}),
+        (["usecase-assoc", "--bs-counts", "2,3", "--trials", "4", "--seed", "1",
+          "--model-config", assoc_cfg, "--out", str(tmp_path / "curve.csv")],
+         None, {"corpus", "embed", "rag", "vstore"}),
     ]
     script = (
         "import json, sys\n"
         "from telerag.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "loaded = sorted(m for m in ('numpy', 'multiprocessing', 'concurrent.futures')\n"
-        "                if m in sys.modules)\n"
-        "print(json.dumps([codes, loaded]), file=sys.stderr)\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'telerag'\n"
+        "                or m in ('numpy', 'multiprocessing', 'concurrent.futures'))\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
-    assert loaded == []
+    for argv, loads, avoids in cases:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+        modules = {m.removeprefix("telerag.") for m in loaded if m.split(".")[0] == "telerag"}
+        assert code == 0, argv
+        assert len(modules) == len(loaded), (argv, loaded)  # no numpy, no process pools
+        assert loads is None or modules == loads, (argv, modules)
+        assert not modules & avoids, (argv, modules)
+
+
+@pytest.mark.parametrize("reply, picked", [
+    ("9" * 5000, None),
+    ("The answer is choice 0-1 " + "9" * 5000, 2),
+])
+def test_eval_grades_digit_runs_too_long_for_int(tmp_path, reply, picked):
+    dataset, rows = make_dataset_jsonl(tmp_path, n_items=1)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": reply})
+    report = tmp_path / "report.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 0
+    overall = json.loads(report.read_text(encoding="utf-8"))["overall"]
+    assert (overall["count"], overall["correct"]) == (1, int(rows[0]["correct_index"] == picked))
 
 
 def test_embed_store_bytes_pinned(tmp_path):

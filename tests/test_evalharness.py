@@ -253,9 +253,10 @@ def test_parse_answer_embedded_number():
 
 
 def test_parse_answer_out_of_range_unparsed():
-    ans = parse_answer_for_item("7", make_item(n_options=4))
-    assert ans.parsed_index is None
-    assert ans.parse_status == "unparsed"
+    for raw in ("7", "9" * 5000):  # int() refuses a digit run over 4300 digits
+        ans = parse_answer_for_item(raw, make_item(n_options=4))
+        assert ans.parsed_index is None
+        assert ans.parse_status == "unparsed"
 
 
 def test_parse_answer_skips_out_of_range_embedded():
@@ -271,9 +272,12 @@ def test_parse_answer_text_match():
         options=("alpha waveform", "beta waveform", "gamma waveform"),
         correct_index=2,
     )
-    ans = parse_answer_for_item("The standard mandates the BETA waveform.", item)
-    assert ans.parsed_index == 2
-    assert ans.parse_status == "text_match"
+    for raw in ("The standard mandates the BETA waveform.",
+                "9" * 5000 + " is the beta waveform",
+                "The answer is beta waveform " + "9" * 5000):
+        ans = parse_answer_for_item(raw, item)
+        assert ans.parsed_index == 2
+        assert ans.parse_status == "text_match"
     # Ambiguous containment stays unparsed.
     two = parse_answer_for_item("alpha waveform or beta waveform", item)
     assert two.parse_status == "unparsed"
@@ -283,6 +287,7 @@ def test_parse_answer_strict_mode():
     item = make_item(n_options=4)
     assert parse_answer_for_item("The answer is 2", item, strict=True).parsed_index is None
     assert parse_answer_for_item("2. yes", item, strict=True).parsed_index == 2
+    assert parse_answer_for_item("9" * 5000, item, strict=True).parse_status == "unparsed"
 
 
 def test_parse_answer_never_out_of_range_fuzz():

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,13 +287,20 @@ def test_identical_vectors_tie_exactly():
 
 def test_package_serves_store_names_on_first_use():
     import telerag
-    from telerag import vstore
 
-    assert (telerag.SearchHit, telerag.VectorRecord, telerag.VectorStore) == (
-        vstore.SearchHit, vstore.VectorRecord, vstore.VectorStore)
-    assert all(hasattr(telerag, name) for name in telerag.__all__)
+    for name in telerag.__all__:
+        value = getattr(telerag, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         telerag.no_such_name
+    # Alone, `import telerag` loads no submodule.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = "import sys, telerag; print(sorted(m for m in sys.modules if m.startswith('telerag')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "['telerag']\n"), proc.stderr
 
 
 def test_raw_store_layout_loads(tmp_path):
