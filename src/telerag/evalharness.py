@@ -55,9 +55,21 @@ def normalize_category(raw: str) -> str:
     return _CATEGORY_ALIASES[key]
 
 
+class InvalidItemError(DataError):
+    """An McqItem breaks the item rules; .rules lists them without naming the item."""
+
+    def __init__(self, item_id: str, rules: str) -> None:
+        super().__init__(f"invalid item {item_id!r}: {rules}")
+        self.rules = rules
+
+
 @dataclass(frozen=True)
 class McqItem:
-    """One multiple-choice question with a single correct option."""
+    """One multiple-choice question with a single correct option.
+
+    Construction is the one place the item rules are checked: a canonical
+    category, 2-5 distinct options and correct_index among them.
+    """
 
     item_id: str
     category: str
@@ -67,27 +79,18 @@ class McqItem:
     explanation: str | None = None
 
     def __post_init__(self) -> None:
-        problems = validate_item_fields(
-            self.category, self.options, self.correct_index
-        )
+        n = len(self.options)
+        problems = []
+        if self.category not in CATEGORIES:
+            problems.append(f"unknown category {self.category!r}")
+        if not (2 <= n <= 5):
+            problems.append(f"expected 2-5 options, got {n}")
+        if len(set(self.options)) != n:
+            problems.append("duplicate options")
+        if not (1 <= self.correct_index <= n):
+            problems.append(f"correct_index {self.correct_index} out of range")
         if problems:
-            raise DataError(f"invalid item {self.item_id!r}: " + "; ".join(problems))
-
-
-def validate_item_fields(
-    category: str, options: Sequence[str], correct_index: int
-) -> list[str]:
-    """Return a list of invariant violations (empty if the fields are valid)."""
-    problems = []
-    if category not in CATEGORIES:
-        problems.append(f"unknown category {category!r}")
-    if not (2 <= len(options) <= 5):
-        problems.append(f"expected 2-5 options, got {len(options)}")
-    if len(set(options)) != len(options):
-        problems.append("duplicate options")
-    if not (1 <= correct_index <= len(options)):
-        problems.append(f"correct_index {correct_index} out of range")
-    return problems
+            raise InvalidItemError(self.item_id, "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,7 @@ def dataset_fingerprint(items: Sequence[McqItem]) -> str:
 
 
 _ANSWER_KEY_RE = re.compile(r"^\s*option\s+(\d+)\s*(?::\s*(.*))?$", re.IGNORECASE | re.DOTALL)
+_OPTION_KEY_RE = re.compile(r"option [1-9]\d*")
 
 
 def _squash(text: str) -> str:
@@ -156,9 +160,11 @@ def _resolve_answer(answer: str, options: Sequence[str]) -> int:
     """Map a TeleQnA answer string ("option k: text" or bare text) to a 1-based index."""
     match = _ANSWER_KEY_RE.match(answer)
     if match:
-        idx = int(match.group(1))
-        if not (1 <= idx <= len(options)):
-            raise DataError(f"answer names option {idx}, item has {len(options)} options")
+        idx = first_in_range(_ANSWER_KEY_RE, answer, len(options))
+        if idx is None:
+            key = match.group(1)
+            shown = key if len(key) <= 9 else key[:9] + "…"
+            raise DataError(f"answer names option {shown}, item has {len(options)} options")
         trailing = (match.group(2) or "").strip()
         if trailing and _squash(trailing) != _squash(options[idx - 1]):
             raise DataError(f"answer text does not match option {idx}")
@@ -169,67 +175,64 @@ def _resolve_answer(answer: str, options: Sequence[str]) -> int:
     return matches[0]
 
 
-def _require_text(entry: dict, keys: Iterable[str]) -> None:
-    """DataError unless keys are present as JSON strings and 'explanation' a string or null."""
-    for key in keys:
-        if key not in entry:
-            raise DataError(f"missing {key!r}")
-        if type(entry[key]) is not str:
-            raise DataError(f"{key!r} must be a string")
-    if type(entry.get("explanation")) not in (str, type(None)):
-        raise DataError("'explanation' must be a string or null")
+_TEXT = ((str,), "a string")  # (the JSON types a field may have, how a message names them)
 
 
-def _item_from_raw_entry(item_id: str, entry: dict) -> McqItem:
-    options = []
-    for i in range(1, 6):
-        key = f"option {i}"
-        if key in entry:
-            if len(options) != i - 1:
-                raise DataError(f"non-contiguous option keys (gap before {key!r})")
-            options.append(entry[key])
-    option_keys = [f"option {i}" for i in range(1, len(options) + 1)]
-    _require_text(entry, ["question", "answer", "category", *option_keys])
-    category = normalize_category(entry["category"])
-    problems = validate_item_fields(category, options, 1)
-    if problems:
-        raise DataError("; ".join(problems))
-    correct = _resolve_answer(entry["answer"], options)
-    return McqItem(
-        item_id=item_id,
-        category=category,
-        question=entry["question"],
-        options=tuple(options),
-        correct_index=correct,
-        explanation=entry.get("explanation") or None,
-    )
+def _field(entry: dict, key: str, expect: tuple[tuple[type, ...], str] = _TEXT) -> object:
+    """entry[key] if its type is one that expect allows; an absent key reads as null."""
+    types, described = expect
+    value = entry.get(key)
+    if type(value) not in types:
+        raise DataError(f"{key!r} must be {described}" if key in entry else f"missing {key!r}")
+    return value
 
 
-def _item_from_normalized(rec: dict) -> McqItem:
-    for key in ("item_id", "options", "correct_index"):
-        if key not in rec:
-            raise DataError(f"missing {key!r}")
-    _require_text(rec, ("category", "question"))
-    options, correct_index = rec["options"], rec["correct_index"]
-    if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
+_ITEM_ID = ((str, int), "a string or an integer")
+_EXPLANATION = ((str, type(None)), "a string or null")
+
+
+def _item_from_raw_entry(item_id: str, entry: object) -> McqItem:
+    """Map a TeleQnA entry onto an McqItem: options are "option 1", "option 2", … without gaps."""
+    if not isinstance(entry, dict):
+        raise DataError("entry is not an object")
+    keys = []
+    while (key := f"option {len(keys) + 1}") in entry:
+        keys.append(key)
+    stray = next((k for k in entry if k not in keys and _OPTION_KEY_RE.fullmatch(k)), None)
+    if stray is not None:
+        raise DataError(f"non-contiguous option keys (gap before {stray!r})")
+    question, answer, category = [_field(entry, k) for k in ("question", "answer", "category")]
+    options = tuple([_field(entry, k) for k in keys])
+    explanation = _field(entry, "explanation", _EXPLANATION) or None
+    return McqItem(item_id, normalize_category(category), question, options,
+                   _resolve_answer(answer, options), explanation)
+
+
+def _item_from_normalized(line: str) -> McqItem:
+    """Map one normalized JSONL line onto an McqItem."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    if not isinstance(rec, dict):
+        raise DataError("entry is not an object")
+    item_id = str(_field(rec, "item_id", _ITEM_ID))
+    options = _field(rec, "options", ((list,), "a JSON array of strings"))
+    correct_index = _field(rec, "correct_index", ((int,), "an integer"))
+    category, question = _field(rec, "category"), _field(rec, "question")
+    explanation = _field(rec, "explanation", _EXPLANATION)
+    if not all(type(o) is str for o in options):
         raise DataError("'options' must be a JSON array of strings")
-    if type(correct_index) is not int:
-        raise DataError("'correct_index' must be an integer")
-    return McqItem(
-        item_id=str(rec["item_id"]),
-        category=normalize_category(rec["category"]),
-        question=rec["question"],
-        options=tuple(options),
-        correct_index=correct_index,
-        explanation=rec.get("explanation"),
-    )
+    return McqItem(item_id, normalize_category(category), question, tuple(options),
+                   correct_index, explanation)
 
 
 def load_dataset(path: str | Path) -> list[McqItem]:
     """Load MCQ items from a .json (TeleQnA layout) or .jsonl (normalized) file.
 
-    All invalid entries are collected and reported together, keyed by item id
-    or line number, so a bad file fails loudly with actionable diagnostics.
+    All invalid entries are collected and reported together, each named once
+    by item id or line number, so a bad file fails loudly with actionable
+    diagnostics.
     """
     path = Path(path)
     items: list[McqItem] = []
@@ -240,9 +243,9 @@ def load_dataset(path: str | Path) -> list[McqItem]:
                 if not line.strip():
                     continue
                 try:
-                    items.append(_item_from_normalized(json.loads(line)))
-                except (DataError, ValueError, TypeError) as exc:
-                    failures.append(f"line {lineno}: {exc}")
+                    items.append(_item_from_normalized(line))
+                except DataError as exc:
+                    failures.append(f"line {lineno}: {getattr(exc, 'rules', exc)}")
     else:
         with open(path, "r", encoding="utf-8") as f:
             try:
@@ -250,21 +253,18 @@ def load_dataset(path: str | Path) -> list[McqItem]:
             except ValueError as exc:
                 raise DataError(f"malformed JSON in {path}: {exc}") from exc
         if isinstance(raw, dict):
-            entries = list(raw.items())
+            entries = raw.items()
         elif isinstance(raw, list):
-            entries = [
-                (str(e.get("id", f"q{i}")) if isinstance(e, dict) else f"q{i}", e)
-                for i, e in enumerate(raw)
-            ]
+            entries = ((f"q{i}", e) for i, e in enumerate(raw))
         else:
             raise DataError(f"dataset root must be an object or array, got {type(raw).__name__}")
         for item_id, entry in entries:
             try:
-                if not isinstance(entry, dict):
-                    raise DataError("entry is not an object")
+                if isinstance(raw, list) and isinstance(entry, dict) and "id" in entry:
+                    item_id = str(_field(entry, "id", _ITEM_ID))
                 items.append(_item_from_raw_entry(item_id, entry))
             except DataError as exc:
-                failures.append(f"item {item_id!r}: {exc}")
+                failures.append(f"item {item_id!r}: {getattr(exc, 'rules', exc)}")
     if len(failures) == 1:
         raise DataError(f"invalid entry in {path}: {failures[0]}")
     if failures:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -53,12 +53,13 @@ REFERENCE_TRANSCRIPT_TRIALS = 100
 
 @dataclass(frozen=True)
 class AssocProblem:
-    """One association instance: signals, the station to avoid, the answer."""
+    """One association instance: signals, then the station to avoid (the strongest)
+    and the answer (the second strongest), 1-based and derived from the signals."""
 
     problem_id: str
     signals_dbm: tuple[int, ...]
-    forbidden_index: int
-    correct_index: int
+    forbidden_index: int = field(init=False)
+    correct_index: int = field(init=False)
 
     @property
     def n(self) -> int:
@@ -66,22 +67,13 @@ class AssocProblem:
 
     def __post_init__(self) -> None:
         strongest, second = _rank_top_two(self.problem_id, self.signals_dbm)
-        if self.forbidden_index != strongest:
-            raise DataError(f"{self.problem_id}: forbidden_index must be the strongest station")
-        if self.correct_index != second:
-            raise DataError(f"{self.problem_id}: correct_index must be the second strongest")
+        object.__setattr__(self, "forbidden_index", strongest)
+        object.__setattr__(self, "correct_index", second)
 
     @classmethod
     def from_signals(cls, problem_id: str, signals_dbm: Sequence[int]) -> "AssocProblem":
-        """Build a problem, deriving forbidden and correct indices from the signals."""
-        signals = tuple(int(s) for s in signals_dbm)
-        forbidden, correct = _rank_top_two(problem_id, signals)
-        return cls(
-            problem_id=problem_id,
-            signals_dbm=signals,
-            forbidden_index=forbidden,
-            correct_index=correct,
-        )
+        """A problem over any sequence of signals."""
+        return cls(problem_id, tuple(signals_dbm))
 
 
 def _rank_top_two(problem_id: str, signals: Sequence[int]) -> tuple[int, int]:
@@ -120,8 +112,7 @@ def generate_problem(n: int, seed: int) -> AssocProblem:
         raise ValueError(f"n must be in [2, {MAX_STATIONS}], got {n}")
     rng = random.Random(seed)
     low, high = SIGNAL_RANGE_DBM
-    signals = rng.sample(range(low, high + 1), k=n)
-    return AssocProblem.from_signals(f"assoc-n{n}-s{seed}", signals)
+    return AssocProblem(f"assoc-n{n}-s{seed}", tuple(rng.sample(range(low, high + 1), k=n)))
 
 
 def _problem_set(

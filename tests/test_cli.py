@@ -241,6 +241,39 @@ def test_eval_non_object_dataset_entry_is_data_error(tmp_path, capsys):
     assert "item 'q0': entry is not an object" in err
 
 
+_TELEQNA = {"question": "Q?", "option 1": "A", "option 2": "B",
+            "answer": "option 1: A", "category": "Lexicon"}
+_NORMALIZED = {"item_id": "a", "category": "Lexicon", "question": "Q?",
+               "options": ["A", "B"], "correct_index": 1}
+
+
+@pytest.mark.parametrize("name, text, failure", [
+    ("d.json", json.dumps({"q0": {**_TELEQNA, "option 3": "C", "option 4": "D",
+                                  "option 5": "E", "option 6": "F"}}),
+     "item 'q0': expected 2-5 options, got 6"),
+    ("d.json", json.dumps({"q0": {**_TELEQNA, "option 7": "G"}}),
+     "item 'q0': non-contiguous option keys (gap before 'option 7')"),
+    ("d.json", json.dumps([{**_TELEQNA, "id": ["a"]}]),
+     "item 'q0': 'id' must be a string or an integer"),
+    ("d.jsonl", json.dumps({**_NORMALIZED, "item_id": None}) + "\n",
+     "line 1: 'item_id' must be a string or an integer"),
+    ("d.json", json.dumps({"q0": {**_TELEQNA, "answer": "option " + "9" * 5000}}),
+     "item 'q0': answer names option 999999999…, item has 2 options"),
+    ("d.jsonl", '"item_id options correct_index category question"\n',
+     "line 1: entry is not an object"),
+], ids=["six-options", "option-7-after-2", "list-id-array", "item-id-null",
+        "answer-key-too-long", "line-not-object"])
+def test_eval_rejects_entry_with_one_error_line(tmp_path, capsys, name, text, failure):
+    dataset = tmp_path / name
+    dataset.write_text(text, encoding="utf-8")
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    report = tmp_path / "r.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: invalid entry in {dataset}: {failure}\n"
+    assert not report.exists()
+
+
 def test_eval_constant_guess_near_chance(tmp_path):
     n_items = 400
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=n_items, seed=11)

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from telerag.errors import DataError
 from telerag.evalharness import (
@@ -414,3 +418,199 @@ def test_load_10k_dataset_with_reference_category_counts(tmp_path):
     for it in items:
         counts[it.category] += 1
     assert [counts[cat] for cat in CATEGORIES] == TABLE_COUNTS
+
+
+# --- Loader messages: one case per kind of invalid entry, in both layouts ---
+
+def _mutated(entry: dict, changes) -> dict:
+    """A copy of entry with each (key, value) of changes set; a value of ... drops the key."""
+    entry = dict(entry)
+    for key, value in changes:
+        if value is ...:
+            entry.pop(key, None)
+        else:
+            entry[key] = value
+    return entry
+
+
+def _teleqna(**changes) -> dict:
+    """A valid TeleQnA entry with changes; "_" in a name stands for a space."""
+    entry = {"question": "Q?", "option 1": "A", "option 2": "B",
+             "answer": "option 1: A", "category": "Lexicon"}
+    return _mutated(entry, ((key.replace("_", " "), v) for key, v in changes.items()))
+
+
+def _jsonl(**changes) -> str:
+    """A valid normalized JSONL line with changes."""
+    row = {"item_id": "a", "category": "Lexicon", "question": "Q?",
+           "options": ["A", "B"], "correct_index": 1}
+    return json.dumps(_mutated(row, changes.items()))
+
+
+LONG_KEY = "9" * 5000
+
+# (case id, layout, payload, the failure the loader reports for the entry).
+# Layout "dict" writes {"q0": payload} and "list" writes [payload] as .json;
+# "jsonl" writes payload as the only line of a .jsonl file.
+LOADER_FAILURES = [
+    ("not-object", "dict", ["Q?"], "item 'q0': entry is not an object"),
+    ("list-not-object", "list", "Q?", "item 'q0': entry is not an object"),
+    ("missing-question", "dict", _teleqna(question=...), "item 'q0': missing 'question'"),
+    ("missing-answer", "dict", _teleqna(answer=...), "item 'q0': missing 'answer'"),
+    ("missing-category", "dict", _teleqna(category=...), "item 'q0': missing 'category'"),
+    ("question-type", "dict", _teleqna(question=7), "item 'q0': 'question' must be a string"),
+    ("option-type", "dict", _teleqna(option_2=7), "item 'q0': 'option 2' must be a string"),
+    ("explanation-type", "dict", _teleqna(explanation=[1]),
+     "item 'q0': 'explanation' must be a string or null"),
+    ("option-gap", "dict", _teleqna(option_2=..., option_3="C"),
+     "item 'q0': non-contiguous option keys (gap before 'option 3')"),
+    ("option-7-after-2", "dict", _teleqna(option_7="G"),
+     "item 'q0': non-contiguous option keys (gap before 'option 7')"),
+    ("six-options", "dict",
+     _teleqna(option_3="C", option_4="D", option_5="E", option_6="F"),
+     "item 'q0': expected 2-5 options, got 6"),
+    ("one-option", "dict", _teleqna(option_2=...), "item 'q0': expected 2-5 options, got 1"),
+    ("no-options", "dict", _teleqna(option_1=..., option_2=...),
+     "item 'q0': answer names option 1, item has 0 options"),
+    ("duplicate-options", "dict", _teleqna(option_2="A"), "item 'q0': duplicate options"),
+    ("duplicate-options-text-answer", "dict", _teleqna(option_2="A", answer="A"),
+     "item 'q0': answer 'A' does not uniquely match an option"),
+    ("unknown-category", "dict", _teleqna(category="Gossip"),
+     "item 'q0': unknown category: 'Gossip'"),
+    ("answer-out-of-range", "dict", _teleqna(answer="option 7"),
+     "item 'q0': answer names option 7, item has 2 options"),
+    ("answer-key-too-long", "dict", _teleqna(answer=f"option {LONG_KEY}"),
+     "item 'q0': answer names option 999999999…, item has 2 options"),
+    ("answer-text-mismatch", "dict", _teleqna(answer="option 1: B"),
+     "item 'q0': answer text does not match option 1"),
+    ("answer-no-match", "dict", _teleqna(answer="C"),
+     "item 'q0': answer 'C' does not uniquely match an option"),
+    ("list-id-null", "list", {**_teleqna(), "id": None},
+     "item 'q0': 'id' must be a string or an integer"),
+    ("list-id-array", "list", {**_teleqna(), "id": ["a"]},
+     "item 'q0': 'id' must be a string or an integer"),
+    ("jsonl-malformed", "jsonl", "{not json",
+     "line 1: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("jsonl-string", "jsonl", '"item_id"', "line 1: entry is not an object"),
+    ("jsonl-string-naming-keys", "jsonl", '"item_id options correct_index category question"',
+     "line 1: entry is not an object"),
+    ("jsonl-array", "jsonl", "[1]", "line 1: entry is not an object"),
+    ("jsonl-number", "jsonl", "5", "line 1: entry is not an object"),
+    ("jsonl-missing-item-id", "jsonl", _jsonl(item_id=...), "line 1: missing 'item_id'"),
+    ("jsonl-missing-options", "jsonl", _jsonl(options=...), "line 1: missing 'options'"),
+    ("jsonl-missing-correct", "jsonl", _jsonl(correct_index=...),
+     "line 1: missing 'correct_index'"),
+    ("jsonl-missing-question", "jsonl", _jsonl(question=...), "line 1: missing 'question'"),
+    ("jsonl-item-id-null", "jsonl", _jsonl(item_id=None),
+     "line 1: 'item_id' must be a string or an integer"),
+    ("jsonl-item-id-array", "jsonl", _jsonl(item_id=["a"]),
+     "line 1: 'item_id' must be a string or an integer"),
+    ("jsonl-category-type", "jsonl", _jsonl(category=5), "line 1: 'category' must be a string"),
+    ("jsonl-explanation-type", "jsonl", _jsonl(explanation=3),
+     "line 1: 'explanation' must be a string or null"),
+    ("jsonl-options-type", "jsonl", _jsonl(options="AB"),
+     "line 1: 'options' must be a JSON array of strings"),
+    ("jsonl-correct-type", "jsonl", _jsonl(correct_index="1"),
+     "line 1: 'correct_index' must be an integer"),
+    ("jsonl-correct-too-long", "jsonl",
+     _jsonl(correct_index=0).replace('"correct_index": 0', f'"correct_index": {LONG_KEY}'),
+     "line 1: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("jsonl-unknown-category", "jsonl", _jsonl(category="Gossip"),
+     "line 1: unknown category: 'Gossip'"),
+    ("jsonl-one-option", "jsonl", _jsonl(options=["A"]), "line 1: expected 2-5 options, got 1"),
+    ("jsonl-duplicate-options", "jsonl", _jsonl(options=["A", "A"]),
+     "line 1: duplicate options"),
+    ("jsonl-correct-out-of-range", "jsonl", _jsonl(correct_index=3),
+     "line 1: correct_index 3 out of range"),
+    ("jsonl-two-rules", "jsonl", _jsonl(options=["A"], correct_index=2),
+     "line 1: expected 2-5 options, got 1; correct_index 2 out of range"),
+]
+
+
+def _write_case(tmp_path, layout: str, payload) -> Path:
+    if layout == "jsonl":
+        path = tmp_path / "d.jsonl"
+        path.write_text(payload + "\n", encoding="utf-8")
+    else:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"q0": payload} if layout == "dict" else [payload]),
+                        encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("layout, payload, failure",
+                         [case[1:] for case in LOADER_FAILURES],
+                         ids=[case[0] for case in LOADER_FAILURES])
+def test_loader_message_for_each_invalid_entry(tmp_path, layout, payload, failure):
+    path = _write_case(tmp_path, layout, payload)
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"invalid entry in {path}: {failure}"
+
+
+def test_item_rules_run_once_per_loaded_entry(tmp_path, monkeypatch):
+    checked = []
+    rules = McqItem.__post_init__
+    monkeypatch.setattr(McqItem, "__post_init__",
+                        lambda item: checked.append(item.item_id) or rules(item))
+    teleqna = {f"q{i}": _teleqna(option_3=f"C{i}", answer=f"C{i}") for i in range(3)}
+    teleqna["q3"] = _teleqna(option_2="A")  # breaks a rule
+    teleqna["q4"] = _teleqna(question=...)  # fails before the rules
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(teleqna), encoding="utf-8")
+    with pytest.raises(DataError):
+        load_dataset(path)
+    assert checked == ["q0", "q1", "q2", "q3"]
+    checked.clear()
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_jsonl(item_id=f"n{i}") + "\n" for i in range(4)),
+                    encoding="utf-8")
+    assert len(load_dataset(path)) == 4
+    assert checked == ["n0", "n1", "n2", "n3"]
+
+
+_KEYS = ["question", "answer", "category", "explanation", "id", "item_id", "options",
+         "correct_index", "option 0", "option 01", *(f"option {i}" for i in range(1, 8))]
+_STRINGS = ["", "A", "B", "C", "Lexicon", "research overview", "Gossip", "option 1",
+            "option 2: B", "option 7", "option 1: B", f"option {LONG_KEY}"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.sampled_from(_STRINGS) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(_KEYS), st.just(...) | _JSON_VALUES), max_size=4)
+_RAW_LINES = ["", "{", "null", "5", '"item_id"', "[1]", "1e999", f"{LONG_KEY}",
+              '{"item_id": "a", "correct_index": ' + LONG_KEY + "}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=st.sampled_from(["dict", "list", "jsonl"]),
+       entries=st.lists(st.tuples(_MUTATIONS, st.none() | st.sampled_from(_RAW_LINES)),
+                        min_size=1, max_size=3))
+@example(layout="dict", entries=[([("option 6", "F")], None)])
+@example(layout="dict", entries=[([("option 3", "C"), ("option 4", "D"), ("option 5", "E"),
+                                   ("option 6", "F")], None)])
+@example(layout="list", entries=[([("id", ["a"])], None)])
+@example(layout="jsonl", entries=[([("item_id", None)], None)])
+@example(layout="dict", entries=[([("answer", f"option {LONG_KEY}")], None)])
+@example(layout="jsonl", entries=[([], '"item_id options correct_index category question"')])
+def test_load_dataset_raises_only_data_error(layout, entries):
+    """Mutated TeleQnA entries and JSONL lines load or fail with DataError, nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if layout == "jsonl":
+            lines = [raw if raw is not None else _jsonl(**dict(m)) for m, raw in entries]
+            path = Path(tmp) / "d.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            mutated = [_mutated(_teleqna(), m) if raw is None else raw for m, raw in entries]
+            path = Path(tmp) / "d.json"
+            root = dict(zip(map("q{}".format, range(3)), mutated)) if layout == "dict" else mutated
+            path.write_text(json.dumps(root), encoding="utf-8")
+        try:
+            items = load_dataset(path)
+        except DataError:
+            return
+        assert all(isinstance(it, McqItem) for it in items)

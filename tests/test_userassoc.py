@@ -73,9 +73,18 @@ def test_problem_validation():
         AssocProblem.from_signals("p", [-80, -80, -70])
     with pytest.raises(DataError):
         AssocProblem.from_signals("p", [-80])
-    with pytest.raises(DataError):
+    with pytest.raises(TypeError):  # the indices are derived, never given
         AssocProblem(problem_id="p", signals_dbm=(-80, -62, -70),
                      forbidden_index=1, correct_index=3)
+
+
+def test_generate_problem_ranks_signals_once(monkeypatch):
+    calls = []
+    rank = userassoc._rank_top_two
+    monkeypatch.setattr(userassoc, "_rank_top_two", lambda *a: calls.append(a) or rank(*a))
+    problems = [generate_problem(n, seed) for n in (2, 5, 26) for seed in range(10)]
+    assert len(calls) == len(problems) == 30
+    assert [p.problem_id for p in problems] == [pid for pid, _ in calls]
 
 
 def test_generate_problem_invariants_against_sort_oracle():
