@@ -33,10 +33,7 @@ _HOME = {
             "EvalReport", "McqItem", "ModelAnswer", "load_dataset", "render_prompt", "score",
         ),
         "modelclient": ("Completion", "ModelConfig", "build_backend"),
-        "rag": (
-            "AugmentedPrompt", "RagConfig", "answer_with_rag", "augment", "build_query",
-            "run_evaluation",
-        ),
+        "rag": ("RagConfig", "answer_with_rag", "augment", "build_query", "run_evaluation"),
         "userassoc": (
             "AssocProblem", "check_answer", "generate_problem", "oracle", "render_problem_prompt",
         ),

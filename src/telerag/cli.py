@@ -7,9 +7,9 @@ manifest next to its primary output and replaces its outputs only when it
 succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 
 Each subcommand's parser names its cmd_* function, and each flag's argparse
-type checks its value; a bad value, or --overlap not below --chunk-size, is a
-usage error. Exit codes: 0 ok, 1 usage, 2 data/validation, 3 provider/model
-failure.
+type checks its value; a bad value, --overlap not below --chunk-size, --rag
+without --corpus and two outputs naming one file are usage errors. Exit codes:
+0 ok, 1 usage, 2 data/validation, 3 provider/model failure.
 """
 
 from __future__ import annotations
@@ -92,6 +92,17 @@ def _remove_stale_lock(lock_path: Path) -> bool:
     return False
 
 
+def _check_outputs(primary_out: str | Path, *others: str | None) -> None:
+    """Usage error unless a run's outputs, its manifest, their .tmp files and its
+    .lock are all different files; checked before the run reads its inputs."""
+    files = {os.path.realpath(str(primary_out) + ".lock")}
+    for path in (primary_out, str(primary_out) + ".manifest.json", *filter(None, others)):
+        for name in map(os.path.realpath, (path, _tmp(Path(path)))):
+            if name in files:
+                raise _UsageError(f"{path} names a file that another output of this run uses")
+            files.add(name)
+
+
 @contextlib.contextmanager
 def _run(primary_out: Path, command: str, config: dict, seed: int | None = None):
     """Lock primary_out for one command run and yield its _Outputs.
@@ -133,7 +144,7 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
             "outputs": [str(p) for p in run.paths],
         }
         write_json(manifest, run.output(str(primary_out) + ".manifest.json"))
-        for path in dict.fromkeys(run.paths):  # a path given twice is moved once
+        for path in run.paths:
             _tmp(path).replace(path)
     finally:
         for path in run.paths:
@@ -174,6 +185,12 @@ def _config_from_dict(data: dict, cls: type[T], label: str) -> T:
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid {label} config: {exc}") from exc
+
+
+def _provider_config(path: str):
+    from .embed import EmbeddingProviderConfig
+
+    return _config_from_dict(_load_json_file(path), EmbeddingProviderConfig, "provider")
 
 
 def _flag_type(convert: typing.Callable[[str], T], valid: typing.Callable[[T], bool],
@@ -246,8 +263,7 @@ def cmd_embed(args) -> int:
     from . import corpus, embed, vstore
 
     chunk_file = corpus.ChunkFile(args.corpus)
-    data = _load_json_file(args.provider_config)
-    provider = _config_from_dict(data, embed.EmbeddingProviderConfig, "provider")
+    provider = _provider_config(args.provider_config)
     out = Path(args.out)
     if out.exists() and not args.force:
         _, _, _, existing_fp = vstore.VectorStore.read_header(out)
@@ -269,75 +285,35 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalharness, rag
 
+    if args.rag and not args.corpus:
+        raise _UsageError("--rag needs --corpus for the chunk texts")
+    report_path = Path(args.report)
+    audit_path = args.audit or str(report_path) + ".audit.jsonl"
+    _check_outputs(report_path, audit_path, args.csv)
     items = evalharness.load_dataset(args.dataset)
     model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
     backend = build_backend(model_cfg)
-    cfg = rag.RagConfig(
-        k=args.k, max_context_tokens=args.max_context_tokens, query_mode=args.query_mode
-    )
-    if args.rag and not args.corpus:
-        raise DataError("--rag needs --corpus for the chunk texts")
-    with open(args.corpus, "rb") if args.rag else contextlib.nullcontext() as corpus_file:
-        store = provider = chunks_by_id = None
-        # Every setting that shapes a RAG answer; all None on plain eval.
-        settings = dict.fromkeys(
-            ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
-        )
-        if args.rag:
-            from . import corpus, embed, vstore
-
-            store = vstore.VectorStore.load(args.rag)
-            if corpus.file_sha256(corpus_file) != store.corpus_sha256:
-                raise DataError(
-                    f"{args.corpus} is not the corpus {args.rag} was embedded from; "
-                    "re-run telerag embed"
-                )
-            chunks_by_id = corpus.CorpusLines(corpus_file, store.corpus_offsets())
-            if args.provider_config:
-                data = _load_json_file(args.provider_config)
-                provider = _config_from_dict(data, embed.EmbeddingProviderConfig, "provider")
-            else:
-                provider = embed.provider_from_fingerprint(store.provider_fingerprint)
-            settings = {
-                "max_context_tokens": cfg.max_context_tokens,
-                "query_mode": cfg.query_mode,
-                "provider_fingerprint": provider.fingerprint,
-                "corpus_sha256": store.corpus_sha256.hex(),
-            }
-
-        report_path = Path(args.report)
-        audit_path = args.audit or str(report_path) + ".audit.jsonl"
-        config = {
-            "dataset": args.dataset,
-            "model_config": args.model_config,
-            "rag": args.rag,
-            "k": cfg.k,
-            "strict_parse": args.strict_parse,
-            **settings,
-        }
-        with _run(report_path, "eval", config) as run:
-            results = rag.run_evaluation(
-                backend,
-                items,
-                store=store,
-                provider=provider,
-                chunks=chunks_by_id,
-                cfg=cfg,
-                concurrency=args.concurrency,
-                strict_parse=args.strict_parse,
-            )
-            run_meta = {
-                "model": model_cfg.summary(),
-                "rag_enabled": args.rag is not None,
-                "k": cfg.k if args.rag else None,
-                **settings,
-            }
-            report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
-            run.dataset_fingerprint = report.dataset_fingerprint
-            evalharness.write_report_json(report, run.output(report_path))
-            rag.write_audit_log(results, run.output(audit_path))
-            if args.csv:
-                run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
+    cfg = rag.RagConfig(k=args.k, max_context_tokens=args.max_context_tokens,
+                        query_mode=args.query_mode)
+    # Every setting that shapes a RAG answer; all None on plain eval.
+    contexts, settings = None, dict.fromkeys(rag.SETTINGS)
+    if args.rag:
+        provider = _provider_config(args.provider_config) if args.provider_config else None
+        queries = [rag.build_query(item, cfg.query_mode) for item in items]
+        contexts, settings = rag.retrieve_contexts(args.rag, args.corpus, provider, queries, cfg)
+    config = {"dataset": args.dataset, "model_config": args.model_config, "rag": args.rag,
+              "k": cfg.k, "strict_parse": args.strict_parse, **settings}
+    with _run(report_path, "eval", config) as run:
+        results = rag.run_evaluation(backend, items, contexts, concurrency=args.concurrency,
+                                     strict_parse=args.strict_parse)
+        run_meta = {"model": model_cfg.summary(), "rag_enabled": args.rag is not None,
+                    "k": cfg.k if args.rag else None, **settings}
+        report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
+        run.dataset_fingerprint = report.dataset_fingerprint
+        evalharness.write_report_json(report, run.output(report_path))
+        rag.write_audit_log(results, run.output(audit_path))
+        if args.csv:
+            run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
     for cat, stats in report.categories.items():
         print(f"{cat}: {stats.correct}/{stats.count} = {stats.accuracy_percent:.2f}%"
               + (f" ({stats.errored} errored)" if stats.errored else ""))
@@ -352,6 +328,7 @@ def cmd_usecase_energy(args) -> int:
 
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
     out = Path(args.out)
+    _check_outputs(out, args.plot_csv)
     seed = None
     if args.data:
         records = energymodel.read_records_csv(args.data)
@@ -384,6 +361,7 @@ def cmd_usecase_energy(args) -> int:
 def cmd_usecase_assoc(args) -> int:
     from . import userassoc
 
+    _check_outputs(args.out, args.problems_out)
     data = _load_json_file(args.model_config)
     mock = data.get("kind") in userassoc.MOCK_KINDS
     model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")

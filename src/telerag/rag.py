@@ -1,9 +1,9 @@
 """Retrieve-augment-generate orchestration.
 
-Builds the retrieval query from an MCQ item, fetches top-k chunks within a
-token budget, prepends them to the standard MCQ prompt, and runs the model.
-With retrieval disabled the pipeline degrades to plain prompting with
-byte-identical prompts.
+retrieve_contexts is the one place that binds a RAG run to its store, corpus
+and provider: it checks them and returns each query's top-k chunks within a
+token budget. run_evaluation prepends each item's chunks to the standard MCQ
+prompt and runs the model; without contexts the prompts are the plain ones.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import QUERY_MODES
-from .corpus import Chunk, _encode_line, count_tokens
-from .embed import EmbeddingProviderConfig, embed_text
+from .corpus import Chunk, CorpusLines, _encode_line, count_tokens, file_sha256
+from .embed import EmbeddingProviderConfig, embed_text, provider_from_fingerprint
 from .errors import DataError, FingerprintMismatchError
 from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
 from .modelclient import ModelBackend, run_items
@@ -38,14 +38,6 @@ class RagConfig:
             raise ValueError("max_context_tokens must be >= 1")
         if self.query_mode not in QUERY_MODES:
             raise ValueError(f"unknown query_mode: {self.query_mode!r}")
-
-
-@dataclass(frozen=True)
-class AugmentedPrompt:
-    """Final prompt text plus the chunk ids it embeds, in rank order."""
-
-    context_chunk_ids: tuple[str, ...]
-    prompt_text: str
 
 
 @dataclass(frozen=True)
@@ -107,19 +99,50 @@ def retrieve_many(
     return contexts
 
 
-def augment(item: McqItem, context: Sequence[Chunk]) -> AugmentedPrompt:
-    """Prepend context chunks (rank order, blank-line separated) to the MCQ prompt.
+# What a RAG run is bound to, in the order the manifest and the report record it.
+SETTINGS = ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
+
+
+def retrieve_contexts(
+    store_path: str,
+    corpus_path: str,
+    provider: EmbeddingProviderConfig | None,
+    queries: Sequence[str],
+    cfg: RagConfig,
+) -> tuple[list[list[tuple[Chunk, SearchHit]]], dict]:
+    """retrieve_many over the store at store_path, with chunk texts read from
+    corpus_path, plus the run's SETTINGS.
+
+    The corpus must be the file the store was embedded from; provider defaults
+    to the one the store's fingerprint names and must match it.
+    """
+    from .vstore import VectorStore
+
+    with open(corpus_path, "rb") as corpus_file:
+        store = VectorStore.load(store_path)
+        if file_sha256(corpus_file) != store.corpus_sha256:
+            raise DataError(
+                f"{corpus_path} is not the corpus {store_path} was embedded from; "
+                "re-run telerag embed"
+            )
+        provider = provider or provider_from_fingerprint(store.provider_fingerprint)
+        chunks = CorpusLines(corpus_file, store.corpus_offsets())
+        contexts = retrieve_many(store, provider, queries, cfg, chunks)
+    settings = (cfg.max_context_tokens, cfg.query_mode, provider.fingerprint,
+                store.corpus_sha256.hex())
+    return contexts, dict(zip(SETTINGS, settings))
+
+
+def augment(item: McqItem, context: Sequence[Chunk]) -> str:
+    """The MCQ prompt with the context chunks (rank order, blank-line separated) before it.
 
     With no context the result is exactly the plain MCQ prompt.
     """
     base = render_prompt(item)
     if not context:
-        return AugmentedPrompt(context_chunk_ids=(), prompt_text=base)
+        return base
     body = "\n\n".join(c.text for c in context)
-    return AugmentedPrompt(
-        context_chunk_ids=tuple(c.chunk_id for c in context),
-        prompt_text=f"Context:\n{body}\n\n{base}",
-    )
+    return f"Context:\n{body}\n\n{base}"
 
 
 def answer_with_rag(
@@ -135,47 +158,39 @@ def answer_with_rag(
     list gives the plain MCQ prompt.
     """
     prompt = augment(item, [c for c, _ in retrieved])
-    completion = backend.complete(prompt.prompt_text)
+    completion = backend.complete(prompt)
     answer = parse_answer_for_item(completion.text, item, strict=strict_parse)
     return ItemResult(
         answer=answer,
-        context_chunk_ids=prompt.context_chunk_ids,
+        context_chunk_ids=tuple(c.chunk_id for c, _ in retrieved),
         context_scores=tuple(hit.score for _, hit in retrieved),
-        prompt_token_estimate=count_tokens(prompt.prompt_text),
+        prompt_token_estimate=count_tokens(prompt),
     )
 
 
 def run_evaluation(
     backend: ModelBackend,
     items: Sequence[McqItem],
+    contexts: Sequence[Sequence[tuple[Chunk, SearchHit]]] | None = None,
     *,
-    store: VectorStore | None = None,
-    provider: EmbeddingProviderConfig | None = None,
-    chunks: Mapping[str, Chunk] | None = None,
-    cfg: RagConfig | None = None,
     concurrency: int = 4,
     strict_parse: bool = False,
 ) -> list[ItemResult]:
-    """Evaluate every item; model failures mark the item errored, never skip it.
+    """Answer every item; model failures mark the item errored, never skip it.
 
-    Results come back in dataset order regardless of completion order.
-    With a store, retrieval for all items runs first, in one batch; without
-    one every item gets the plain prompt.
+    contexts holds one list per item of its chunks and hits, best-ranked
+    first, as retrieve_contexts returns them; without it every item gets the
+    plain prompt. Results come back in dataset order regardless of
+    completion order.
     """
-    cfg = cfg or RagConfig()
-    if store is None:
-        contexts: list[list[tuple[Chunk, SearchHit]]] = [[] for _ in items]
-    elif provider is None or chunks is None:
-        raise ValueError("retrieval needs provider and chunks alongside the store")
-    else:
-        queries = [build_query(item, cfg.query_mode) for item in items]
-        contexts = retrieve_many(store, provider, queries, cfg, chunks)
+    if contexts is None:
+        contexts = [()] * len(items)
 
-    def one(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
+    def one(pair: tuple[McqItem, Sequence[tuple[Chunk, SearchHit]]]) -> ItemResult:
         # item goes by keyword: the benchmark's tracer reads it from kwargs.
         return answer_with_rag(backend, item=pair[0], retrieved=pair[1], strict_parse=strict_parse)
 
-    def errored(pair: tuple[McqItem, list[tuple[Chunk, SearchHit]]]) -> ItemResult:
+    def errored(pair: tuple[McqItem, Sequence[tuple[Chunk, SearchHit]]]) -> ItemResult:
         return ItemResult(
             answer=ModelAnswer(
                 item_id=pair[0].item_id,
@@ -189,7 +204,7 @@ def run_evaluation(
             prompt_token_estimate=0,
         )
 
-    return run_items(one, list(zip(items, contexts)), concurrency, errored)
+    return run_items(one, list(zip(items, contexts, strict=True)), concurrency, errored)
 
 
 def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:

@@ -21,7 +21,7 @@ from telerag.embed import EmbeddingProviderConfig, cosine_similarity, embed_text
 from telerag.energymodel import fit, generate_synthetic
 from telerag.evalharness import McqItem, render_prompt, score, weighted_overall_accuracy
 from telerag.modelclient import Completion, TranscriptBackend
-from telerag.rag import RagConfig, build_query, run_evaluation
+from telerag.rag import RagConfig, build_query, retrieve_many, run_evaluation
 from telerag.userassoc import (
     AssocProblem,
     RandomGuessBackend,
@@ -193,9 +193,10 @@ def test_rag_uplift_planted_facts():
 
     backend = PlantedFactBackend(items, gold_texts, seed=1)
     plain = score(items, [r.answer for r in run_evaluation(backend, items, concurrency=1)])
+    queries = [build_query(item, cfg.query_mode) for item in items]
     augmented_results = run_evaluation(
-        backend, items, store=store, provider=provider, chunks=chunk_map(chunks),
-        cfg=cfg, concurrency=1,
+        backend, items, contexts=retrieve_many(store, provider, queries, cfg, chunk_map(chunks)),
+        concurrency=1,
     )
     augmented = score(items, [r.answer for r in augmented_results])
     uplift = augmented.overall.accuracy_percent - plain.overall.accuracy_percent
@@ -341,7 +342,7 @@ def _run_pipeline(workdir) -> dict[str, bytes]:
     for i, item in enumerate(items):
         query = build_query(item, cfg.query_mode)
         context = [c for c, _ in retrieve_many(store, provider, [query], cfg, chunks)[0]]
-        prompt = augment(item, context).prompt_text
+        prompt = augment(item, context)
         picked = item.correct_index if i % 2 == 0 else (item.correct_index % 4) + 1
         entries.append((prompt, f"{picked}. {item.options[picked - 1]}"))
     transcript_path = workdir / "transcript.jsonl"

@@ -191,6 +191,26 @@ def test_eval_rag_refuses_corpus_edited_after_embed(tmp_path, capsys):
     assert leftovers(tmp_path) == []
 
 
+def test_eval_rag_refuses_other_query_provider(tmp_path, capsys):
+    _, _, eval_args = embed_three_docs(tmp_path)
+    other = write_json(tmp_path / "other.json", {**HASH_PROVIDER, "seed": 1})
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(eval_args + ["--provider-config", other, "--report", str(report)]) == 2
+    assert capsys.readouterr().err == ("error: store was built with provider "
+                                       "'hash-test:seed-0:32', query uses 'hash-test:seed-1:32'\n")
+    assert not report.exists()
+    assert leftovers(tmp_path) == []
+
+
+def test_eval_rag_without_corpus_is_usage_error_before_reading_dataset(tmp_path, capsys):
+    missing = tmp_path / "no_such_dataset.jsonl"
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    assert main(["eval", "--dataset", str(missing), "--model-config", model_cfg,
+                 "--rag", str(tmp_path / "s.vdb"), "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "usage error: --rag needs --corpus for the chunk texts\n"
+
+
 def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     import struct
 
@@ -906,8 +926,36 @@ def test_eval_rag_requires_corpus(tmp_path, capsys):
                  "--out", str(store_path)]) == 0
     code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--rag", str(store_path), "--report", str(tmp_path / "r.json")])
-    assert code == 2
+    assert code == 1
     assert "--corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, clash", [
+    ("eval", ["--report", "r.json", "--audit", "r.json"], "r.json"),
+    ("eval", ["--report", "r.json", "--csv", "r.json"], "r.json"),
+    ("eval", ["--report", "r.json", "--csv", "r.json.manifest.json"], "r.json.manifest.json"),
+    ("eval", ["--report", "r.json", "--csv", "r.json.lock"], "r.json.lock"),
+    ("usecase-assoc", ["--out", "c.csv", "--problems-out", "c.csv"], "c.csv"),
+    ("usecase-energy", ["--out", "fit.json", "--plot-csv", "fit.json"], "fit.json"),
+], ids=["eval-audit", "eval-csv", "eval-csv-manifest", "eval-csv-lock", "assoc-problems",
+        "energy-plot"])
+def test_output_path_given_twice_is_usage_error(tmp_path, capsys, command, flags, clash):
+    # Every input is missing: the clash is found before any input is read or model asked.
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "eval": ["--dataset", missing, "--model-config", missing],
+        "usecase-assoc": ["--model-config", missing, "--seed", "1"],
+        "usecase-energy": ["--data", missing],
+    }[command]
+    (tmp_path / clash).write_text("earlier\n", encoding="utf-8")
+    argv = [command, *inputs] + [
+        str(tmp_path / f) if i % 2 else f for i, f in enumerate(flags)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"usage error: {tmp_path / clash} names a file that another output "
+                   "of this run uses\n")
+    assert [p.name for p in tmp_path.iterdir()] == [clash]
+    assert (tmp_path / clash).read_text(encoding="utf-8") == "earlier\n"
 
 
 def test_model_api_key_forwarded(tmp_path, monkeypatch):
@@ -1140,6 +1188,30 @@ def test_embed_store_bytes_pinned(tmp_path):
     assert hashlib.sha256(store_path.read_bytes()).hexdigest() == (
         "cf30358bd4d08fb8da42146f96dde005a5f018dbf9a7432a4ecbdb220eba7221"
     )
+    # A RAG eval over that store, pinned to the digests recorded before retrieval
+    # moved out of cli into rag: a tight budget cuts some contexts below k.
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"item_id": "h", "category": "Standards specifications",
+         "question": "Which measurement event triggers handover?",
+         "options": ["A3", "B1", "TPC"], "correct_index": 1},
+        {"item_id": "p", "category": "Standards overview",
+         "question": "What does the UE apply per slot?",
+         "options": ["TPC commands", "PDSCH", "Ünïcode"], "correct_index": 1},
+        {"item_id": "s", "category": "Lexicon",
+         "question": "Who schedules PDSCH?", "options": ["gNB", "UE"], "correct_index": 1},
+    ]), encoding="utf-8")
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "2"})
+    report = tmp_path / "r.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--rag", str(store_path), "--corpus", str(corpus_path), "--k", "3",
+                 "--max-context-tokens", "20", "--report", str(report)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (report, tmp_path / "r.json.audit.jsonl")]
+    assert digests == [
+        "cbb0d410a665393408eb786d000f19e345cd5524c9ea28a99f8b52e4dbfef719",
+        "90f9995a3df5964cba99cffe4dd3967bb73ea30b1aca9cc64c76a48fc56551c9",
+    ]
 
 
 def _leftovers(root: Path) -> list[Path]:

@@ -20,7 +20,7 @@ from telerag.rag import (
     run_evaluation,
     write_audit_log,
 )
-from telerag.vstore import VectorRecord, VectorStore
+from telerag.vstore import SearchHit, VectorRecord, VectorStore
 
 PROVIDER = EmbeddingProviderConfig(kind="hash-test", dims=32, seed=7)
 
@@ -94,18 +94,19 @@ def test_rag_config_validation():
 def test_augment_empty_context_is_plain_prompt():
     item = make_item()
     prompt = augment(item, [])
-    assert prompt.prompt_text == render_prompt(item)
-    assert prompt.context_chunk_ids == ()
+    assert prompt == render_prompt(item)
+    assert answer_with_rag(EchoBackend(), item, []).context_chunk_ids == ()
 
 
 def test_augment_orders_chunks_and_is_deterministic():
     item = make_item()
     chunks = [make_chunk("d#0", "first chunk text"), make_chunk("d#1", "second chunk text")]
     prompt = augment(item, chunks)
-    assert prompt.prompt_text == (
+    assert prompt == (
         "Context:\nfirst chunk text\n\nsecond chunk text\n\n" + render_prompt(item)
     )
-    assert prompt.context_chunk_ids == ("d#0", "d#1")
+    retrieved = [(c, SearchHit(c.chunk_id, 0.5, rank)) for rank, c in enumerate(chunks, 1)]
+    assert answer_with_rag(EchoBackend(), item, retrieved).context_chunk_ids == ("d#0", "d#1")
     assert augment(item, chunks) == prompt
 
 
@@ -152,14 +153,15 @@ def test_empty_store_degrades_to_plain_prompting():
     item = make_item()
     store = VectorStore(dims=PROVIDER.dims, provider_fingerprint=PROVIDER.fingerprint)
     backend = EchoBackend()
-    run_evaluation(backend, [item], store=store, provider=PROVIDER, chunks={}, concurrency=1)
+    contexts = retrieve_many(store, PROVIDER, [build_query(item)], RagConfig(), {})
+    run_evaluation(backend, [item], contexts, concurrency=1)
     assert backend.prompts == [render_prompt(item)]
 
 
 def test_disabled_rag_matches_plain_evaluation_prompts():
     items = [make_item(i) for i in range(3)]
     backend = EchoBackend()
-    run_evaluation(backend, items, store=None, concurrency=1)
+    run_evaluation(backend, items, None, concurrency=1)
     assert backend.prompts == [render_prompt(it) for it in items]
 
 
@@ -197,10 +199,9 @@ def test_audit_log_fields(tmp_path):
     items = [make_item(0)]
     chunks = [make_chunk("a#0", "context words here")]
     store = build_store(chunks)
-    results = run_evaluation(
-        ConstantBackend("2. B0"), items, store=store, provider=PROVIDER,
-        chunks=chunk_map(chunks), cfg=RagConfig(k=1), concurrency=1,
-    )
+    contexts = retrieve_many(store, PROVIDER, [build_query(items[0])], RagConfig(k=1),
+                             chunk_map(chunks))
+    results = run_evaluation(ConstantBackend("2. B0"), items, contexts, concurrency=1)
     path = tmp_path / "audit.jsonl"
     write_audit_log(results, path)
     rec = json.loads(path.read_text().strip())
