@@ -8,8 +8,8 @@ succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 
 Each subcommand's parser names its cmd_* function, and each flag's argparse
 type checks its value; a bad value, --overlap not below --chunk-size, --rag
-without --corpus and two outputs naming one file are usage errors. Exit codes:
-0 ok, 1 usage, 2 data/validation, 3 provider/model failure.
+without --corpus, a retrieval flag without --rag and two outputs naming one
+file are usage errors. Exit codes: 0 ok, 1 usage, 2 data, 3 provider/model.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .modelclient import ModelConfig, build_backend
 
 T = typing.TypeVar("T")
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
+# eval flags that set RagConfig fields; each is None unless given, so RagConfig keeps its default
+_RAG_TUNING = ("k", "max_context_tokens", "query_mode")
 
 
 class _UsageError(Exception):
@@ -234,6 +236,12 @@ def _seq_stats(values: list[int]) -> str:
     )
 
 
+def _stats_line(label: str, stats) -> str:
+    """One printed line of accuracy stats, naming errored answers when there are any."""
+    return (f"{label}: {stats.correct}/{stats.count} = {stats.accuracy_percent:.2f}%"
+            + (f" ({stats.errored} errored)" if stats.errored else ""))
+
+
 def cmd_ingest(args) -> int:
     from . import corpus
 
@@ -285,6 +293,10 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalharness, rag
 
+    given = [key for key in ("corpus", "provider_config", *_RAG_TUNING)
+             if getattr(args, key) is not None]
+    if given and not args.rag:
+        raise _UsageError(f"--{given[0].replace('_', '-')} needs --rag")
     if args.rag and not args.corpus:
         raise _UsageError("--rag needs --corpus for the chunk texts")
     report_path = Path(args.report)
@@ -293,21 +305,19 @@ def cmd_eval(args) -> int:
     items = evalharness.load_dataset(args.dataset)
     model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
     backend = build_backend(model_cfg)
-    cfg = rag.RagConfig(k=args.k, max_context_tokens=args.max_context_tokens,
-                        query_mode=args.query_mode)
     # Every setting that shapes a RAG answer; all None on plain eval.
     contexts, settings = None, dict.fromkeys(rag.SETTINGS)
     if args.rag:
+        cfg = rag.RagConfig(**{key: getattr(args, key) for key in _RAG_TUNING if key in given})
         provider = _provider_config(args.provider_config) if args.provider_config else None
         queries = [rag.build_query(item, cfg.query_mode) for item in items]
         contexts, settings = rag.retrieve_contexts(args.rag, args.corpus, provider, queries, cfg)
     config = {"dataset": args.dataset, "model_config": args.model_config, "rag": args.rag,
-              "k": cfg.k, "strict_parse": args.strict_parse, **settings}
+              "strict_parse": args.strict_parse, **settings}
     with _run(report_path, "eval", config) as run:
         results = rag.run_evaluation(backend, items, contexts, concurrency=args.concurrency,
                                      strict_parse=args.strict_parse)
-        run_meta = {"model": model_cfg.summary(), "rag_enabled": args.rag is not None,
-                    "k": cfg.k if args.rag else None, **settings}
+        run_meta = {"model": model_cfg.summary(), "rag_enabled": args.rag is not None, **settings}
         report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
         run.dataset_fingerprint = report.dataset_fingerprint
         evalharness.write_report_json(report, run.output(report_path))
@@ -315,10 +325,8 @@ def cmd_eval(args) -> int:
         if args.csv:
             run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
     for cat, stats in report.categories.items():
-        print(f"{cat}: {stats.correct}/{stats.count} = {stats.accuracy_percent:.2f}%"
-              + (f" ({stats.errored} errored)" if stats.errored else ""))
-    print(f"Overall: {report.overall.correct}/{report.overall.count} "
-          f"= {report.overall.accuracy_percent:.2f}%")
+        print(_stats_line(cat, stats))
+    print(_stats_line("Overall", report.overall))
     print(f"report written to {report_path}")
     return 0
 
@@ -376,8 +384,7 @@ def cmd_usecase_assoc(args) -> int:
         if args.problems_out:
             userassoc.export_problems_jsonl(counts, args.trials, seed, run.output(args.problems_out))
     for p in curve.points:
-        print(f"n={p.n_bs}: {p.correct}/{p.trials} = {p.accuracy_percent:.2f}%"
-              + (f" ({p.errored} errored)" if p.errored else ""))
+        print(_stats_line(f"n={p.n_bs}", p))
     print(f"curve written to {out}")
     return 0
 
@@ -407,9 +414,9 @@ def build_parser() -> _Parser:
     p.add_argument("--rag", default=None, help="vector store path; enables retrieval")
     p.add_argument("--corpus", default=None, help="corpus JSONL (required with --rag)")
     p.add_argument("--provider-config", default=None, help="embedding provider JSON config")
-    p.add_argument("--k", type=_positive_int, default=3)
-    p.add_argument("--max-context-tokens", type=_positive_int, default=1536)
-    p.add_argument("--query-mode", choices=QUERY_MODES, default="question_plus_options")
+    p.add_argument("--k", type=_positive_int, default=None)
+    p.add_argument("--max-context-tokens", type=_positive_int, default=None)
+    p.add_argument("--query-mode", choices=QUERY_MODES, default=None)
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--csv", default=None, help="output per-category CSV path")
     p.add_argument("--audit", default=None, help="audit JSONL path (default: <report>.audit.jsonl)")

@@ -2,8 +2,10 @@
 
 Datasets follow the TeleQnA layout (entries with "question", "option 1"…
 "option 5", "answer", "category", "explanation") or a normalized JSONL
-schema. Accuracy is reported per category and overall, with unparsed and
-errored answers counted against accuracy but tallied separately.
+schema. score takes one answer per item, in item order, and reports accuracy
+per category and overall. tally, which gives the association curve's points
+too, counts unparsed and errored answers against accuracy and errored ones
+also on their own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Hashable, Iterable, Literal, Sequence
 
 from .errors import DataError
 
@@ -125,11 +127,6 @@ class EvalReport:
 def round_percent(value: float) -> float:
     """Round to 2 decimals, half-up, matching how accuracies are presented."""
     return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def accuracy_percent(correct: int, count: int) -> float:
-    """correct out of count as a rounded percentage; 0.0 when there are no items."""
-    return round_percent(100.0 * correct / count) if count else 0.0
 
 
 def dataset_fingerprint(items: Sequence[McqItem]) -> str:
@@ -353,43 +350,46 @@ def weighted_overall_accuracy(
     return round_percent(weighted / total)
 
 
+def tally(outcomes: Iterable[tuple[Hashable, bool, bool]]) -> dict[Hashable, CategoryStats]:
+    """CategoryStats per group over (group, correct, errored) outcomes, groups in
+    first-seen order. An errored outcome counts against accuracy, whatever its
+    correct flag, and is counted on its own as well."""
+    counts: dict[Hashable, list[int]] = {}
+    for group, correct, errored in outcomes:
+        c = counts.setdefault(group, [0, 0, 0])
+        c[0] += 1
+        c[1] += correct and not errored
+        c[2] += errored
+    return {group: _stats(*c) for group, c in counts.items()}
+
+
+def _stats(count: int, correct: int, errored: int) -> CategoryStats:
+    return CategoryStats(count, correct, errored,
+                         round_percent(100.0 * correct / count) if count else 0.0)
+
+
 def score(
     items: Sequence[McqItem],
-    answers: Iterable[ModelAnswer],
+    answers: Sequence[ModelAnswer],
     run_meta: dict | None = None,
 ) -> EvalReport:
-    """Score answers against items; unparsed and errored count as incorrect."""
-    by_item: dict[str, McqItem] = {}
-    for it in items:
-        by_item[it.item_id] = it
-    seen: dict[str, ModelAnswer] = {}
-    for ans in answers:
-        if ans.item_id not in by_item:
-            raise DataError(f"answer references unknown item_id {ans.item_id!r}")
-        if ans.item_id in seen:
-            raise DataError(f"duplicate answer for item_id {ans.item_id!r}")
-        seen[ans.item_id] = ans
-    missing = [it.item_id for it in items if it.item_id not in seen]
-    if missing:
-        raise DataError(f"{len(missing)} items without answers (first: {missing[0]!r})")
+    """Score answers against items; unparsed and errored count as incorrect.
 
-    tallies: dict[str, list[int]] = {}
-    for it in items:
-        tally = tallies.setdefault(it.category, [0, 0, 0])
-        ans = seen[it.item_id]
-        tally[0] += 1
-        if ans.errored:
-            tally[2] += 1
-        elif ans.parsed_index == it.correct_index:
-            tally[1] += 1
-
-    def stats(count: int, correct: int, errored: int) -> CategoryStats:
-        return CategoryStats(count, correct, errored, accuracy_percent(correct, count))
-
-    totals = [sum(tally[j] for tally in tallies.values()) for j in range(3)]
+    answers holds one answer per item, in item order, as run_evaluation returns
+    them; any other list is a DataError. Categories come from tally, in
+    CATEGORIES order, and overall is their sum.
+    """
+    if len(answers) != len(items) or any(a.item_id != it.item_id for it, a in zip(items, answers)):
+        raise DataError(f"{len(answers)} answers for {len(items)} items: "
+                        "score needs one answer per item, in item order")
+    by_category = tally((it.category, ans.parsed_index == it.correct_index, ans.errored)
+                        for it, ans in zip(items, answers))
+    categories = {cat: by_category[cat] for cat in CATEGORIES if cat in by_category}
+    totals = [sum(getattr(s, key) for s in categories.values())
+              for key in ("count", "correct", "errored")]
     return EvalReport(
-        categories={cat: stats(*tallies[cat]) for cat in CATEGORIES if cat in tallies},
-        overall=stats(*totals),
+        categories=categories,
+        overall=_stats(*totals),
         dataset_fingerprint=dataset_fingerprint(items),
         run=dict(run_meta or {}),
     )
@@ -417,8 +417,7 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
 
 def report_csv(report: EvalReport) -> str:
     """Per-category CSV (category,count,correct,errored,accuracy) plus an Overall row."""
-    stats = [(cat, report.categories[cat]) for cat in CATEGORIES if cat in report.categories]
-    stats.append(("Overall", report.overall))
+    stats = [*report.categories.items(), ("Overall", report.overall)]
     return csv_text(
         ["category", "count", "correct", "errored", "accuracy"],
         ([cat, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"] for cat, s in stats),

@@ -100,7 +100,7 @@ def retrieve_many(
 
 
 # What a RAG run is bound to, in the order the manifest and the report record it.
-SETTINGS = ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
+SETTINGS = ("k", "max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")
 
 
 def retrieve_contexts(
@@ -128,7 +128,7 @@ def retrieve_contexts(
         provider = provider or provider_from_fingerprint(store.provider_fingerprint)
         chunks = CorpusLines(corpus_file, store.corpus_offsets())
         contexts = retrieve_many(store, provider, queries, cfg, chunks)
-    settings = (cfg.max_context_tokens, cfg.query_mode, provider.fingerprint,
+    settings = (cfg.k, cfg.max_context_tokens, cfg.query_mode, provider.fingerprint,
                 store.corpus_sha256.hex())
     return contexts, dict(zip(SETTINGS, settings))
 

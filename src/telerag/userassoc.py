@@ -10,7 +10,9 @@ recorded model answers for exact curve reproduction.
 A curve's problems are numbered in one order. A curve of more than
 CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on
 forkpool.fork_map: each worker generates, asks and grades its own block, so a
-backend must answer each prompt from that prompt alone.
+backend must answer each prompt from that prompt alone. Outcomes are tallied by
+position in that order (evalharness.tally), one point per entry of the station
+counts, so a count given twice gives two points.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping, Sequence
 
 from . import MAX_STATIONS, forkpool
 from .errors import DataError
-from .evalharness import accuracy_percent, csv_text, first_in_range
+from .evalharness import csv_text, first_in_range, tally
 from .modelclient import Completion, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
@@ -93,6 +95,7 @@ class CurvePoint:
     correct: int
     errored: int
     accuracy_percent: float
+    count = property(lambda self: self.trials)  # the name CategoryStats gives trials
 
 
 @dataclass(frozen=True)
@@ -259,15 +262,15 @@ def run_curve(
 ) -> AccuracyCurve:
     """Accuracy over seeded problem batches for each station count.
 
-    Model errors count as incorrect and are tallied separately. A curve of at
-    most CURVE_IN_PROCESS_MAX problems runs in this process. A larger one runs
-    in blocks of CURVE_BLOCK on forkpool.fork_map, on every usable CPU: each
-    task generates, asks and grades its block and sends back one (correct,
-    errored) pair per problem, so backend state kept across calls stays in one
-    worker. The curve is the same on any CPU count for a backend that answers
-    each prompt the same way every time. An http model has up to min(CPUs,
-    blocks) requests in flight, so its errored counts can depend on the CPU
-    count.
+    Problem p counts in point p // trials_per_n (evalharness.tally), so a
+    station count given twice gives two points. A curve of at most
+    CURVE_IN_PROCESS_MAX problems runs in this process. A larger one runs in
+    blocks of CURVE_BLOCK on forkpool.fork_map, on every usable CPU: each task
+    generates, asks and grades its block and sends back one (correct, errored)
+    pair per problem, so backend state kept across calls stays in one worker.
+    The curve is the same on any CPU count for a backend that answers each
+    prompt the same way every time. An http model has up to min(CPUs, blocks)
+    requests in flight, so its errored counts can depend on the CPU count.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -284,23 +287,10 @@ def run_curve(
         return run_items(one, _problem_set(n_values, trials_per_n, seed, flat), 1,
                          errored=lambda _: (False, True))
 
-    blocks = forkpool.fork_map(block, -(-total // size))
-    outcomes = [outcome for done in blocks for outcome in done]
-    points = []
-    for k, n in enumerate(n_values):
-        batch = outcomes[k * trials_per_n : (k + 1) * trials_per_n]
-        correct = sum(ok for ok, _ in batch)
-        errored = sum(err for _, err in batch)
-        points.append(
-            CurvePoint(
-                n_bs=n,
-                trials=trials_per_n,
-                correct=correct,
-                errored=errored,
-                accuracy_percent=accuracy_percent(correct, trials_per_n),
-            )
-        )
-    return AccuracyCurve(points=tuple(points))
+    outcomes = enumerate(o for done in forkpool.fork_map(block, -(-total // size)) for o in done)
+    points = tally((p // trials_per_n, ok, err) for p, (ok, err) in outcomes).items()
+    return AccuracyCurve(tuple(CurvePoint(n_values[k], s.count, s.correct, s.errored,
+                                          s.accuracy_percent) for k, s in points))
 
 
 def curve_csv(curve: AccuracyCurve) -> str:

@@ -211,6 +211,30 @@ def test_eval_rag_without_corpus_is_usage_error_before_reading_dataset(tmp_path,
     assert capsys.readouterr().err == "usage error: --rag needs --corpus for the chunk texts\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--corpus", "nope.jsonl"], ["--provider-config", "nope.json"], ["--k", "9"],
+     ["--max-context-tokens", "64"], ["--query-mode", "question_only"]],
+    ids=["corpus", "provider-config", "k", "max-context-tokens", "query-mode"],
+)
+def test_eval_retrieval_flag_without_rag_is_usage_error(tmp_path, capsys, flags):
+    missing = tmp_path / "no_such_dataset.jsonl"
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    assert main(["eval", "--dataset", str(missing), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")] + flags) == 1
+    assert capsys.readouterr().err == f"usage error: {flags[0]} needs --rag\n"
+    assert leftovers(tmp_path) == [] and not (tmp_path / "r.json").exists()
+
+
+def test_manifest_and_report_record_k_only_with_rag(tmp_path):
+    _, _, eval_args = embed_three_docs(tmp_path)
+    for args, k in ((eval_args[:5], None), (eval_args, 3)):
+        report = tmp_path / "r.json"
+        assert main(args + ["--report", str(report)]) == 0
+        manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
+        assert manifest["config"]["k"] == json.loads(report.read_text())["run"]["k"] == k
+
+
 def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     import struct
 
@@ -438,6 +462,53 @@ def test_usecase_assoc_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
         outputs.append((out.read_bytes(), problems.read_bytes()))
     assert outputs[0] == outputs[1]
     assert leftovers(tmp_path) == []
+
+
+def test_usecase_assoc_station_count_given_twice_gives_two_rows(tmp_path, monkeypatch):
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_random", "seed": 1})
+
+    def rows(counts, trials, name):
+        out = tmp_path / name
+        assert main(["usecase-assoc", "--bs-counts", counts, "--trials", str(trials),
+                     "--seed", "1", "--model-config", model_cfg, "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    assert rows("2,2,3", 50, "small.csv") == ["2,50,22,0,44.00", "2,50,22,0,44.00",
+                                              "3,50,17,0,34.00"]
+    # More than CURVE_IN_PROCESS_MAX problems run in fork_map blocks, some of which
+    # span both rows of the repeated count.
+    trials = userassoc.CURVE_IN_PROCESS_MAX // 3 + 1
+    expected = rows("2", trials, "two.csv") * 2 + rows("3", trials, "three.csv")
+    for cpus in (1, 2):
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+        assert rows("2,2,3", trials, f"forked{cpus}.csv") == expected
+        assert multiprocessing.active_children() == []
+
+
+def test_eval_stats_lines_name_errored_answers(tmp_path, capsys):
+    from telerag.evalharness import load_dataset, render_prompt
+
+    rows = [{"item_id": f"q{i}", "category": category, "question": f"Question {i}?",
+             "options": [f"choice {i}-{j}" for j in range(4)], "correct_index": 2}
+            for i, category in enumerate(["Lexicon", "Standards specifications"] * 2)]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    items = load_dataset(dataset)
+    # No reply for q0, so it is errored; q3 is answered wrongly.
+    transcript = tmp_path / "transcript.jsonl"
+    write_transcript([(render_prompt(it), "3" if it.item_id == "q3" else "2")
+                      for it in items[1:]], transcript)
+    model_cfg = write_json(tmp_path / "model.json",
+                           {"kind": "mock_script", "script_path": str(transcript)})
+    report = tmp_path / "report.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Lexicon: 1/2 = 50.00% (1 errored)",
+        "Standards specifications: 1/2 = 50.00%",
+        "Overall: 2/4 = 50.00% (1 errored)",
+        f"report written to {report}",
+    ]
 
 
 def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from telerag.errors import DataError
 from telerag.evalharness import (
     CATEGORIES,
+    CategoryStats,
     McqItem,
     ModelAnswer,
     dataset_fingerprint,
@@ -22,6 +23,7 @@ from telerag.evalharness import (
     report_csv,
     round_percent,
     score,
+    tally,
     weighted_overall_accuracy,
 )
 
@@ -353,14 +355,25 @@ def test_score_validates_coverage():
         score(items, [answer_for(items[0], 1), answer_for(items[0], 1)])
 
 
-def test_score_permutation_invariant():
+def test_score_rejects_answers_out_of_item_order():
     items = [make_item(i, category=CATEGORIES[i % 5]) for i in range(25)]
     answers = [answer_for(it, (i % 4) + 1) for i, it in enumerate(items)]
-    forward = score(items, answers)
+    assert score(items, answers).overall.count == 25
     shuffled = list(answers)
     random.Random(5).shuffle(shuffled)
-    backward = score(items, shuffled)
-    assert forward == backward
+    assert shuffled != answers
+    with pytest.raises(DataError, match="in item order"):
+        score(items, shuffled)
+
+
+def test_tally_groups_in_first_seen_order():
+    stats = tally([("b", True, False), ("a", False, False), ("b", True, True),
+                   ("b", False, True), ("a", True, False), ("c", False, False)])
+    assert list(stats) == ["b", "a", "c"]
+    assert stats["b"] == CategoryStats(count=3, correct=1, errored=2, accuracy_percent=33.33)
+    assert stats["a"] == CategoryStats(count=2, correct=1, errored=0, accuracy_percent=50.0)
+    assert stats["c"] == CategoryStats(count=1, correct=0, errored=0, accuracy_percent=0.0)
+    assert tally([]) == {}
 
 
 def test_weighted_mean_identity_on_scored_report():
