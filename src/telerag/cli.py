@@ -7,9 +7,10 @@ manifest next to its primary output and replaces its outputs only when it
 succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 
 Each subcommand's parser names its cmd_* function, and each flag's argparse
-type checks its value; a bad value, --overlap not below --chunk-size, --rag
-without --corpus, a retrieval flag without --rag and two outputs naming one
-file are usage errors. Exit codes: 0 ok, 1 usage, 2 data, 3 provider/model.
+type checks its value; a bad value (an empty path among them), --overlap not
+below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
+synthetic-fleet flag without --synthetic and two outputs naming one file are
+usage errors. Exit codes: 0 ok, 1 usage, 2 data, 3 provider/model.
 """
 
 from __future__ import annotations
@@ -212,11 +213,21 @@ def _flag_type(convert: typing.Callable[[str], T], valid: typing.Callable[[T], b
 
 _positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _non_negative_float = _flag_type(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_path = _flag_type(str, bool, "a non-empty path")
 _station_counts = _flag_type(
     lambda text: [int(part) for part in text.split(",") if part.strip()],
     lambda counts: bool(counts) and all(2 <= c <= MAX_STATIONS for c in counts),
     f"comma-separated integers from 2 to {MAX_STATIONS}",
 )
+
+
+def _given(args, keys: typing.Sequence[str], switch: str) -> list[str]:
+    """The keys of args that were given (are not None); a usage error naming the
+    first of them when the flag --switch is off."""
+    given = [key for key in keys if getattr(args, key) is not None]
+    if given and not getattr(args, switch):
+        raise _UsageError(f"--{given[0].replace('_', '-')} needs --{switch}")
+    return given
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
@@ -293,10 +304,7 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalharness, rag
 
-    given = [key for key in ("corpus", "provider_config", *_RAG_TUNING)
-             if getattr(args, key) is not None]
-    if given and not args.rag:
-        raise _UsageError(f"--{given[0].replace('_', '-')} needs --rag")
+    given = _given(args, ("corpus", "provider_config", *_RAG_TUNING), "rag")
     if args.rag and not args.corpus:
         raise _UsageError("--rag needs --corpus for the chunk texts")
     report_path = Path(args.report)
@@ -317,7 +325,7 @@ def cmd_eval(args) -> int:
     with _run(report_path, "eval", config) as run:
         results = rag.run_evaluation(backend, items, contexts, concurrency=args.concurrency,
                                      strict_parse=args.strict_parse)
-        run_meta = {"model": model_cfg.summary(), "rag_enabled": args.rag is not None, **settings}
+        run_meta = {"model": model_cfg.summary(), "rag_enabled": bool(args.rag), **settings}
         report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
         run.dataset_fingerprint = report.dataset_fingerprint
         evalharness.write_report_json(report, run.output(report_path))
@@ -334,6 +342,7 @@ def cmd_eval(args) -> int:
 def cmd_usecase_energy(args) -> int:
     from . import energymodel, evalharness
 
+    _given(args, ("n_bs", "noise_sd", "seed"), "synthetic")
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
     out = Path(args.out)
     _check_outputs(out, args.plot_csv)
@@ -343,8 +352,10 @@ def cmd_usecase_energy(args) -> int:
         source = {"data": args.data}
     else:
         seed = _resolve_seed(args.seed)
-        records = energymodel.generate_synthetic(args.n_bs, noise_sd=args.noise_sd, seed=seed)
-        source = {"synthetic": {"n_bs": args.n_bs, "noise_sd": args.noise_sd}}
+        n_bs = 90 if args.n_bs is None else args.n_bs
+        noise_sd = 0.02 if args.noise_sd is None else args.noise_sd
+        records = energymodel.generate_synthetic(n_bs, noise_sd=noise_sd, seed=seed)
+        source = {"synthetic": {"n_bs": n_bs, "noise_sd": noise_sd}}
     with _run(out, "usecase-energy", {"source": source, "models": kinds}, seed=seed) as run:
         models = [energymodel.fit(records, kind) for kind in kinds]
         fitted = [
@@ -395,31 +406,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="chunk .txt documents into a corpus JSONL")
     p.set_defaults(run=cmd_ingest)
-    p.add_argument("--input", required=True, help="directory of .txt files")
-    p.add_argument("--out", required=True, help="output corpus JSONL path")
+    p.add_argument("--input", type=_path, required=True, help="directory of .txt files")
+    p.add_argument("--out", type=_path, required=True, help="output corpus JSONL path")
     p.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--overlap", type=int, default=0)
 
     p = sub.add_parser("embed", help="embed a corpus into a vector store")
     p.set_defaults(run=cmd_embed)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--provider-config", required=True, help="embedding provider JSON config")
-    p.add_argument("--out", required=True, help="output store path")
+    p.add_argument("--corpus", type=_path, required=True)
+    p.add_argument("--provider-config", type=_path, required=True,
+                   help="embedding provider JSON config")
+    p.add_argument("--out", type=_path, required=True, help="output store path")
     p.add_argument("--force", action="store_true", help="replace a store built by another provider")
 
     p = sub.add_parser("eval", help="run the MCQ benchmark")
     p.set_defaults(run=cmd_eval)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model-config", required=True, help="model backend JSON config")
-    p.add_argument("--rag", default=None, help="vector store path; enables retrieval")
-    p.add_argument("--corpus", default=None, help="corpus JSONL (required with --rag)")
-    p.add_argument("--provider-config", default=None, help="embedding provider JSON config")
+    p.add_argument("--dataset", type=_path, required=True)
+    p.add_argument("--model-config", type=_path, required=True, help="model backend JSON config")
+    p.add_argument("--rag", type=_path, default=None, help="vector store path; enables retrieval")
+    p.add_argument("--corpus", type=_path, default=None, help="corpus JSONL (required with --rag)")
+    p.add_argument("--provider-config", type=_path, default=None,
+                   help="embedding provider JSON config")
     p.add_argument("--k", type=_positive_int, default=None)
     p.add_argument("--max-context-tokens", type=_positive_int, default=None)
     p.add_argument("--query-mode", choices=QUERY_MODES, default=None)
-    p.add_argument("--report", required=True, help="output report JSON path")
-    p.add_argument("--csv", default=None, help="output per-category CSV path")
-    p.add_argument("--audit", default=None, help="audit JSONL path (default: <report>.audit.jsonl)")
+    p.add_argument("--report", type=_path, required=True, help="output report JSON path")
+    p.add_argument("--csv", type=_path, default=None, help="output per-category CSV path")
+    p.add_argument("--audit", type=_path, default=None,
+                   help="audit JSONL path (default: <report>.audit.jsonl)")
     p.add_argument("--concurrency", type=_positive_int, default=4)
     p.add_argument("--strict-parse", action="store_true",
                    help="only accept answers that start with the option number")
@@ -427,23 +441,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("usecase-energy", help="fit the energy formulas")
     p.set_defaults(run=cmd_usecase_energy)
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--data", default=None, help="CSV with columns bs_id,L,MTX,DSS,E")
+    src.add_argument("--data", type=_path, default=None, help="CSV with columns bs_id,L,MTX,DSS,E")
     src.add_argument("--synthetic", action="store_true", help="generate seeded synthetic records")
-    p.add_argument("--n-bs", type=_positive_int, default=90)
-    p.add_argument("--noise-sd", type=_non_negative_float, default=0.02)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-bs", type=_positive_int, default=None,
+                   help="synthetic stations (default 90)")
+    p.add_argument("--noise-sd", type=_non_negative_float, default=None,
+                   help="synthetic noise standard deviation (default 0.02)")
+    p.add_argument("--seed", type=int, default=None, help="synthetic fleet seed")
     p.add_argument("--model", choices=["eq1", "eq2", "both"], default="both")
-    p.add_argument("--out", required=True, help="output fit JSON path")
-    p.add_argument("--plot-csv", default=None, help="load/truth/prediction CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output fit JSON path")
+    p.add_argument("--plot-csv", type=_path, default=None, help="load/truth/prediction CSV path")
 
     p = sub.add_parser("usecase-assoc", help="association accuracy curve")
     p.set_defaults(run=cmd_usecase_assoc)
     p.add_argument("--bs-counts", type=_station_counts, default="2,4,6,8,10")
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--model-config", required=True)
+    p.add_argument("--model-config", type=_path, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output curve CSV path")
-    p.add_argument("--problems-out", default=None, help="export the problem set as JSONL")
+    p.add_argument("--out", type=_path, required=True, help="output curve CSV path")
+    p.add_argument("--problems-out", type=_path, default=None,
+                   help="export the problem set as JSONL")
 
     return parser
 

@@ -4,15 +4,15 @@ Two providers: an HTTP provider for real embedding models, and a
 seeded-hash test provider that maps text to a pseudo-random unit vector
 so the whole pipeline runs deterministically offline. ``embed_texts``
 returns a batch as one C-contiguous float32 (len(texts), dims) matrix, one
-row per text, for both providers. It works in blocks of ``EMBED_BLOCK``
-texts: the HTTP provider sends one ``modelclient.post_json`` request per
-block, one after another with one attempt each, and each reply is checked
-for its shape and for finite values as a whole; the hash-test provider's
-blocks go through ``forkpool.fork_map``, so several blocks are computed by
-worker processes forked from this one, because its SHA-256 calls on short
-inputs hold the GIL and threads would not overlap.
-``embed_chunk_file`` embeds a whole chunk JSONL file in the same blocks, each
-block's task parsing its own lines. Similarity is cosine, computed in
+row per text, for both providers; ``embed_chunk_file`` does the same for a
+whole chunk JSONL file, each block parsing its own lines. Both go through one
+block loop in blocks of ``EMBED_BLOCK`` texts: the HTTP provider sends one
+``modelclient.post_json`` request per block from this process, one after
+another with one attempt each, and each reply is checked for its shape and
+for finite values as a whole; the hash-test provider's blocks go through
+``forkpool.fork_map``, so several blocks are computed by worker processes
+forked from this one, because its SHA-256 calls on short inputs hold the GIL
+and threads would not overlap. Similarity is cosine, computed in
 float64. numpy and the fork pool are imported by the functions that use
 them, so importing this module (as every command does) loads neither."""
 
@@ -22,7 +22,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DataError, ModelError, ProviderError
 from .modelclient import post_json
@@ -31,8 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .corpus import ChunkFile
-
-T = TypeVar("T")
 
 EMBED_BLOCK = 64  # texts per HTTP request and per worker task
 
@@ -137,42 +135,44 @@ def _embed_block(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarr
     return vectors
 
 
-def _map_blocks(cfg: EmbeddingProviderConfig, fn: Callable[[int], T], n: int) -> list[T]:
-    """[fn(0), ..., fn(n - 1)] for n tasks that embed with cfg: through
-    forkpool.fork_map for the hash-test provider, here one after another for
-    the http one. A worker process that dies raises ProviderError."""
-    if cfg.kind != "hash-test":
-        return [fn(i) for i in range(n)]
+def _embed_blocks(
+    cfg: EmbeddingProviderConfig, rows: int, block: Callable[[int], tuple[list[str], Sequence[str]]]
+) -> tuple[list[str], np.ndarray]:
+    """The keys and the one C-contiguous float32 (rows, cfg.dims) matrix of rows
+    texts in blocks of EMBED_BLOCK; block(i) gives block i's key (a list, joined
+    in block order) and its texts. Hash-test blocks run on forkpool.fork_map (a
+    worker process that dies raises ProviderError), http blocks here, one
+    request after another."""
+    import numpy as np
+
     from . import forkpool
 
+    def task(i: int) -> tuple[list[str], np.ndarray]:
+        key, texts = block(i)
+        if not all(text.strip() for text in texts):
+            raise ValueError("cannot embed empty text")
+        return key, _embed_block(cfg, texts)
+
+    n = -(-rows // EMBED_BLOCK)
     try:
-        return forkpool.fork_map(fn, n)
+        done = forkpool.fork_map(task, n) if cfg.kind == "hash-test" else map(task, range(n))
     except forkpool.WorkerDiedError as exc:
-        raise ProviderError(
-            f"an embedding worker process died (exit code {exc.exitcode})"
-        ) from exc
+        raise ProviderError(f"an embedding worker process died (exit code {exc.exitcode})") from exc
+    keys: list[str] = []
+    out = np.empty((rows, cfg.dims), dtype=np.float32)
+    for i, (key, vectors) in enumerate(done):
+        out[i * EMBED_BLOCK : (i + 1) * EMBED_BLOCK] = vectors
+        keys += key
+    return keys, out
 
 
 def embed_texts(cfg: EmbeddingProviderConfig, texts: Sequence[str]) -> np.ndarray:
     """Embed a batch of texts into one C-contiguous float32 (len(texts), cfg.dims)
-    matrix; a text's row does not depend on the rest of the batch.
-
-    The texts go in blocks of EMBED_BLOCK through _map_blocks, so several
-    hash-test blocks are computed by forked worker processes.
-    """
-    import numpy as np
-
-    for text in texts:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
-    starts = range(0, len(texts), EMBED_BLOCK)
-    blocks = _map_blocks(
-        cfg, lambda i: _embed_block(cfg, texts[starts[i] : starts[i] + EMBED_BLOCK]), len(starts)
-    )
-    out = np.empty((len(texts), cfg.dims), dtype=np.float32)
-    for start, rows in zip(starts, blocks):
-        out[start : start + len(rows)] = rows
-    return out
+    matrix; a text's row does not depend on the rest of the batch. An empty text
+    raises ValueError."""
+    return _embed_blocks(
+        cfg, len(texts), lambda i: ([], texts[i * EMBED_BLOCK : (i + 1) * EMBED_BLOCK])
+    )[1]
 
 
 def embed_chunk_file(
@@ -181,22 +181,16 @@ def embed_chunk_file(
     """The chunk ids of a chunk JSONL file and their rows, one C-contiguous
     float32 (chunks, cfg.dims) matrix, in file order.
 
-    Each task of _map_blocks parses its own EMBED_BLOCK chunk lines and embeds
-    their texts, so the hash-test provider's workers share the parse as well as
-    the digests and send back only ids and rows.
+    Each block parses its own EMBED_BLOCK chunk lines, so the hash-test
+    provider's workers share the parse as well as the digests and send back
+    only ids and rows.
     """
-    import numpy as np
 
-    def embed_block(i: int) -> tuple[list[str], np.ndarray]:
+    def block(i: int) -> tuple[list[str], list[str]]:
         chunks = chunk_file.chunks(i * EMBED_BLOCK, (i + 1) * EMBED_BLOCK)
-        return [c.chunk_id for c in chunks], embed_texts(cfg, [c.text for c in chunks])
+        return [c.chunk_id for c in chunks], [c.text for c in chunks]
 
-    ids: list[str] = []
-    out = np.empty((len(chunk_file), cfg.dims), dtype=np.float32)
-    for block_ids, rows in _map_blocks(cfg, embed_block, -(-len(chunk_file) // EMBED_BLOCK)):
-        out[len(ids) : len(ids) + len(rows)] = rows
-        ids += block_ids
-    return ids, out
+    return _embed_blocks(cfg, len(chunk_file), block)
 
 
 def embed_text(cfg: EmbeddingProviderConfig, text: str) -> np.ndarray:

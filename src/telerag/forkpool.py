@@ -1,15 +1,18 @@
 """One fork pool: numbered tasks run in worker processes forked from the caller.
 
-``fork_map(fn, n)`` returns ``[fn(0), ..., fn(n - 1)]``. It is for work that
-holds the GIL (SHA-256 of short inputs, JSON encoding and decoding, generating
-and grading association problems), which threads could not overlap; ingest
-chunking, hash-test embedding and the association curve's blocks of problems
-use it. The tasks run in ``min(usable CPUs, n)`` worker processes forked from
-the caller, so a worker reaches ``fn`` and everything ``fn`` reads through the
-memory it inherited at the fork: the caller sends a worker only task indices,
-at most two ahead, and the worker sends back one pickled result or exception
-per task. multiprocessing is imported only when there is a pool, so one-task
-calls never load it.
+``fork_map(fn, n)`` returns ``[fn(0), ..., fn(n - 1)]``. It is only for work
+that the caller's process computes and that holds the GIL (SHA-256 of short
+inputs, JSON encoding and decoding, generating and grading association
+problems), which threads could not overlap: ingest chunking, hash-test
+embedding and the blocks of an association curve asked of a mock or a
+transcript. An http model or embedding provider never runs in a worker: it
+would only wait there, with as many requests in flight as there are CPUs. The
+tasks run in ``min(usable CPUs, n)`` worker processes forked from the caller,
+so a worker reaches ``fn`` and everything ``fn`` reads through the memory it
+inherited at the fork: the caller sends a worker only task indices, at most two
+ahead, and the worker sends back one pickled result or exception per task.
+multiprocessing is imported only when there is a pool, so one-task calls never
+load it.
 """
 
 from __future__ import annotations

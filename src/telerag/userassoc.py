@@ -8,11 +8,11 @@ sabotage, or randomly guess the problems, and a transcript backend replays
 recorded model answers for exact curve reproduction.
 
 A curve's problems are numbered in one order. A curve of more than
-CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on
-forkpool.fork_map: each worker generates, asks and grades its own block, so a
-backend must answer each prompt from that prompt alone. Outcomes are tallied by
-position in that order (evalharness.tally), one point per entry of the station
-counts, so a count given twice gives two points.
+CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on forkpool.fork_map
+unless its backend is an http model: each worker generates, asks and grades its
+own block, so a backend must answer each prompt from that prompt alone. Outcomes
+are tallied by position in that order (evalharness.tally), one point per entry
+of the station counts, so a count given twice gives two points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from . import MAX_STATIONS, forkpool
 from .errors import DataError
 from .evalharness import csv_text, first_in_range, tally
-from .modelclient import Completion, ModelBackend, run_items, write_transcript
+from .modelclient import Completion, HttpBackend, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
@@ -263,14 +263,13 @@ def run_curve(
     """Accuracy over seeded problem batches for each station count.
 
     Problem p counts in point p // trials_per_n (evalharness.tally), so a
-    station count given twice gives two points. A curve of at most
-    CURVE_IN_PROCESS_MAX problems runs in this process. A larger one runs in
-    blocks of CURVE_BLOCK on forkpool.fork_map, on every usable CPU: each task
-    generates, asks and grades its block and sends back one (correct, errored)
-    pair per problem, so backend state kept across calls stays in one worker.
-    The curve is the same on any CPU count for a backend that answers each
-    prompt the same way every time. An http model has up to min(CPUs, blocks)
-    requests in flight, so its errored counts can depend on the CPU count.
+    station count given twice gives two points. An http model, and any curve
+    of at most CURVE_IN_PROCESS_MAX problems, runs in this process, one problem
+    after another. A larger curve of another backend runs in blocks of CURVE_BLOCK
+    on forkpool.fork_map, on every usable CPU: each task generates, asks and
+    grades its block and sends back one (correct, errored) pair per problem, so
+    backend state kept across calls stays in one worker. The curve is the same
+    on any CPU count for a backend that answers each prompt the same way.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -280,7 +279,8 @@ def run_curve(
         return check_answer(problem, completion.text).correct, False
 
     total = len(n_values) * trials_per_n
-    size = CURVE_BLOCK if total > CURVE_IN_PROCESS_MAX else max(total, 1)
+    forked = total > CURVE_IN_PROCESS_MAX and not isinstance(backend, HttpBackend)
+    size = CURVE_BLOCK if forked else max(total, 1)
 
     def block(b: int) -> list[tuple[bool, bool]]:
         flat = range(b * size, min(total, (b + 1) * size))

@@ -396,6 +396,16 @@ def test_usecase_energy_synthetic_defaults(tmp_path, capsys):
     assert "seed: 7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--n-bs", "5"], ["--noise-sd", "0.9"], ["--seed", "4"]],
+                         ids=["n-bs", "noise-sd", "seed"])
+def test_usecase_energy_synthetic_flag_with_data_is_usage_error(tmp_path, capsys, flags):
+    missing = tmp_path / "no_such_data.csv"
+    assert main(["usecase-energy", "--data", str(missing), "--out", str(tmp_path / "fit.json")]
+                + flags) == 1
+    assert capsys.readouterr().err == f"usage error: {flags[0]} needs --synthetic\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usecase_energy_noiseless_recovery(tmp_path):
     out = tmp_path / "fit.json"
     code = main(["usecase-energy", "--synthetic", "--seed", "3", "--noise-sd", "0",
@@ -1058,6 +1068,23 @@ def test_model_api_key_forwarded(tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main(["eval"]) == 1
+
+
+@pytest.mark.parametrize("flag, command", [("--rag", "eval"), ("--csv", "eval"),
+                                           ("--problems-out", "usecase-assoc"), ("--out", "ingest")])
+def test_empty_path_flag_is_usage_error_before_reading_inputs(tmp_path, capsys, flag, command):
+    missing = str(tmp_path / "missing")
+    argv = {
+        "eval": ["eval", "--dataset", missing, "--model-config", missing,
+                 "--report", str(tmp_path / "r.json")],
+        "usecase-assoc": ["usecase-assoc", "--model-config", missing, "--seed", "1",
+                          "--out", str(tmp_path / "curve.csv")],
+        "ingest": ["ingest", "--input", missing],
+    }[command]
+    assert main(argv + [flag, ""]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: argument {flag}: must be a non-empty path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_dataset_file_is_data_error(tmp_path):

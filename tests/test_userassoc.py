@@ -9,7 +9,7 @@ import pytest
 
 from telerag import forkpool, userassoc
 from telerag.errors import DataError, ModelError
-from telerag.modelclient import Completion, TranscriptBackend
+from telerag.modelclient import Completion, HttpBackend, ModelConfig, TranscriptBackend
 from telerag.userassoc import (
     CURVE_BLOCK,
     PHI2_REFERENCE_CURVE,
@@ -372,3 +372,40 @@ def test_curve_forks_only_above_the_cutoff(monkeypatch, forks):
     above = run_curve(OracleBackend(), [2, 3], trials_per_n=301, seed=4)
     assert len(forks) == 2 and [p.correct for p in above.points] == [301, 301]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("forked_curves")
+def test_http_curve_above_the_cutoff_never_forks(monkeypatch):
+    here = os.getpid()
+    asked = []
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, prompt):
+            self.text = RandomGuessBackend(seed=3).complete(prompt).text
+
+        def json(self):
+            return {"text": self.text}
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        asked.append((os.getpid(), json["prompt"]))
+        return Reply(json["prompt"])
+
+    def no_fork():
+        raise AssertionError("an http curve forked")
+
+    monkeypatch.setattr("requests.post", fake_post)
+    monkeypatch.setattr(os, "fork", no_fork)
+    backend = HttpBackend(ModelConfig(kind="http", endpoint="http://stub/complete",
+                                      model_name="m", max_attempts=1))
+    assert len(BLOCK_COUNTS) * BLOCK_TRIALS > userassoc.CURVE_IN_PROCESS_MAX
+    curves = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+        curves.append(run_curve(backend, BLOCK_COUNTS, trials_per_n=BLOCK_TRIALS, seed=12))
+    prompts = [render_problem_prompt(p)
+               for p in userassoc._problem_set(BLOCK_COUNTS, BLOCK_TRIALS, 12)]
+    assert asked == [(here, prompt) for prompt in prompts * 2]
+    assert curves[0] == curves[1] == run_curve(RandomGuessBackend(seed=3), BLOCK_COUNTS,
+                                               trials_per_n=BLOCK_TRIALS, seed=12)
