@@ -9,8 +9,9 @@ succeeds; reruns with the same inputs and seed produce byte-identical outputs.
 Each subcommand's parser names its cmd_* function, and each flag's argparse
 type checks its value; a bad value (an empty path among them), --overlap not
 below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
-synthetic-fleet flag without --synthetic and two outputs naming one file are
-usage errors. Exit codes: 0 ok, 1 usage, 2 data, 3 provider/model.
+synthetic-fleet flag without --synthetic, two outputs naming one file and an
+output naming one of the run's input files are usage errors. Exit codes: 0 ok,
+1 usage, 2 data, 3 provider/model.
 """
 
 from __future__ import annotations
@@ -95,14 +96,23 @@ def _remove_stale_lock(lock_path: Path) -> bool:
     return False
 
 
-def _check_outputs(primary_out: str | Path, *others: str | None) -> None:
+def _check_outputs(primary_out: str | Path, *others: str | None,
+                   inputs: typing.Iterable[str | Path | None] = ()) -> None:
     """Usage error unless a run's outputs, its manifest, their .tmp files and its
-    .lock are all different files; checked before the run reads its inputs."""
-    files = {os.path.realpath(str(primary_out) + ".lock")}
+    .lock are all different files and none of them is one of the run's inputs;
+    checked before the run reads its inputs."""
+    read = {os.path.realpath(path) for path in inputs if path}
+    lock = str(primary_out) + ".lock"
+    files = {os.path.realpath(lock)}
+    if files & read:
+        raise _UsageError(f"{lock} names an input of this run")
     for path in (primary_out, str(primary_out) + ".manifest.json", *filter(None, others)):
-        for name in map(os.path.realpath, (path, _tmp(Path(path)))):
+        for file in (str(path), str(_tmp(Path(path)))):
+            name = os.path.realpath(file)
+            if name in read:
+                raise _UsageError(f"{file} names an input of this run")
             if name in files:
-                raise _UsageError(f"{path} names a file that another output of this run uses")
+                raise _UsageError(f"{file} names a file that another output of this run uses")
             files.add(name)
 
 
@@ -261,6 +271,7 @@ def cmd_ingest(args) -> int:
                           f"got {args.overlap}")
     input_dir = Path(args.input)
     txt_files = sorted(input_dir.glob("*.txt")) if input_dir.is_dir() else []
+    _check_outputs(args.out, inputs=txt_files)
     if not txt_files:
         raise DataError(f"no .txt documents found in {input_dir}")
     out = Path(args.out)
@@ -281,6 +292,7 @@ def cmd_ingest(args) -> int:
 def cmd_embed(args) -> int:
     from . import corpus, embed, vstore
 
+    _check_outputs(args.out, inputs=(args.corpus, args.provider_config))
     chunk_file = corpus.ChunkFile(args.corpus)
     provider = _provider_config(args.provider_config)
     out = Path(args.out)
@@ -309,7 +321,8 @@ def cmd_eval(args) -> int:
         raise _UsageError("--rag needs --corpus for the chunk texts")
     report_path = Path(args.report)
     audit_path = args.audit or str(report_path) + ".audit.jsonl"
-    _check_outputs(report_path, audit_path, args.csv)
+    _check_outputs(report_path, audit_path, args.csv, inputs=(
+        args.dataset, args.model_config, args.rag, args.corpus, args.provider_config))
     items = evalharness.load_dataset(args.dataset)
     model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
     backend = build_backend(model_cfg)
@@ -345,7 +358,7 @@ def cmd_usecase_energy(args) -> int:
     _given(args, ("n_bs", "noise_sd", "seed"), "synthetic")
     kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
     out = Path(args.out)
-    _check_outputs(out, args.plot_csv)
+    _check_outputs(out, args.plot_csv, inputs=(args.data,))
     seed = None
     if args.data:
         records = energymodel.read_records_csv(args.data)
@@ -380,7 +393,7 @@ def cmd_usecase_energy(args) -> int:
 def cmd_usecase_assoc(args) -> int:
     from . import userassoc
 
-    _check_outputs(args.out, args.problems_out)
+    _check_outputs(args.out, args.problems_out, inputs=(args.model_config,))
     data = _load_json_file(args.model_config)
     mock = data.get("kind") in userassoc.MOCK_KINDS
     model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
@@ -394,8 +407,8 @@ def cmd_usecase_assoc(args) -> int:
         run.output(out).write_text(userassoc.curve_csv(curve), encoding="utf-8")
         if args.problems_out:
             userassoc.export_problems_jsonl(counts, args.trials, seed, run.output(args.problems_out))
-    for p in curve.points:
-        print(_stats_line(f"n={p.n_bs}", p))
+    for n, stats in curve:
+        print(_stats_line(f"n={n}", stats))
     print(f"curve written to {out}")
     return 0
 

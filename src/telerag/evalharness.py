@@ -3,9 +3,9 @@
 Datasets follow the TeleQnA layout (entries with "question", "option 1"…
 "option 5", "answer", "category", "explanation") or a normalized JSONL
 schema. score takes one answer per item, in item order, and reports accuracy
-per category and overall. tally, which gives the association curve's points
+per category and overall. tally, which gives the association curve's stats
 too, counts unparsed and errored answers against accuracy and errored ones
-also on their own.
+also on their own; stats_csv writes both probes' stats.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ ParseStatus = Literal["leading_number", "embedded_number", "text_match", "unpars
 
 def normalize_category(raw: str) -> str:
     """Map category spellings (case, spaces, singular/plural) to canonical names."""
+    if raw in CATEGORIES:
+        return raw
     key = re.sub(r"[^a-z]", "", raw.lower())
     if key not in _CATEGORY_ALIASES:
         raise DataError(f"unknown category: {raw!r}")
@@ -415,10 +417,14 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+def stats_csv(names: Sequence[str], rows: Iterable[tuple[object, CategoryStats]]) -> str:
+    """CSV of (group, stats) rows under the header names: the group, count,
+    correct, errored and the accuracy to 2 decimals."""
+    return csv_text(names, ([group, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"]
+                            for group, s in rows))
+
+
 def report_csv(report: EvalReport) -> str:
     """Per-category CSV (category,count,correct,errored,accuracy) plus an Overall row."""
-    stats = [*report.categories.items(), ("Overall", report.overall)]
-    return csv_text(
-        ["category", "count", "correct", "errored", "accuracy"],
-        ([cat, s.count, s.correct, s.errored, f"{s.accuracy_percent:.2f}"] for cat, s in stats),
-    )
+    return stats_csv(["category", "count", "correct", "errored", "accuracy"],
+                     [*report.categories.items(), ("Overall", report.overall)])

@@ -87,11 +87,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Completion:
-    """One model reply, with transport bookkeeping."""
+    """One model reply, with the latency and attempts an http model measures."""
 
     text: str
-    latency_ms: int
-    attempt_count: int
+    latency_ms: int = 0
+    attempt_count: int = 1
 
 
 class ModelBackend(Protocol):
@@ -202,7 +202,7 @@ class TranscriptBackend:
         digest = prompt_sha256(prompt)
         if digest not in self._replies:
             raise TranscriptMissError(f"no recorded reply for prompt {digest[:12]}… in {self.path}")
-        return Completion(text=self._replies[digest], latency_ms=0, attempt_count=1)
+        return Completion(text=self._replies[digest])
 
 
 def write_transcript(entries: list[tuple[str, str]], path: str | Path) -> None:
@@ -221,7 +221,7 @@ class ConstantBackend:
     def complete(self, prompt: str) -> Completion:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        return Completion(text=self.reply, latency_ms=0, attempt_count=1)
+        return Completion(text=self.reply)
 
 
 def build_backend(cfg: ModelConfig) -> ModelBackend:
@@ -248,7 +248,9 @@ def run_items(
     fill that slot, so at most `concurrency` calls run at once. Any other
     exception stops the threads from taking more items; once the calls in
     flight finish, the exception of the lowest failed index is raised here,
-    the one a serial run would raise (the rule of forkpool.fork_map).
+    the one a serial run would raise (the rule of forkpool.fork_map). An
+    exception in this thread while it waits, such as KeyboardInterrupt on
+    Ctrl-C, also stops the threads; it is raised once the calls in flight end.
     """
 
     def one(item: T) -> R:
@@ -279,8 +281,15 @@ def run_items(
     threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        with lock:
+            pending = iter(())
+        for thread in threads:
+            thread.join()
+        raise
     if failures:
         raise failures[min(failures)]
     return results

@@ -11,8 +11,9 @@ A curve's problems are numbered in one order. A curve of more than
 CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on forkpool.fork_map
 unless its backend is an http model: each worker generates, asks and grades its
 own block, so a backend must answer each prompt from that prompt alone. Outcomes
-are tallied by position in that order (evalharness.tally), one point per entry
-of the station counts, so a count given twice gives two points.
+are tallied by position in that order (evalharness.tally): a curve is one
+(station count, CategoryStats) pair per entry of the station counts, so a count
+given twice gives two pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 
 from . import MAX_STATIONS, forkpool
 from .errors import DataError
-from .evalharness import csv_text, first_in_range, tally
+from .evalharness import CategoryStats, first_in_range, stats_csv, tally
 from .modelclient import Completion, HttpBackend, ModelBackend, run_items, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
@@ -86,21 +87,6 @@ def _rank_top_two(problem_id: str, signals: Sequence[int]) -> tuple[int, int]:
         raise DataError(f"{problem_id}: signals must be pairwise distinct")
     ranked = sorted(range(len(signals)), key=signals.__getitem__)
     return ranked[-1] + 1, ranked[-2] + 1
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    n_bs: int
-    trials: int
-    correct: int
-    errored: int
-    accuracy_percent: float
-    count = property(lambda self: self.trials)  # the name CategoryStats gives trials
-
-
-@dataclass(frozen=True)
-class AccuracyCurve:
-    points: tuple[CurvePoint, ...]
 
 
 def derive_seed(*parts) -> int:
@@ -198,11 +184,7 @@ class OracleBackend:
 
     def complete(self, prompt: str) -> Completion:
         problem = parse_problem_prompt(prompt)
-        return Completion(
-            text=f"The device should connect to base station {oracle(problem)}.",
-            latency_ms=0,
-            attempt_count=1,
-        )
+        return Completion(text=f"The device should connect to base station {oracle(problem)}.")
 
 
 class StrongestBackend:
@@ -210,11 +192,7 @@ class StrongestBackend:
 
     def complete(self, prompt: str) -> Completion:
         problem = parse_problem_prompt(prompt)
-        return Completion(
-            text=f"Connect to base station {problem.forbidden_index}.",
-            latency_ms=0,
-            attempt_count=1,
-        )
+        return Completion(text=f"Connect to base station {problem.forbidden_index}.")
 
 
 class RandomGuessBackend:
@@ -226,11 +204,7 @@ class RandomGuessBackend:
     def complete(self, prompt: str) -> Completion:
         problem = parse_problem_prompt(prompt)
         rng = random.Random(derive_seed("guess", self.seed, prompt))
-        return Completion(
-            text=f"base station {rng.randint(1, problem.n)}",
-            latency_ms=0,
-            attempt_count=1,
-        )
+        return Completion(text=f"base station {rng.randint(1, problem.n)}")
 
 
 @dataclass(frozen=True)
@@ -259,11 +233,12 @@ def run_curve(
     n_values: Sequence[int],
     trials_per_n: int = 100,
     seed: int = 0,
-) -> AccuracyCurve:
-    """Accuracy over seeded problem batches for each station count.
+) -> list[tuple[int, CategoryStats]]:
+    """(station count, CategoryStats) per entry of n_values, in n_values order,
+    over trials_per_n seeded problems each.
 
-    Problem p counts in point p // trials_per_n (evalharness.tally), so a
-    station count given twice gives two points. An http model, and any curve
+    Problem p counts in pair p // trials_per_n (evalharness.tally), so a
+    station count given twice gives two pairs. An http model, and any curve
     of at most CURVE_IN_PROCESS_MAX problems, runs in this process, one problem
     after another. A larger curve of another backend runs in blocks of CURVE_BLOCK
     on forkpool.fork_map, on every usable CPU: each task generates, asks and
@@ -288,19 +263,12 @@ def run_curve(
                          errored=lambda _: (False, True))
 
     outcomes = enumerate(o for done in forkpool.fork_map(block, -(-total // size)) for o in done)
-    points = tally((p // trials_per_n, ok, err) for p, (ok, err) in outcomes).items()
-    return AccuracyCurve(tuple(CurvePoint(n_values[k], s.count, s.correct, s.errored,
-                                          s.accuracy_percent) for k, s in points))
+    by_pair = tally((p // trials_per_n, ok, err) for p, (ok, err) in outcomes)
+    return [(n_values[k], stats) for k, stats in by_pair.items()]
 
 
-def curve_csv(curve: AccuracyCurve) -> str:
-    return csv_text(
-        ["n_bs", "trials", "correct", "errored", "accuracy"],
-        (
-            [p.n_bs, p.trials, p.correct, p.errored, f"{p.accuracy_percent:.2f}"]
-            for p in curve.points
-        ),
-    )
+def curve_csv(curve: Sequence[tuple[int, CategoryStats]]) -> str:
+    return stats_csv(["n_bs", "trials", "correct", "errored", "accuracy"], curve)
 
 
 def export_problems_jsonl(

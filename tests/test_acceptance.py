@@ -131,9 +131,7 @@ class PlantedFactBackend:
                 else:
                     rng = random.Random(userassoc.derive_seed("planted", self._seed, item.item_id))
                     picked = rng.randint(1, len(item.options))
-                return Completion(
-                    text=f"{picked}. {item.options[picked - 1]}", latency_ms=0, attempt_count=1
-                )
+                return Completion(text=f"{picked}. {item.options[picked - 1]}")
         raise AssertionError("prompt does not match any known item")
 
 
@@ -250,14 +248,14 @@ def test_curve_replay():
         trials_per_n=userassoc.REFERENCE_TRANSCRIPT_TRIALS,
         seed=userassoc.REFERENCE_TRANSCRIPT_SEED,
     )
-    assert [(p.n_bs, p.correct) for p in curve.points] == [
+    assert [(n, s.correct) for n, s in curve] == [
         (2, 93), (4, 61), (6, 44), (8, 29), (10, 19),
     ]
-    assert all(p.trials == 100 and p.errored == 0 for p in curve.points)
+    assert all(s.count == 100 and s.errored == 0 for _, s in curve)
 
-    guesses = run_curve(RandomGuessBackend(seed=77), [4], trials_per_n=1000, seed=606)
+    [(_, guesses)] = run_curve(RandomGuessBackend(seed=77), [4], trials_per_n=1000, seed=606)
     sigma = (0.25 * 0.75 / 1000) ** 0.5 * 100
-    assert abs(guesses.points[0].accuracy_percent - 25.0) <= 3 * sigma
+    assert abs(guesses.accuracy_percent - 25.0) <= 3 * sigma
 
 
 @criterion("prompt fidelity")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -16,7 +18,9 @@ import pytest
 from telerag import forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
+from telerag.energymodel import ENERGY_CSV_COLUMNS, generate_synthetic
 from telerag.errors import DataError, ProviderError
+from telerag.evalharness import csv_text
 from telerag.modelclient import write_transcript
 from telerag.vstore import VectorStore
 
@@ -1039,6 +1043,62 @@ def test_output_path_given_twice_is_usage_error(tmp_path, capsys, command, flags
     assert (tmp_path / clash).read_text(encoding="utf-8") == "earlier\n"
 
 
+def write_every_input(tmp_path) -> None:
+    """One valid input of each kind that a command reads, all in tmp_path."""
+    docs = make_docs_dir(tmp_path)
+    run_ingest(tmp_path, docs)
+    write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    assert main(["embed", "--corpus", str(tmp_path / "corpus.jsonl"), "--provider-config",
+                 str(tmp_path / "provider.json"), "--out", str(tmp_path / "store.vdb")]) == 0
+    make_dataset_jsonl(tmp_path, n_items=5)
+    write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
+    rows = ([r.bs_id, r.load, r.max_tx_power, r.shutdown_duration, r.energy]
+            for r in generate_synthetic(20, seed=1))
+    (tmp_path / "energy.csv").write_text(csv_text(ENERGY_CSV_COLUMNS, rows), encoding="utf-8")
+
+
+RAG_INPUTS = "--rag {t}/store.vdb --corpus {t}/corpus.jsonl --provider-config {t}/provider.json"
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("eval --dataset {t}/dataset.jsonl --model-config {t}/model.json --report {t}/dataset.jsonl",
+     "dataset.jsonl"),
+    ("eval --dataset {t}/dataset.jsonl --model-config {t}/model.json --report {t}/r.json "
+     "--csv {t}/model.json", "model.json"),
+    ("eval --dataset {t}/dataset.jsonl --model-config {t}/model.json --report {t}/r.json "
+     f"{RAG_INPUTS} --audit {{t}}/store.vdb", "store.vdb"),
+    ("eval --dataset {t}/dataset.jsonl --model-config {t}/model.json --report {t}/corpus.jsonl "
+     f"{RAG_INPUTS}", "corpus.jsonl"),
+    ("eval --dataset {t}/dataset.jsonl --model-config {t}/model.json --report {t}/provider.json "
+     f"{RAG_INPUTS}", "provider.json"),
+    ("ingest --input {t}/docs --out {t}/docs/doc0.txt", "docs/doc0.txt"),
+    ("embed --corpus {t}/corpus.jsonl --provider-config {t}/provider.json --out {t}/corpus.jsonl "
+     "--force", "corpus.jsonl"),
+    ("embed --corpus {t}/corpus.jsonl --provider-config {t}/provider.json "
+     "--out {t}/provider.json --force", "provider.json"),
+    ("usecase-energy --data {t}/energy.csv --out {t}/energy.csv", "energy.csv"),
+    ("usecase-assoc --model-config {t}/assoc.json --seed 1 --out {t}/assoc.json", "assoc.json"),
+    ("usecase-assoc --model-config {t}/assoc.json --seed 1 --out {t}/c.csv "
+     "--problems-out {t}/assoc.json", "assoc.json"),
+    ("usecase-assoc --model-config {t}/c.manifest.json --seed 1 --out {t}/c", "c.manifest.json"),
+    ("usecase-assoc --model-config {t}/c.lock --seed 1 --out {t}/c", "c.lock"),
+    ("usecase-assoc --model-config {t}/c.tmp --seed 1 --out {t}/c", "c.tmp"),
+], ids=["eval-report-dataset", "eval-csv-model", "eval-audit-store", "eval-report-corpus",
+        "eval-report-provider", "ingest-document", "embed-corpus", "embed-provider",
+        "energy-data", "assoc-model", "assoc-problems-model", "assoc-manifest-model",
+        "assoc-lock-model", "assoc-tmp-model"])
+def test_output_naming_an_input_is_usage_error(tmp_path, capsys, argv, named):
+    write_every_input(tmp_path)
+    if not (tmp_path / named).exists():  # a model config named like the manifest, lock or .tmp
+        write_json(tmp_path / named, {"kind": "mock_oracle"})
+    before = (tmp_path / named).read_bytes()
+    capsys.readouterr()
+    assert main(argv.format(t=tmp_path).split()) == 1
+    assert capsys.readouterr().err == f"usage error: {tmp_path / named} names an input of this run\n"
+    assert (tmp_path / named).read_bytes() == before
+
+
 def test_model_api_key_forwarded(tmp_path, monkeypatch):
     captured = {}
 
@@ -1393,3 +1453,56 @@ def test_embed_bad_http_embeddings_exit_3(tmp_path, capsys, monkeypatch, n_texts
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not store_path.exists() and not _leftovers(tmp_path)
+
+
+LOOPBACK_MODEL = Path(__file__).resolve().parent / "loopback_model.py"
+
+
+def test_ctrl_c_stops_an_http_eval(tmp_path):
+    # A loopback model that answers after 50 ms: 400 items at concurrency 4 take 5 s.
+    port_file = tmp_path / "port"
+    stub = subprocess.Popen([sys.executable, str(LOOPBACK_MODEL), str(port_file),
+                             "--delay", "0.05"])
+    proc = None
+    try:
+        deadline = time.monotonic() + 30
+        while not port_file.exists():
+            assert time.monotonic() < deadline and stub.poll() is None
+            time.sleep(0.02)
+        port = int(port_file.read_text())
+
+        def received() -> int:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            conn.request("GET", "/")
+            count = json.loads(conn.getresponse().read())
+            conn.close()
+            return count
+
+        dataset, _ = make_dataset_jsonl(tmp_path, n_items=400)
+        model_cfg = write_json(tmp_path / "model.json", {
+            "kind": "http", "endpoint": f"http://127.0.0.1:{port}/complete",
+            "model_name": "stub", "max_attempts": 1})
+        report = tmp_path / "report.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "telerag.cli", "eval", "--dataset", str(dataset),
+             "--model-config", model_cfg, "--report", str(report), "--concurrency", "4"],
+            env=env, stderr=subprocess.DEVNULL)
+        while (at_signal := received()) < 20:
+            assert proc.poll() is None
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+        at_exit = received()
+        time.sleep(0.3)
+        assert received() == at_exit
+        assert at_exit <= at_signal + 12  # the 4 calls in flight, and a few that raced the signal
+        assert proc.returncode != 0
+        assert leftovers(tmp_path) == [] and not report.exists()
+    finally:
+        for child in (proc, stub):
+            if child is not None and child.poll() is None:
+                child.kill()
+                child.wait()

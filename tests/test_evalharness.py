@@ -403,6 +403,14 @@ def test_report_csv_shape():
     assert lines[0] == "category,count,correct,errored,accuracy"
     assert lines[1] == "Lexicon,4,3,0,75.00"
     assert lines[2] == "Overall,4,3,0,75.00"
+    items.append(make_item(4, category="Research overview"))
+    answers.append(answer_for(items[4], items[4].correct_index, errored=True))
+    assert report_csv(score(items, answers)) == (
+        "category,count,correct,errored,accuracy\n"
+        "Lexicon,4,3,0,75.00\n"
+        "Research overview,1,0,1,0.00\n"
+        "Overall,5,3,1,60.00\n"
+    )
 
 
 def test_load_10k_dataset_with_reference_category_counts(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import signal
 import sys
 import threading
 import time
@@ -285,7 +286,7 @@ class SleepingBackend:
         time.sleep(self.sleep_s)
         with self.lock:
             self.in_flight -= 1
-        return Completion(text=prompt, latency_ms=0, attempt_count=1)
+        return Completion(text=prompt)
 
 
 @pytest.mark.parametrize("concurrency, n_items, expected", [(1, 4, 1), (3, 12, 3), (8, 3, 3)])
@@ -295,6 +296,28 @@ def test_run_items_keeps_concurrency_calls_in_flight(concurrency, n_items, expec
     out = run_items(lambda p: backend.complete(p).text, prompts, concurrency, _errored)
     assert out == prompts
     assert backend.max_in_flight == expected
+
+
+def test_run_items_ctrl_c_stops_handing_out_items():
+    # A SIGINT sent to the main thread, as Ctrl-C is, while it waits for the
+    # workers. (_thread.interrupt_main only sets a flag, which a thread blocked in
+    # Thread.join does not see until the thread it waits for ends.)
+    calls = []
+    main = threading.main_thread().ident
+
+    def call(item):
+        calls.append(item)
+        if len(calls) == 5:
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.02)
+        return item
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_items(call, list(range(100)), 3, _errored)
+    assert threading.active_count() == before
+    time.sleep(0.1)
+    assert len(calls) <= 8
 
 
 def test_run_items_stress_takes_each_index_once():

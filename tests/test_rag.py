@@ -61,7 +61,7 @@ class EchoBackend:
 
     def complete(self, prompt: str) -> Completion:
         self.prompts.append(prompt)
-        return Completion(text=self.reply, latency_ms=0, attempt_count=1)
+        return Completion(text=self.reply)
 
 
 class FailingBackend:
@@ -232,7 +232,7 @@ class HashReplyBackend:
             self.in_flight -= 1
         if digest % 5 == 0:
             raise ModelError("flaky")
-        return Completion(text=f"{1 + digest % 2}.", latency_ms=0, attempt_count=1)
+        return Completion(text=f"{1 + digest % 2}.")
 
 
 def test_run_evaluation_threads_match_serial_with_errors():

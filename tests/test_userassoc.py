@@ -173,21 +173,21 @@ def test_parse_problem_prompt_round_trip():
 
 def test_oracle_backend_is_perfect():
     curve = run_curve(OracleBackend(), [2, 4, 6, 8, 10], trials_per_n=25, seed=3)
-    assert all(p.accuracy_percent == 100.0 for p in curve.points)
-    assert all(p.errored == 0 for p in curve.points)
+    assert [n for n, _ in curve] == [2, 4, 6, 8, 10]
+    assert all(s.accuracy_percent == 100.0 for _, s in curve)
+    assert all(s.errored == 0 for _, s in curve)
 
 
 def test_strongest_backend_is_always_wrong():
     curve = run_curve(StrongestBackend(), [2, 4, 6], trials_per_n=25, seed=3)
-    assert all(p.accuracy_percent == 0.0 for p in curve.points)
+    assert all(s.accuracy_percent == 0.0 for _, s in curve)
 
 
 def test_random_guess_backend_near_uniform():
-    curve = run_curve(RandomGuessBackend(seed=1), [4], trials_per_n=1000, seed=4)
-    point = curve.points[0]
+    [(_, stats)] = run_curve(RandomGuessBackend(seed=1), [4], trials_per_n=1000, seed=4)
     # 3 sigma binomial band around 25%.
     sigma = (0.25 * 0.75 / 1000) ** 0.5 * 100
-    assert abs(point.accuracy_percent - 25.0) <= 3 * sigma
+    assert abs(stats.accuracy_percent - 25.0) <= 3 * sigma
 
 
 def test_run_curve_counts_model_errors():
@@ -200,14 +200,12 @@ def test_run_curve_counts_model_errors():
             if self.calls % 2 == 0:
                 raise ModelError("boom")
             problem = parse_problem_prompt(prompt)
-            return Completion(text=f"base station {oracle(problem)}", latency_ms=0,
-                              attempt_count=1)
+            return Completion(text=f"base station {oracle(problem)}")
 
-    curve = run_curve(FlakyBackend(), [4], trials_per_n=10, seed=5)
-    point = curve.points[0]
-    assert point.errored == 5
-    assert point.correct == 5
-    assert point.accuracy_percent == 50.0
+    [(_, stats)] = run_curve(FlakyBackend(), [4], trials_per_n=10, seed=5)
+    assert stats.errored == 5
+    assert stats.correct == 5
+    assert stats.accuracy_percent == 50.0
 
 
 def test_curve_csv_shape():
@@ -216,6 +214,17 @@ def test_curve_csv_shape():
     assert lines[0] == "n_bs,trials,correct,errored,accuracy"
     assert lines[1] == "2,5,5,0,100.00"
     assert lines[2] == "4,5,5,0,100.00"
+    repeated = run_curve(RandomGuessBackend(seed=1), [2, 2], trials_per_n=50, seed=1)
+    assert repeated[0] == repeated[1]
+    assert curve_csv(repeated) == ("n_bs,trials,correct,errored,accuracy\n"
+                                   "2,50,22,0,44.00\n2,50,22,0,44.00\n")
+    replay = run_curve(TranscriptBackend(userassoc.reference_transcript_path()),
+                       [2, 4, 6, 8, 10], trials_per_n=100, seed=REFERENCE_TRANSCRIPT_SEED)
+    assert curve_csv(replay) == (
+        "n_bs,trials,correct,errored,accuracy\n"
+        "2,100,93,0,93.00\n4,100,61,0,61.00\n6,100,44,0,44.00\n"
+        "8,100,29,0,29.00\n10,100,19,0,19.00\n"
+    )
 
 
 def test_transcript_replay_reproduces_targets(tmp_path):
@@ -223,7 +232,7 @@ def test_transcript_replay_reproduces_targets(tmp_path):
     targets = {3: 7, 5: 2}
     write_curve_transcript(path, targets, trials_per_n=10, seed=77)
     curve = run_curve(TranscriptBackend(path), [3, 5], trials_per_n=10, seed=77)
-    assert [(p.n_bs, p.correct) for p in curve.points] == [(3, 7), (5, 2)]
+    assert [(n, s.correct) for n, s in curve] == [(3, 7), (5, 2)]
 
 
 def test_reference_curve_targets():
@@ -303,7 +312,7 @@ class NoFiveStations:
         problem = parse_problem_prompt(prompt)
         if problem.n == 5:
             raise ModelError("no reply")
-        return Completion(text=f"base station {oracle(problem)}", latency_ms=0, attempt_count=1)
+        return Completion(text=f"base station {oracle(problem)}")
 
 
 @pytest.mark.usefixtures("forked_curves")
@@ -326,11 +335,11 @@ def test_forked_curve_equals_serial(tmp_path, monkeypatch, forks, make):
         assert len(forks) == (0 if cpus == 1 else 2)
         assert multiprocessing.active_children() == []
     assert curves[0] == curves[1]
-    points = curves[0].points
+    stats = [s for _, s in curves[0]]
     if make == "transcript":
-        assert [p.correct for p in points] == [300, 120, 77, 31]
+        assert [s.correct for s in stats] == [300, 120, 77, 31]
     if make == "errors":
-        assert [(p.correct, p.errored) for p in points] == [(300, 0), (300, 0), (0, 300), (300, 0)]
+        assert [(s.correct, s.errored) for s in stats] == [(300, 0), (300, 0), (0, 300), (300, 0)]
 
 
 @pytest.mark.usefixtures("forked_curves")
@@ -368,9 +377,9 @@ def test_curve_forks_only_above_the_cutoff(monkeypatch, forks):
     monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", 600)
     monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
     at_cutoff = run_curve(OracleBackend(), [2, 3], trials_per_n=300, seed=4)
-    assert forks == [] and [p.correct for p in at_cutoff.points] == [300, 300]
+    assert forks == [] and [s.correct for _, s in at_cutoff] == [300, 300]
     above = run_curve(OracleBackend(), [2, 3], trials_per_n=301, seed=4)
-    assert len(forks) == 2 and [p.correct for p in above.points] == [301, 301]
+    assert len(forks) == 2 and [s.correct for _, s in above] == [301, 301]
     assert multiprocessing.active_children() == []
 
 
