@@ -11,7 +11,7 @@ type checks its value; a bad value (an empty path among them), --overlap not
 below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
 synthetic-fleet flag without --synthetic, two outputs naming one file and an
 output naming one of the run's input files are usage errors. Exit codes: 0 ok,
-1 usage, 2 data, 3 provider/model.
+1 usage, 2 data, 3 provider/model, 130 interrupted (Ctrl-C, or SIGTERM).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import fcntl
 import json
 import math
 import os
+import signal
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -484,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except KeyboardInterrupt:  # Ctrl-C, or SIGTERM under entry()
+        print("interrupted", file=sys.stderr)
+        return 130
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -496,6 +500,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # SIGTERM stops a run the way Ctrl-C does, so _run's clean-up removes its .tmp files and lock.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     sys.exit(main())
 
 

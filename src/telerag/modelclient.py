@@ -4,8 +4,8 @@
 shaped) uses it with retry-and-backoff, http embedding with one attempt. The
 transcript backend replays recorded replies keyed by the SHA-256 of the exact
 prompt, which is how evaluation runs stay reproducible without any live
-model. `run_items` is the one concurrent completion loop that evaluation and
-the association curve share.
+model. `ask` is the one concurrent completion loop: evaluation and the
+association curve render their prompts, ask them, then grade the completions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Protocol, Sequence, TypeVar
+from typing import Any, Protocol, Sequence
 
 from .errors import ModelError, ModelProtocolError, ModelUnavailableError, TranscriptMissError
 
@@ -27,9 +27,6 @@ API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_constant")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,12 @@ class TranscriptBackend:
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
         self._replies: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "rb") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))
                     digest, reply = rec["prompt_sha256"], rec["reply"]
                     if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
                         raise TypeError("'prompt_sha256' must be 64 lowercase hex digits, "
@@ -235,34 +232,31 @@ def build_backend(cfg: ModelConfig) -> ModelBackend:
     return ConstantBackend(cfg.reply)
 
 
-def run_items(
-    call: Callable[[T], R],
-    items: Sequence[T],
-    concurrency: int,
-    errored: Callable[[T], R],
-) -> list[R]:
-    """call(item) for every item, in item order; a ModelError gives errored(item).
+def ask(backend: ModelBackend, prompts: Sequence[str],
+        concurrency: int) -> list[Completion | None]:
+    """backend.complete(prompt) for every prompt, in prompt order; None where it
+    raised ModelError.
 
     concurrency <= 1 is a plain serial loop. Otherwise min(concurrency,
-    len(items)) threads each take the next index from a shared iterator and
+    len(prompts)) threads each take the next index from a shared iterator and
     fill that slot, so at most `concurrency` calls run at once. Any other
-    exception stops the threads from taking more items; once the calls in
+    exception stops the threads from taking more prompts; once the calls in
     flight finish, the exception of the lowest failed index is raised here,
     the one a serial run would raise (the rule of forkpool.fork_map). An
     exception in this thread while it waits, such as KeyboardInterrupt on
     Ctrl-C, also stops the threads; it is raised once the calls in flight end.
     """
 
-    def one(item: T) -> R:
+    def one(prompt: str) -> Completion | None:
         try:
-            return call(item)
+            return backend.complete(prompt)
         except ModelError:
-            return errored(item)
+            return None
 
-    if concurrency <= 1 or len(items) <= 1:
-        return [one(item) for item in items]
-    results: list = [None] * len(items)
-    pending = iter(range(len(items)))
+    if concurrency <= 1 or len(prompts) <= 1:
+        return [one(prompt) for prompt in prompts]
+    results: list[Completion | None] = [None] * len(prompts)
+    pending = iter(range(len(prompts)))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
 
@@ -273,12 +267,12 @@ def run_items(
     def work() -> None:
         while (i := take()) is not None:
             try:
-                results[i] = one(items[i])
+                results[i] = one(prompts[i])
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
+    threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(prompts)))]
     for thread in threads:
         thread.start()
     try:

@@ -3,7 +3,8 @@
 retrieve_contexts is the one place that binds a RAG run to its store, corpus
 and provider: it checks them and returns each query's top-k chunks within a
 token budget. run_evaluation prepends each item's chunks to the standard MCQ
-prompt and runs the model; without contexts the prompts are the plain ones.
+prompt (without contexts the prompts are the plain ones), sends every prompt
+through modelclient.ask, and grades each completion with answer_with_rag.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .corpus import Chunk, CorpusLines, _encode_line, count_tokens, file_sha256
 from .embed import EmbeddingProviderConfig, embed_text, provider_from_fingerprint
 from .errors import DataError, FingerprintMismatchError
 from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
-from .modelclient import ModelBackend, run_items
+from .modelclient import Completion, ModelBackend, ask
 
 if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
     from .vstore import SearchHit, VectorStore
@@ -146,22 +147,23 @@ def augment(item: McqItem, context: Sequence[Chunk]) -> str:
 
 
 def answer_with_rag(
-    backend: ModelBackend,
+    completion: Completion | None,
+    *,
     item: McqItem,
     retrieved: Sequence[tuple[Chunk, SearchHit]],
-    *,
+    prompt: str,
     strict_parse: bool = False,
 ) -> ItemResult:
-    """Run one item through augment → generate → parse.
+    """Grade one item: parse its completion and attach the retrieval audit fields.
 
-    retrieved holds the item's chunks and hits, best-ranked first; an empty
-    list gives the plain MCQ prompt.
+    retrieved holds the item's chunks and hits, best-ranked first, and prompt
+    is what augment made of them. A None completion (the model failed) marks
+    the item errored, with no context.
     """
-    prompt = augment(item, [c for c, _ in retrieved])
-    completion = backend.complete(prompt)
-    answer = parse_answer_for_item(completion.text, item, strict=strict_parse)
+    if completion is None:
+        return ItemResult(ModelAnswer(item.item_id, "", None, "unparsed", errored=True), (), (), 0)
     return ItemResult(
-        answer=answer,
+        answer=parse_answer_for_item(completion.text, item, strict=strict_parse),
         context_chunk_ids=tuple(c.chunk_id for c, _ in retrieved),
         context_scores=tuple(hit.score for _, hit in retrieved),
         prompt_token_estimate=count_tokens(prompt),
@@ -180,31 +182,18 @@ def run_evaluation(
 
     contexts holds one list per item of its chunks and hits, best-ranked
     first, as retrieve_contexts returns them; without it every item gets the
-    plain prompt. Results come back in dataset order regardless of
-    completion order.
+    plain prompt. All prompts are rendered, then asked at once, then graded,
+    so results come back in dataset order regardless of completion order.
     """
     if contexts is None:
         contexts = [()] * len(items)
-
-    def one(pair: tuple[McqItem, Sequence[tuple[Chunk, SearchHit]]]) -> ItemResult:
-        # item goes by keyword: the benchmark's tracer reads it from kwargs.
-        return answer_with_rag(backend, item=pair[0], retrieved=pair[1], strict_parse=strict_parse)
-
-    def errored(pair: tuple[McqItem, Sequence[tuple[Chunk, SearchHit]]]) -> ItemResult:
-        return ItemResult(
-            answer=ModelAnswer(
-                item_id=pair[0].item_id,
-                raw_text="",
-                parsed_index=None,
-                parse_status="unparsed",
-                errored=True,
-            ),
-            context_chunk_ids=(),
-            context_scores=(),
-            prompt_token_estimate=0,
-        )
-
-    return run_items(one, list(zip(items, contexts, strict=True)), concurrency, errored)
+    prompts = [augment(item, [c for c, _ in retrieved])
+               for item, retrieved in zip(items, contexts, strict=True)]
+    completions = ask(backend, prompts, concurrency)
+    # item goes by keyword: the benchmark's tracer reads it from kwargs.
+    return [answer_with_rag(completion, item=item, retrieved=retrieved, prompt=prompt,
+                            strict_parse=strict_parse)
+            for completion, item, retrieved, prompt in zip(completions, items, contexts, prompts)]
 
 
 def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:

@@ -9,11 +9,11 @@ recorded model answers for exact curve reproduction.
 
 A curve's problems are numbered in one order. A curve of more than
 CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on forkpool.fork_map
-unless its backend is an http model: each worker generates, asks and grades its
-own block, so a backend must answer each prompt from that prompt alone. Outcomes
-are tallied by position in that order (evalharness.tally): a curve is one
-(station count, CategoryStats) pair per entry of the station counts, so a count
-given twice gives two pairs.
+unless its backend is an http model: each worker generates, asks (modelclient.ask)
+and grades its own block, so a backend must answer each prompt from that prompt
+alone. Outcomes are tallied by position in that order (evalharness.tally): a
+curve is one (station count, CategoryStats) pair per entry of the station
+counts, so a count given twice gives two pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from . import MAX_STATIONS, forkpool
 from .errors import DataError
 from .evalharness import CategoryStats, first_in_range, stats_csv, tally
-from .modelclient import Completion, HttpBackend, ModelBackend, run_items, write_transcript
+from .modelclient import Completion, HttpBackend, ModelBackend, ask, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
@@ -241,17 +241,14 @@ def run_curve(
     station count given twice gives two pairs. An http model, and any curve
     of at most CURVE_IN_PROCESS_MAX problems, runs in this process, one problem
     after another. A larger curve of another backend runs in blocks of CURVE_BLOCK
-    on forkpool.fork_map, on every usable CPU: each task generates, asks and
-    grades its block and sends back one (correct, errored) pair per problem, so
-    backend state kept across calls stays in one worker. The curve is the same
-    on any CPU count for a backend that answers each prompt the same way.
+    on forkpool.fork_map, on every usable CPU: each task generates, asks
+    (modelclient.ask) and grades its block and sends back one (correct, errored)
+    pair per problem, so backend state kept across calls stays in one worker.
+    The curve is the same on any CPU count for a backend that answers each
+    prompt the same way.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
-
-    def one(problem: AssocProblem) -> tuple[bool, bool]:
-        completion = backend.complete(render_problem_prompt(problem))
-        return check_answer(problem, completion.text).correct, False
 
     total = len(n_values) * trials_per_n
     forked = total > CURVE_IN_PROCESS_MAX and not isinstance(backend, HttpBackend)
@@ -259,8 +256,10 @@ def run_curve(
 
     def block(b: int) -> list[tuple[bool, bool]]:
         flat = range(b * size, min(total, (b + 1) * size))
-        return run_items(one, _problem_set(n_values, trials_per_n, seed, flat), 1,
-                         errored=lambda _: (False, True))
+        problems = _problem_set(n_values, trials_per_n, seed, flat)
+        completions = ask(backend, [render_problem_prompt(p) for p in problems], 1)
+        return [(False, True) if c is None else (check_answer(p, c.text).correct, False)
+                for p, c in zip(problems, completions)]
 
     outcomes = enumerate(o for done in forkpool.fork_map(block, -(-total // size)) for o in done)
     by_pair = tally((p // trials_per_n, ok, err) for p, (ok, err) in outcomes)

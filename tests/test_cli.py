@@ -32,6 +32,14 @@ def write_json(path, payload) -> str:
     return str(path)
 
 
+def child_env() -> dict:
+    """This environment with the repository's src first on PYTHONPATH, for a
+    child process that runs telerag."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def make_docs_dir(tmp_path, sizes=(600, 400)):
     docs = tmp_path / "docs"
     docs.mkdir()
@@ -476,6 +484,26 @@ def test_usecase_assoc_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
         outputs.append((out.read_bytes(), problems.read_bytes()))
     assert outputs[0] == outputs[1]
     assert leftovers(tmp_path) == []
+
+
+def test_usecase_assoc_curve_same_under_one_cpu_affinity(tmp_path):
+    # 13 counts x 1,000 trials fork; the child limited to one CPU runs the blocks itself.
+    usable = os.sched_getaffinity(0)
+    if len(usable) < 2:
+        pytest.skip("needs 2 usable CPUs to compare a run on one CPU with one on several")
+    model_cfg = write_json(tmp_path / "random.json", {"kind": "mock_random", "seed": 1})
+    curves = []
+    for name, limit in (("one_cpu", lambda: os.sched_setaffinity(0, {min(usable)})),
+                        ("all_cpus", None)):
+        out = tmp_path / f"curve_{name}.csv"
+        subprocess.run([sys.executable, "-m", "telerag.cli", "usecase-assoc",
+                        "--bs-counts", ",".join(map(str, range(2, 27, 2))), "--trials", "1000",
+                        "--seed", "1", "--model-config", model_cfg, "--out", str(out)],
+                       env=child_env(), preexec_fn=limit, capture_output=True, check=True,
+                       timeout=120)
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1]
+    assert len(curves[0].splitlines()) == 14
 
 
 def test_usecase_assoc_station_count_given_twice_gives_two_rows(tmp_path, monkeypatch):
@@ -1290,12 +1318,9 @@ def test_commands_without_vectors_do_not_import_numpy(tmp_path):
         "                or m in ('numpy', 'multiprocessing', 'concurrent.futures'))\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     for argv, loads, avoids in cases:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
         modules = {m.removeprefix("telerag.") for m in loaded if m.split(".")[0] == "telerag"}
@@ -1458,7 +1483,9 @@ def test_embed_bad_http_embeddings_exit_3(tmp_path, capsys, monkeypatch, n_texts
 LOOPBACK_MODEL = Path(__file__).resolve().parent / "loopback_model.py"
 
 
-def test_ctrl_c_stops_an_http_eval(tmp_path):
+def _stop_an_http_eval(tmp_path, signum) -> None:
+    """Send signum to an http eval once the model has had 20 requests: the run
+    stops asking, prints one line, exits 130 and leaves no report, .tmp or lock."""
     # A loopback model that answers after 50 ms: 400 items at concurrency 4 take 5 s.
     port_file = tmp_path / "port"
     stub = subprocess.Popen([sys.executable, str(LOOPBACK_MODEL), str(port_file),
@@ -1483,26 +1510,31 @@ def test_ctrl_c_stops_an_http_eval(tmp_path):
             "kind": "http", "endpoint": f"http://127.0.0.1:{port}/complete",
             "model_name": "stub", "max_attempts": 1})
         report = tmp_path / "report.json"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.Popen(
             [sys.executable, "-m", "telerag.cli", "eval", "--dataset", str(dataset),
              "--model-config", model_cfg, "--report", str(report), "--concurrency", "4"],
-            env=env, stderr=subprocess.DEVNULL)
+            env=child_env(), stderr=subprocess.PIPE, text=True)
         while (at_signal := received()) < 20:
             assert proc.poll() is None
             time.sleep(0.01)
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=60)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
         at_exit = received()
         time.sleep(0.3)
         assert received() == at_exit
         assert at_exit <= at_signal + 12  # the 4 calls in flight, and a few that raced the signal
-        assert proc.returncode != 0
+        assert (proc.returncode, err) == (130, "interrupted\n")
         assert leftovers(tmp_path) == [] and not report.exists()
     finally:
         for child in (proc, stub):
             if child is not None and child.poll() is None:
                 child.kill()
                 child.wait()
+
+
+def test_ctrl_c_stops_an_http_eval(tmp_path):
+    _stop_an_http_eval(tmp_path, signal.SIGINT)
+
+
+def test_sigterm_stops_an_http_eval(tmp_path):
+    _stop_an_http_eval(tmp_path, signal.SIGTERM)

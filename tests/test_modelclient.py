@@ -21,9 +21,9 @@ from telerag.modelclient import (
     HttpBackend,
     ModelConfig,
     TranscriptBackend,
+    ask,
     build_backend,
     prompt_sha256,
-    run_items,
     write_transcript,
 )
 
@@ -90,13 +90,15 @@ def test_transcript_backend_replays(tmp_path):
      (json.dumps({"prompt_sha256": prompt_sha256("p").upper(), "reply": "1"}),
       "'prompt_sha256' must be 64 lowercase hex"),
      (json.dumps({"prompt_sha256": prompt_sha256("p") + "0", "reply": "1"}),
-      "'prompt_sha256' must be 64 lowercase hex")],
+      "'prompt_sha256' must be 64 lowercase hex"),
+     (b'{"prompt_sha256": "' + prompt_sha256("p").encode() + b'", "reply": "\xff"}',
+      "'utf-8' codec can't decode byte 0xff")],
     ids=["no-reply", "reply-not-a-string", "digest-not-a-string", "digest-not-hex",
-         "digest-uppercase", "digest-too-long"],
+         "digest-uppercase", "digest-too-long", "not-utf-8"],
 )
 def test_transcript_rejects_malformed_line(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
+    path.write_bytes((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n")
     with pytest.raises(ModelProtocolError, match=f"line 1 .*{re.escape(reason)}"):
         TranscriptBackend(path)
 
@@ -216,49 +218,67 @@ def test_transcript_allows_same_reply_repeat(tmp_path):
     assert backend.complete("p").text == "one"
 
 
-def _errored(item):
-    return ("errored", item)
+# The tests named test_run_items_* test ask; they keep the name of the loop ask
+# replaced, so their test IDs stay the same.
+
+
+class IndexBackend:
+    """Answers the prompt str(i) with the text str(reply(i)); reply may sleep or raise."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, prompt: str) -> Completion:
+        return Completion(text=str(self.reply(int(prompt))))
+
+
+def _prompts(n: int) -> list[str]:
+    return [str(i) for i in range(n)]
+
+
+def _texts(completions) -> list[str | None]:
+    return [None if c is None else c.text for c in completions]
 
 
 @pytest.mark.parametrize("concurrency", [1, 2, 5, 64])
 def test_run_items_in_order_and_equal_to_serial(concurrency):
-    def call(item):
-        time.sleep(0.001 * (item % 3))  # later items can finish first
+    def reply(item):
+        time.sleep(0.001 * (item % 3))  # later prompts can finish first
         return item * item
 
-    items = list(range(40))
-    assert run_items(call, items, concurrency, _errored) == [i * i for i in items]
+    out = ask(IndexBackend(reply), _prompts(40), concurrency)
+    assert _texts(out) == [str(i * i) for i in range(40)]
 
 
 @pytest.mark.parametrize("concurrency", [1, 3])
 def test_run_items_model_error_marks_item_errored(concurrency):
-    def call(item):
+    def reply(item):
         if item % 4 == 0:
             raise TranscriptMissError("no reply")
         return item
 
-    out = run_items(call, list(range(10)), concurrency, _errored)
-    assert out == [("errored", i) if i % 4 == 0 else i for i in range(10)]
+    out = ask(IndexBackend(reply), _prompts(10), concurrency)
+    assert _texts(out) == [None if i % 4 == 0 else str(i) for i in range(10)]
 
 
 @pytest.mark.parametrize("concurrency", [1, 3])
 def test_run_items_other_exception_propagates(concurrency):
     calls = []
 
-    def call(item):
+    def reply(item):
         calls.append(item)
         if item == 5:
             raise KeyError("not a model failure")
         return item
 
     with pytest.raises(KeyError, match="not a model failure"):
-        run_items(call, list(range(200)), concurrency, _errored)
-    assert len(calls) < 200  # the threads stop taking items after the failure
+        ask(IndexBackend(reply), _prompts(200), concurrency)
+    assert len(calls) < 200  # the threads stop taking prompts after the failure
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_run_items_raises_the_failure_a_serial_run_raises(concurrency):
-    def call(item):
+    def reply(item):
         if item == 1:
             time.sleep(0.2)
             raise KeyError("item 1")
@@ -267,7 +287,23 @@ def test_run_items_raises_the_failure_a_serial_run_raises(concurrency):
         return item
 
     with pytest.raises(KeyError, match="item 1"):
-        run_items(call, list(range(8)), concurrency, _errored)
+        ask(IndexBackend(reply), _prompts(8), concurrency)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_ask_returns_each_backends_own_completion(concurrency):
+    made = [Completion(text=f"reply {i}", latency_ms=10 + i, attempt_count=1 + i % 3)
+            for i in range(12)]
+
+    class Recorded:
+        def complete(self, prompt: str) -> Completion:
+            time.sleep(0.001 * (int(prompt) % 3))  # later prompts can finish first
+            return made[int(prompt)]
+
+    out = ask(Recorded(), _prompts(12), concurrency)
+    assert all(got is want for got, want in zip(out, made, strict=True))
+    assert [(c.latency_ms, c.attempt_count) for c in out] == [
+        (10 + i, 1 + i % 3) for i in range(12)]
 
 
 class SleepingBackend:
@@ -293,8 +329,7 @@ class SleepingBackend:
 def test_run_items_keeps_concurrency_calls_in_flight(concurrency, n_items, expected):
     backend = SleepingBackend()
     prompts = [f"p{i}" for i in range(n_items)]
-    out = run_items(lambda p: backend.complete(p).text, prompts, concurrency, _errored)
-    assert out == prompts
+    assert _texts(ask(backend, prompts, concurrency)) == prompts
     assert backend.max_in_flight == expected
 
 
@@ -305,7 +340,7 @@ def test_run_items_ctrl_c_stops_handing_out_items():
     calls = []
     main = threading.main_thread().ident
 
-    def call(item):
+    def reply(item):
         calls.append(item)
         if len(calls) == 5:
             signal.pthread_kill(main, signal.SIGINT)
@@ -314,7 +349,7 @@ def test_run_items_ctrl_c_stops_handing_out_items():
 
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        run_items(call, list(range(100)), 3, _errored)
+        ask(IndexBackend(reply), _prompts(100), 3)
     assert threading.active_count() == before
     time.sleep(0.1)
     assert len(calls) <= 8
@@ -323,7 +358,7 @@ def test_run_items_ctrl_c_stops_handing_out_items():
 def test_run_items_stress_takes_each_index_once():
     calls = []
 
-    def call(item):
+    def reply(item):
         calls.append(item)
         return -item
 
@@ -332,11 +367,12 @@ def test_run_items_stress_takes_each_index_once():
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: out.append(run_items(call, items, 16, _errored)))
+        runner = threading.Thread(
+            target=lambda: out.append(_texts(ask(IndexBackend(reply), _prompts(5000), 16))))
         runner.start()
         runner.join(timeout=60)
     finally:
         sys.setswitchinterval(previous)
     assert not runner.is_alive()
-    assert out == [[-i for i in items]]
+    assert out == [[str(-i) for i in items]]
     assert sorted(calls) == items

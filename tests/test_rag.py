@@ -95,7 +95,8 @@ def test_augment_empty_context_is_plain_prompt():
     item = make_item()
     prompt = augment(item, [])
     assert prompt == render_prompt(item)
-    assert answer_with_rag(EchoBackend(), item, []).context_chunk_ids == ()
+    result = answer_with_rag(Completion("1. A"), item=item, retrieved=[], prompt=prompt)
+    assert result.context_chunk_ids == ()
 
 
 def test_augment_orders_chunks_and_is_deterministic():
@@ -106,7 +107,8 @@ def test_augment_orders_chunks_and_is_deterministic():
         "Context:\nfirst chunk text\n\nsecond chunk text\n\n" + render_prompt(item)
     )
     retrieved = [(c, SearchHit(c.chunk_id, 0.5, rank)) for rank, c in enumerate(chunks, 1)]
-    assert answer_with_rag(EchoBackend(), item, retrieved).context_chunk_ids == ("d#0", "d#1")
+    result = answer_with_rag(Completion("1. A"), item=item, retrieved=retrieved, prompt=prompt)
+    assert result.context_chunk_ids == ("d#0", "d#1")
     assert augment(item, chunks) == prompt
 
 
@@ -171,7 +173,9 @@ def test_answer_with_rag_parses_scripted_reply():
     store = build_store(chunks)
     retrieved = retrieve_many(store, PROVIDER, [build_query(item)], RagConfig(k=1),
                               chunk_map(chunks))[0]
-    result = answer_with_rag(ConstantBackend(f"2. {item.options[1]}"), item, retrieved)
+    prompt = augment(item, [c for c, _ in retrieved])
+    result = answer_with_rag(Completion(f"2. {item.options[1]}"), item=item, retrieved=retrieved,
+                             prompt=prompt)
     assert result.answer.parsed_index == 2
     assert result.context_chunk_ids == ("a#0",)
     assert len(result.context_scores) == 1
