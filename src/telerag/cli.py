@@ -307,8 +307,9 @@ def cmd_embed(args) -> int:
     config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
     with _run(out, "embed", config) as run:
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
-        store.insert_many(*embed.embed_chunk_file(provider, chunk_file))
-        store.bind_corpus(chunk_file.sha256, chunk_file.offsets)
+        ids, rows = embed.embed_chunk_file(provider, chunk_file)
+        store.insert_many(ids, rows)
+        store.bind_corpus(chunk_file.sha256, dict(zip(ids, chunk_file.offsets)))
         store.save(run.output(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
     return 0

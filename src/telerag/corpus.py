@@ -200,6 +200,8 @@ def _chunk_from_line(line: bytes) -> Chunk:
         for name, kind in _CHUNK_FIELDS.items():
             if type(rec[name]) is not kind:
                 raise ValueError(f"field {name!r} is not of type {kind.__name__}")
+        if rec["token_count"] < 1:
+            raise ValueError(f"token_count must be >= 1, got {rec['token_count']}")
         return Chunk(**{name: rec[name] for name in _CHUNK_FIELDS})
     except KeyError as exc:
         raise ValueError(f"chunk record lacks field {exc}") from None

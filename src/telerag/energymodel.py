@@ -82,8 +82,8 @@ class EnergyRecord:
             raise DataError(
                 f"{self.bs_id}: shutdown_duration must be in [0, 1], got {self.shutdown_duration}"
             )
-        if self.max_tx_power < 0:
-            raise DataError(f"{self.bs_id}: max_tx_power must be >= 0")
+        if not np.isfinite(self.max_tx_power) or self.max_tx_power < 0:
+            raise DataError(f"{self.bs_id}: max_tx_power must be finite and >= 0")
         if not np.isfinite(self.energy) or self.energy < 0:
             raise DataError(f"{self.bs_id}: energy must be finite and >= 0")
 

@@ -73,8 +73,9 @@ def retrieve_many(
     """Per query, the top-k chunks and their hits within the token budget, best-ranked first.
 
     Whole chunks only; the rank-1 chunk is always kept even if it alone
-    exceeds the budget. Each query is embedded on its own; all are scored
-    in one search_many call.
+    exceeds the budget. A chunk holds at least one token, so no more than
+    max_context_tokens chunks fit and no more hits are asked for. Each query
+    is embedded on its own; all are scored in one search_many call.
     """
     if provider.fingerprint != store.provider_fingerprint:
         raise FingerprintMismatchError(
@@ -85,7 +86,7 @@ def retrieve_many(
         return []
     vectors = [embed_text(provider, query) for query in queries]
     contexts = []
-    for hits in store.search_many(vectors, cfg.k):
+    for hits in store.search_many(vectors, min(cfg.k, cfg.max_context_tokens)):
         kept: list[tuple[Chunk, SearchHit]] = []
         budget = cfg.max_context_tokens
         for hit in hits:

@@ -40,10 +40,13 @@ candidates are rescored in float64 in slices of at most ``SCORE_BLOCK_BYTES``
 of rows. A block has at most one candidate per score, so working memory stays
 within about 14 ``SCORE_BLOCK_BYTES`` whatever the queries, k, dims or ties.
 
-Records are held as one float32 (count, dims) block in insertion order.
-``insert_many`` adds a block of rows at a time and checks all of it (shape,
-finite non-zero rows, ids unique within the block and new to the store)
-before it changes anything; ``insert`` adds one record through it.
+Records are held in one order, ascending chunk_id, in memory and in the
+file, so the same record set always produces byte-identical files and equal
+scores break on the column index. ``insert_many`` merges a block of rows in
+with one sort of the ids and one gather of the rows, and checks all of it
+(shape, finite non-zero rows, no id equal to its neighbour once sorted, the
+error naming the smallest) before it changes anything; ``insert`` adds one
+record through it.
 
 The store file records the embedding provider fingerprint and rejects
 queries embedded by a different provider. It is bound to the corpus file its
@@ -59,9 +62,8 @@ layout (format version 2, all little-endian):
     count u64 corpus line offsets | count x dims float32 vectors
 
 The prefix up to the fingerprint is the one of format version 1, so
-``read_header`` reads either; ``load`` refuses any version but 2. Records are
-written sorted by chunk_id, so the same record set always produces
-byte-identical files.
+``read_header`` reads either; ``load`` refuses any version but 2, and sorts a
+file whose records are out of chunk_id order.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -112,13 +114,11 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class _Scoring:
-    """The records as search sees them, in insertion order: ids, float32
-    rows, each one's rank in chunk_id order, its float64 norm and its float32
-    unit row."""
+    """The records as search sees them, in chunk_id order: ids, float32 rows,
+    each one's float64 norm and its float32 unit row."""
 
     ids: list[str]
     rows: np.ndarray
-    rank: np.ndarray
     norms: np.ndarray
     screen: np.ndarray
 
@@ -131,6 +131,17 @@ def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
     zero = ~rows.any(axis=1)
     if zero.any():
         raise DataError(f"embedding for {chunk_ids[int(zero.argmax())]!r} has zero norm")
+
+
+def _sorted_ids(ids: list[str]) -> tuple[list[str], list[int]]:
+    """ids in ascending order and the position each came from; an id equal to
+    its neighbour raises DuplicateChunkError."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = [ids[i] for i in order]
+    dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+    if dup is not None:
+        raise DuplicateChunkError(f"chunk id already in store: {dup!r}")
+    return ids, order
 
 
 def _margin(dims: int) -> float:
@@ -173,8 +184,9 @@ def _top_k(
         scores[lo : lo + step] = np.einsum("ij,ij->i", q[r], scoring.rows[c].astype(np.float64))
     scores /= scoring.norms[cols]
     scores /= qnorms[rows]
-    # rows ascends, so order keeps each row's candidates in the row's own span.
-    order = np.lexsort((scoring.rank[cols], -scores, rows))
+    # rows ascends, so order keeps each row's candidates in the row's own span;
+    # columns are in chunk_id order, so equal scores break on the column.
+    order = np.lexsort((cols, -scores, rows))
     hits = []
     for start in np.searchsorted(rows, np.arange(m)).tolist():
         top = order[start : start + k]
@@ -209,14 +221,13 @@ class VectorStore:
             raise ValueError("dims must be positive")
         self.dims = dims
         self.provider_fingerprint = provider_fingerprint
+        # Ascending chunk_ids and their float32 rows; inserts rebind both.
         self._ids: list[str] = []
-        self._index: dict[str, int] = {}
-        # float32 rows in insertion order; capacity grows by doubling.
         self._rows = np.empty((0, dims), dtype=np.float32)
         self._scoring: _Scoring | None = None
         self._lock = threading.Lock()
         self.corpus_sha256 = UNBOUND
-        # Corpus line offset of each row, in insertion order; None when unbound.
+        # Corpus line offset of each row; None when unbound.
         self._offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -233,8 +244,7 @@ class VectorStore:
 
         The whole block is checked before the store changes, so a wrong
         shape, a zero or non-finite row, or an id repeated in the block or
-        already stored raises and adds nothing. The rows are copied in as one
-        block; capacity grows at most once per call.
+        already stored raises and adds nothing.
         """
         block = np.asarray(rows, dtype=np.float32)
         if block.ndim != 2 or block.shape[1] != self.dims:
@@ -246,33 +256,22 @@ class VectorStore:
             raise ValueError(f"{len(ids)} chunk ids for {len(block)} vectors")
         _check_vectors(ids, block)
         with self._lock:
-            if len(set(ids)) != len(ids) or not self._index.keys().isdisjoint(ids):
-                seen = set(self._index)
-                for chunk_id in ids:
-                    if chunk_id in seen:
-                        raise DuplicateChunkError(f"chunk id already in store: {chunk_id!r}")
-                    seen.add(chunk_id)
-            n = len(self._ids)
-            end = n + len(ids)
-            if end > len(self._rows):
-                grown = np.empty((max(64, 2 * n, end), self.dims), dtype=np.float32)
-                grown[:n] = self._rows[:n]
-                self._rows = grown
-            self._rows[n:end] = block
-            self._index.update(zip(ids, range(n, end)))
-            self._ids += ids
+            # Into an empty store the block is gathered as it is, without a joined copy.
+            joined = np.concatenate((self._rows, block)) if self._ids else block
+            self._ids, order = _sorted_ids(self._ids + ids)
+            self._rows = joined[order]
             self._scoring = None
             self.corpus_sha256, self._offsets = UNBOUND, None
 
-    def bind_corpus(self, sha256: bytes, offsets: Sequence[int]) -> None:
+    def bind_corpus(self, sha256: bytes, offsets: Mapping[str, int]) -> None:
         """Record the corpus file the records were embedded from: its SHA-256
-        and the byte offset of each record's line, in insertion order.
+        and, for every record, chunk_id -> byte offset of its line.
         Inserting another record drops the binding."""
-        if len(sha256) != 32 or len(offsets) != len(self._ids):
+        if len(sha256) != 32 or offsets.keys() != set(self._ids):
             raise ValueError("need a 32-byte digest and one offset per record")
         with self._lock:
             self.corpus_sha256 = bytes(sha256)
-            self._offsets = np.array(offsets, dtype=np.uint64)
+            self._offsets = np.array([offsets[c] for c in self._ids], dtype=np.uint64)
 
     def corpus_offsets(self) -> dict[str, int]:
         """chunk_id -> byte offset of its line in the bound corpus (0 when unbound)."""
@@ -284,18 +283,15 @@ class VectorStore:
         with self._lock:
             if self._scoring is None:
                 n = len(self._ids)
-                rank = np.empty(n, dtype=np.intp)
-                rank[sorted(range(n), key=self._ids.__getitem__)] = np.arange(n)
                 norms = np.empty(n)
                 screen = np.empty((n, self.dims), dtype=np.float32)
-                rows = self._rows[:n]
                 step = max(1, SCORE_BLOCK_BYTES // (8 * self.dims))
                 for lo in range(0, n, step):
-                    block = rows[lo : lo + step].astype(np.float64)
+                    block = self._rows[lo : lo + step].astype(np.float64)
                     norms[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", block, block))
                     block /= norms[lo : lo + step, None]
                     screen[lo : lo + step] = block
-                self._scoring = _Scoring(list(self._ids), rows, rank, norms, screen)
+                self._scoring = _Scoring(self._ids, self._rows, norms, screen)
             return self._scoring
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
@@ -343,22 +339,21 @@ class VectorStore:
         return hits
 
     def save(self, path: str | Path) -> None:
-        """Write the store to disk in canonical (chunk_id-sorted) order."""
+        """Write the store to disk, its records in chunk_id order."""
         with open(path, "wb") as f:
             self._write(f)
 
     def _write(self, f: BinaryIO) -> None:
         n = len(self._ids)
-        order = np.array(sorted(range(n), key=self._ids.__getitem__), dtype=np.intp)
         fp_bytes = self.provider_fingerprint.encode("utf-8")
-        ids = json.dumps([self._ids[i] for i in order], ensure_ascii=False, separators=(",", ":"))
+        ids = json.dumps(self._ids, ensure_ascii=False, separators=(",", ":"))
         id_bytes = ids.encode("utf-8")
-        offsets = np.zeros(n, dtype="<u8") if self._offsets is None else self._offsets[order]
+        offsets = np.zeros(n, dtype="<u8") if self._offsets is None else self._offsets
         f.write(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, self.dims, n, len(fp_bytes)))
         f.write(fp_bytes + self.corpus_sha256 + struct.pack("<Q", len(id_bytes)) + id_bytes)
         # Cast only where the native layout is not little-endian; write the buffers as they are.
         f.write(offsets.astype("<u8", copy=False))
-        f.write(self._rows[order].astype("<f4", copy=False))
+        f.write(self._rows.astype("<f4", copy=False))
 
     @classmethod
     def read_header(cls, path: str | Path) -> tuple[int, int, int, str]:
@@ -372,8 +367,8 @@ class VectorStore:
         bytes and an ids block that is not a list of count strings raise
         StoreFormatError.
 
-        The ids are one JSON array and the offsets and vectors one block each,
-        so no step loops over the records in Python.
+        The ids are one JSON array and the offsets and vectors one block each;
+        they are gathered into chunk_id order only when the file is out of it.
         """
         with open(path, "rb") as f:
             version, dims, count, fingerprint = _read_header(f, path)
@@ -401,15 +396,13 @@ class VectorStore:
             raise StoreFormatError(f"malformed ids block in {path}: {exc}") from None
         if not isinstance(ids, list) or len(ids) != count or set(map(type, ids)) - {str}:
             raise StoreFormatError(f"ids block of {path} is not a list of {count} strings")
-        store = cls(dims=dims, provider_fingerprint=fingerprint)
-        store._index = dict(zip(ids, range(count)))
-        if len(store._index) != count:
-            dup = next(c for i, c in enumerate(ids) if store._index[c] != i)
-            raise DuplicateChunkError(f"chunk id already in store: {dup!r}")
+        ids, order = _sorted_ids(ids)
         rows = np.frombuffer(data, "<f4", count * dims, vectors_at).reshape(count, dims)
+        offsets = np.frombuffer(data, "<u8", count, offsets_at)
+        if order != list(range(count)):  # a file not written by save
+            rows, offsets = rows[order], offsets[order]
         _check_vectors(ids, rows)
-        store._ids = ids
-        store._rows = rows
+        store = cls(dims=dims, provider_fingerprint=fingerprint)
+        store._ids, store._rows, store._offsets = ids, rows, offsets
         store.corpus_sha256 = data[digest_at:ids_at - 8]
-        store._offsets = np.frombuffer(data, "<u8", count, offsets_at)
         return store

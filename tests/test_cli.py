@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from telerag import forkpool, userassoc
+from telerag import corpus, embed, forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
 from telerag.energymodel import ENERGY_CSV_COLUMNS, generate_synthetic
@@ -437,6 +437,19 @@ def test_usecase_energy_missing_column(tmp_path, capsys):
     assert "DSS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mtx", ["nan", "inf"])
+def test_usecase_energy_rejects_non_finite_max_tx_power(tmp_path, capsys, mtx):
+    data = tmp_path / "energy.csv"
+    rows = [f"b{i},0.{i + 1},{10 + i},0.{9 - i},{20 + 3 * i}" for i in range(6)]
+    data.write_text("bs_id,L,MTX,DSS,E\n" + "\n".join(rows + [f"odd,0.5,{mtx},0.5,25"]) + "\n",
+                    encoding="utf-8")
+    out = tmp_path / "fit.json"
+    code = main(["usecase-energy", "--data", str(data), "--model", "both", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: odd: max_tx_power must be finite and >= 0\n"
+    assert not out.exists()
+
+
 def test_usecase_assoc_oracle_mock(tmp_path):
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_oracle"})
     out = tmp_path / "curve.csv"
@@ -504,6 +517,40 @@ def test_usecase_assoc_curve_same_under_one_cpu_affinity(tmp_path):
         curves.append(out.read_bytes())
     assert curves[0] == curves[1]
     assert len(curves[0].splitlines()) == 14
+
+
+def test_ingest_and_embed_same_under_one_cpu_affinity(tmp_path):
+    # Two ingest groups and more than one embedding block, so both commands fork;
+    # the child limited to one CPU runs every task itself.
+    usable = os.sched_getaffinity(0)
+    if len(usable) < 2:
+        pytest.skip("needs 2 usable CPUs to compare a run on one CPU with one on several")
+    rng = random.Random(24)
+    words = [f"w{i}" for i in range(5000)] + ["gNB", "PDSCH", "Ünïcode"]
+    texts = [" ".join(rng.choices(words, k=120_000)) for _ in range(3)]
+    assert len(texts[0]) + len(texts[1]) >= corpus.GROUP_CHARS
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for i, text in enumerate(texts):
+        (docs / f"spec{i}.txt").write_text(text, encoding="utf-8")
+    provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+    outputs = []
+    for name, limit in (("one_cpu", lambda: os.sched_setaffinity(0, {min(usable)})),
+                        ("all_cpus", None)):
+        corpus_path, store_path = tmp_path / f"corpus_{name}.jsonl", tmp_path / f"{name}.vdb"
+        for argv in (["ingest", "--input", str(docs), "--out", str(corpus_path),
+                      "--chunk-size", "512"],
+                     ["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                      "--out", str(store_path)]):
+            subprocess.run([sys.executable, "-m", "telerag.cli", *argv], env=child_env(),
+                           preexec_fn=limit, capture_output=True, check=True, timeout=120)
+        outputs.append((corpus_path.read_bytes(), store_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(VectorStore.load(tmp_path / "all_cpus.vdb")) > embed.EMBED_BLOCK
+    assert [hashlib.sha256(data).hexdigest() for data in outputs[0]] == [
+        "9cbff6bf27e579cd4ab8f12fa1d495fbb95463286ba0395aaed4ba094651e3b8",
+        "748455e36c1da84fe14324d14bf9e0b83ed62b24b776c590388a6d45bf36fc3a",
+    ]
 
 
 def test_usecase_assoc_station_count_given_twice_gives_two_rows(tmp_path, monkeypatch):

@@ -165,6 +165,8 @@ def test_jsonl_round_trip(tmp_path):
         "{not json",
         '{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t", "token_count": "1"}',
         '{"chunk_id": "d#1", "doc_id": "d", "seq": true, "text": "t", "token_count": 1}',
+        '{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t", "token_count": 0}',
+        '{"chunk_id": "d#1", "doc_id": "d", "seq": 1, "text": "t", "token_count": -1}',
     ],
 )
 def test_read_chunks_jsonl_names_malformed_line(tmp_path, bad_line):

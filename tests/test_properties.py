@@ -176,7 +176,7 @@ def test_save_load_save_byte_identical(case, bound, data):
         drawn = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(records),
                                    max_size=len(records)))
         offsets = dict(zip(records, drawn))
-        store.bind_corpus(digest, drawn)
+        store.bind_corpus(digest, offsets)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.vdb"), Path(tmp, "b.vdb")
         store.save(first)

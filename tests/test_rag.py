@@ -143,6 +143,21 @@ def test_retrieve_context_k1_matches_store_search():
     assert [c.chunk_id for c, _ in kept] == [expected[0].chunk_id]
 
 
+def test_retrieve_asks_no_more_hits_than_the_budget_holds(monkeypatch):
+    # Every chunk holds at least one token, so at most max_context_tokens chunks fit.
+    chunks = [make_chunk(f"c{i}#0", f"w{i}") for i in range(20)]
+    store = build_store(chunks)
+    asked = []
+    search_many = VectorStore.search_many
+    monkeypatch.setattr(VectorStore, "search_many",
+                        lambda self, queries, k: asked.append(k) or search_many(self, queries, k))
+    cfg = RagConfig(k=100_000, max_context_tokens=5)
+    kept = retrieve_many(store, PROVIDER, ["w3"], cfg, chunk_map(chunks))[0]
+    assert asked == [5]
+    expected = search_many(store, [embed_text(PROVIDER, "w3")], 20)[0][:5]
+    assert [hit for _, hit in kept] == expected
+
+
 def test_retrieve_context_rejects_provider_mismatch():
     chunks = [make_chunk("a#0", "some text")]
     store = build_store(chunks)

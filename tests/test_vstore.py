@@ -266,6 +266,40 @@ def test_load_rejects_non_finite_and_duplicate_records(tmp_path):
         VectorStore.load(path)
 
 
+def test_load_rejects_duplicate_ids_apart_in_an_out_of_order_file(tmp_path):
+    path = tmp_path / "dup.vdb"
+    write_raw_store(path, 2, [(b"b", [1.0, 0.0]), (b"a", [0.0, 1.0]), (b"b", [1.0, 1.0])])
+    with pytest.raises(DuplicateChunkError, match="'b'"):
+        VectorStore.load(path)
+
+
+def test_duplicate_error_names_the_smallest_duplicated_id():
+    store = VectorStore(dims=2, provider_fingerprint="fp")
+    with pytest.raises(DuplicateChunkError, match="'m'"):
+        store.insert_many(["z", "m", "z", "m"], np.ones((4, 2), dtype=np.float32))
+    assert len(store) == 0
+
+
+def test_out_of_order_file_loads_as_its_sorted_twin(tmp_path):
+    # A file not written by save: records out of chunk_id order, offsets 0, 100, 200.
+    digest = bytes(range(32))
+    path = tmp_path / "shuffled.vdb"
+    path.write_bytes(raw_store(2, [(b"c", [1.0, 1.0]), (b"a", [0.0, 1.0]), (b"b", [1.0, 0.0])],
+                               digest=digest))
+    loaded = VectorStore.load(path)
+    twin = VectorStore(dims=2, provider_fingerprint="fp")
+    twin.insert_many(["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    twin.bind_corpus(digest, {"c": 0, "a": 100, "b": 200})
+    assert loaded.corpus_offsets() == twin.corpus_offsets() == {"a": 100, "b": 200, "c": 0}
+    queries = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+    assert loaded.search_many(queries, 3) == twin.search_many(queries, 3)
+    # a and b tie on [1, 1]; the tie breaks on chunk_id.
+    assert [h.chunk_id for h in loaded.search([1.0, 1.0], k=3)] == ["c", "a", "b"]
+    loaded.save(tmp_path / "loaded.vdb")
+    twin.save(tmp_path / "twin.vdb")
+    assert (tmp_path / "loaded.vdb").read_bytes() == (tmp_path / "twin.vdb").read_bytes()
+
+
 def test_identical_vectors_tie_exactly():
     # Row-position-dependent BLAS kernels can score two copies of one vector
     # an ulp apart; copies must still tie and then rank by chunk_id.
@@ -360,14 +394,14 @@ def test_bound_store_saves_digest_and_offsets_insert_unbinds(tmp_path):
     store, _ = random_store(3, 4, seed=16)
     assert store.corpus_sha256 == bytes(32)
     assert store.corpus_offsets() == dict.fromkeys(["c00000", "c00001", "c00002"], 0)
-    store.bind_corpus(b"\x01" * 32, [30, 10, 20])
+    store.bind_corpus(b"\x01" * 32, {"c00000": 30, "c00001": 10, "c00002": 20})
     path = tmp_path / "bound.vdb"
     store.save(path)
     loaded = VectorStore.load(path)
     assert loaded.corpus_sha256 == b"\x01" * 32
     assert loaded.corpus_offsets() == {"c00000": 30, "c00001": 10, "c00002": 20}
     with pytest.raises(ValueError):
-        store.bind_corpus(b"\x01" * 32, [1, 2])
+        store.bind_corpus(b"\x01" * 32, {"c00000": 1, "c00001": 2})
     store.insert(VectorRecord(chunk_id="c9", embedding=np.ones(4, dtype=np.float32)))
     assert store.corpus_sha256 == bytes(32)
     assert set(store.corpus_offsets().values()) == {0}
