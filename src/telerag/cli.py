@@ -280,7 +280,10 @@ def cmd_ingest(args) -> int:
     with _run(out, "ingest", config) as run:
         bank = corpus.Corpus()
         for path in txt_files:
-            bank.ingest(path.name, path.read_bytes())
+            try:
+                bank.ingest(path.name, path.read_bytes())
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
         token_counts = bank.write_jsonl(run.output(out), args.chunk_size, args.overlap)
     print(
         f"ingested {len(bank.documents)} documents -> {len(token_counts)} chunks, "

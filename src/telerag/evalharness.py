@@ -1,11 +1,12 @@
 """MCQ benchmark harness: dataset loading, prompting, answer parsing, scoring.
 
 Datasets follow the TeleQnA layout (entries with "question", "option 1"…
-"option 5", "answer", "category", "explanation") or a normalized JSONL
-schema. score takes one answer per item, in item order, and reports accuracy
-per category and overall. tally, which gives the association curve's stats
-too, counts unparsed and errored answers against accuracy and errored ones
-also on their own; stats_csv writes both probes' stats.
+"option 5", "answer" and "category") or a normalized JSONL schema; any other
+key, such as TeleQnA's "explanation", is ignored. score takes one answer per
+item, in item order, and reports accuracy per category and overall. tally,
+which gives the association curve's stats too, counts unparsed and errored
+answers against accuracy and errored ones also on their own; stats_csv writes
+both probes' stats.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class McqItem:
     question: str
     options: tuple[str, ...]
     correct_index: int
-    explanation: str | None = None
 
     def __post_init__(self) -> None:
         n = len(self.options)
@@ -132,7 +132,7 @@ def round_percent(value: float) -> float:
 
 
 def dataset_fingerprint(items: Sequence[McqItem]) -> str:
-    """SHA-256 over the canonicalized items (explanations excluded)."""
+    """SHA-256 over the canonicalized items."""
     canonical = [
         {
             "item_id": it.item_id,
@@ -187,7 +187,6 @@ def _field(entry: dict, key: str, expect: tuple[tuple[type, ...], str] = _TEXT) 
 
 
 _ITEM_ID = ((str, int), "a string or an integer")
-_EXPLANATION = ((str, type(None)), "a string or null")
 
 
 def _item_from_raw_entry(item_id: str, entry: object) -> McqItem:
@@ -202,9 +201,8 @@ def _item_from_raw_entry(item_id: str, entry: object) -> McqItem:
         raise DataError(f"non-contiguous option keys (gap before {stray!r})")
     question, answer, category = [_field(entry, k) for k in ("question", "answer", "category")]
     options = tuple([_field(entry, k) for k in keys])
-    explanation = _field(entry, "explanation", _EXPLANATION) or None
     return McqItem(item_id, normalize_category(category), question, options,
-                   _resolve_answer(answer, options), explanation)
+                   _resolve_answer(answer, options))
 
 
 def _item_from_normalized(line: str) -> McqItem:
@@ -219,11 +217,10 @@ def _item_from_normalized(line: str) -> McqItem:
     options = _field(rec, "options", ((list,), "a JSON array of strings"))
     correct_index = _field(rec, "correct_index", ((int,), "an integer"))
     category, question = _field(rec, "category"), _field(rec, "question")
-    explanation = _field(rec, "explanation", _EXPLANATION)
     if not all(type(o) is str for o in options):
         raise DataError("'options' must be a JSON array of strings")
     return McqItem(item_id, normalize_category(category), question, tuple(options),
-                   correct_index, explanation)
+                   correct_index)
 
 
 def load_dataset(path: str | Path) -> list[McqItem]:
@@ -231,7 +228,7 @@ def load_dataset(path: str | Path) -> list[McqItem]:
 
     All invalid entries are collected and reported together, each named once
     by item id or line number, so a bad file fails loudly with actionable
-    diagnostics.
+    diagnostics. A file without items raises DataError too.
     """
     path = Path(path)
     items: list[McqItem] = []
@@ -275,6 +272,8 @@ def load_dataset(path: str | Path) -> list[McqItem]:
         if it.item_id in seen:
             raise DataError(f"duplicate item_id {it.item_id!r} in {path}")
         seen.add(it.item_id)
+    if not items:
+        raise DataError(f"no items in {path}")
     return items
 
 

@@ -167,7 +167,11 @@ class TranscriptBackend:
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
         self._replies: dict[str, str] = {}
-        with open(path, "rb") as f:
+        try:
+            f = open(path, "rb")
+        except OSError as exc:
+            raise ModelError(f"cannot open transcript {path}: {exc.strerror}") from exc
+        with f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -189,9 +193,6 @@ class TranscriptBackend:
                         f"transcript line {lineno} in {path} gives prompt {digest[:12]}… "
                         "a different reply than an earlier line"
                     )
-
-    def __len__(self) -> int:
-        return len(self._replies)
 
     def complete(self, prompt: str) -> Completion:
         if not prompt:

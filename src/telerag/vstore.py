@@ -9,8 +9,8 @@ reproducible. The ranking contract:
   two vectors: records holding the same vector always tie exactly, and a
   query gets bit-identical hits in every batch, so ``search(q, k)`` equals
   ``search_many([q], k)[0]``;
-- hits come in descending score order, and equal scores break on
-  ascending chunk_id.
+- a query's hits come as a list, best first: in descending score order,
+  equal scores breaking on ascending chunk_id.
 
 Float64 scores are computed only for the few records a float32 screen
 cannot rule out. The first search after the records change builds, under a
@@ -62,8 +62,8 @@ layout (format version 2, all little-endian):
     count u64 corpus line offsets | count x dims float32 vectors
 
 The prefix up to the fingerprint is the one of format version 1, so
-``read_header`` reads either; ``load`` refuses any version but 2, and sorts a
-file whose records are out of chunk_id order.
+``read_header`` reads either; ``load`` refuses any version but 2, and any file
+whose ids do not ascend strictly, the order ``save`` writes.
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ class VectorRecord:
 
 @dataclass(frozen=True)
 class SearchHit:
-    """A ranked search result; ranks are contiguous from 1."""
+    """One search result; a query's hits come best first, so a hit's rank is
+    its position in that list."""
 
     chunk_id: str
     score: float
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,9 @@ def _top_k(
     hits = []
     for start in np.searchsorted(rows, np.arange(m)).tolist():
         top = order[start : start + k]
-        best = zip(cols[top].tolist(), scores[top].tolist())
         hits.append([
-            SearchHit(chunk_id=scoring.ids[col], score=min(1.0, max(-1.0, score)), rank=rank)
-            for rank, (col, score) in enumerate(best, start=1)
+            SearchHit(chunk_id=scoring.ids[col], score=min(1.0, max(-1.0, score)))
+            for col, score in zip(cols[top].tolist(), scores[top].tolist())
         ])
     return hits
 
@@ -364,11 +363,9 @@ class VectorStore:
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
         """Read a store file; wrong magic or version, truncation, trailing
-        bytes and an ids block that is not a list of count strings raise
-        StoreFormatError.
-
-        The ids are one JSON array and the offsets and vectors one block each;
-        they are gathered into chunk_id order only when the file is out of it.
+        bytes, an ids block that is not a list of count strings and ids that
+        do not ascend raise StoreFormatError, an id given twice
+        DuplicateChunkError. The offsets and vectors stay views of the file.
         """
         with open(path, "rb") as f:
             version, dims, count, fingerprint = _read_header(f, path)
@@ -396,11 +393,12 @@ class VectorStore:
             raise StoreFormatError(f"malformed ids block in {path}: {exc}") from None
         if not isinstance(ids, list) or len(ids) != count or set(map(type, ids)) - {str}:
             raise StoreFormatError(f"ids block of {path} is not a list of {count} strings")
-        ids, order = _sorted_ids(ids)
+        pair = next(((a, b) for a, b in zip(ids, ids[1:]) if a >= b), None)
+        if pair:  # save writes the ids strictly ascending
+            error = DuplicateChunkError if pair[0] == pair[1] else StoreFormatError
+            raise error(f"chunk id {pair[1]!r} follows {pair[0]!r} in {path}; ids must ascend")
         rows = np.frombuffer(data, "<f4", count * dims, vectors_at).reshape(count, dims)
         offsets = np.frombuffer(data, "<u8", count, offsets_at)
-        if order != list(range(count)):  # a file not written by save
-            rows, offsets = rows[order], offsets[order]
         _check_vectors(ids, rows)
         store = cls(dims=dims, provider_fingerprint=fingerprint)
         store._ids, store._rows, store._offsets = ids, rows, offsets

@@ -94,6 +94,16 @@ def test_ingest_empty_dir_fails(tmp_path, capsys):
     assert "no .txt documents found" in capsys.readouterr().err
 
 
+def test_ingest_names_the_file_that_is_not_utf8(tmp_path, capsys):
+    docs = make_docs_dir(tmp_path)
+    bad = docs / "doc1.txt"
+    bad.write_bytes(b"PDSCH \xff slot")
+    out = tmp_path / "c.jsonl"
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad} is not UTF-8: invalid start byte at byte 6\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["docs"]
+
+
 def test_ingest_rerun_byte_identical(tmp_path):
     docs = make_docs_dir(tmp_path)
     first = run_ingest(tmp_path, docs, "c1.jsonl")
@@ -634,6 +644,35 @@ def test_eval_refuses_transcript_line_without_digest(tmp_path, capsys):
     assert err.startswith("error: bad transcript line 1 in ") and err.count("\n") == 1
     assert "'prompt_sha256' must be 64 lowercase hex digits, got 5" in err
     assert not report.exists() and leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_eval_transcript_that_cannot_be_opened_exits_3(tmp_path, capsys, missing):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+    transcript = tmp_path / "transcript.jsonl"
+    if not missing:
+        transcript.mkdir()
+    model_cfg = write_json(tmp_path / "model.json",
+                           {"kind": "mock_script", "script_path": str(transcript)})
+    report = tmp_path / "report.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 3
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot open transcript {transcript}: {reason}\n"
+    assert not report.exists() and leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("name, content", [
+    ("d.json", "{}"), ("d.json", "[]"), ("d.jsonl", ""), ("d.jsonl", "\n  \n"),
+], ids=["dict", "list", "jsonl", "jsonl-blank-lines"])
+def test_eval_dataset_without_items_exits_2(tmp_path, capsys, name, content):
+    dataset = tmp_path / name
+    dataset.write_text(content, encoding="utf-8")
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: no items in {dataset}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "model.json"])
 
 
 def test_usecase_assoc_rejects_count_below_two(tmp_path, capsys):
@@ -1391,10 +1430,12 @@ def test_eval_grades_digit_runs_too_long_for_int(tmp_path, reply, picked):
     assert (overall["count"], overall["correct"]) == (1, int(rows[0]["correct_index"] == picked))
 
 
-def test_embed_store_bytes_pinned(tmp_path):
-    # Golden digests of a fixed three-document corpus and its store, recorded
-    # before embedding moved to one float32 block per 64-text batch. Chunks a#0..a#2
-    # repeat one text, and dims 37 is not a multiple of the 4 words per digest.
+@pytest.fixture
+def pinned_inputs(tmp_path):
+    """A fixed three-document corpus embedded into its store, a three-item
+    dataset over it and a constant-reply model config, as the paths
+    (corpus, store, dataset, model config). Chunks a#0..a#2 repeat one text,
+    and dims 37 is not a multiple of the 4 words per digest."""
     docs = tmp_path / "docs"
     docs.mkdir()
     texts = {
@@ -1411,15 +1452,6 @@ def test_embed_store_bytes_pinned(tmp_path):
     store_path = tmp_path / "store.vdb"
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 0
-    assert len(VectorStore.load(store_path)) == 7
-    assert hashlib.sha256(corpus_path.read_bytes()).hexdigest() == (
-        "e3bd5dd6c1ab3e8ac43d35170531e4d217b924ca096bee5bf089593a0cdd1636"
-    )
-    assert hashlib.sha256(store_path.read_bytes()).hexdigest() == (
-        "cf30358bd4d08fb8da42146f96dde005a5f018dbf9a7432a4ecbdb220eba7221"
-    )
-    # A RAG eval over that store, pinned to the digests recorded before retrieval
-    # moved out of cli into rag: a tight budget cuts some contexts below k.
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("".join(json.dumps(row) + "\n" for row in [
         {"item_id": "h", "category": "Standards specifications",
@@ -1432,6 +1464,22 @@ def test_embed_store_bytes_pinned(tmp_path):
          "question": "Who schedules PDSCH?", "options": ["gNB", "UE"], "correct_index": 1},
     ]), encoding="utf-8")
     model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "2"})
+    return corpus_path, store_path, dataset, model_cfg
+
+
+def test_embed_store_bytes_pinned(tmp_path, pinned_inputs):
+    # Golden digests of the pinned corpus and its store, recorded before
+    # embedding moved to one float32 block per 64-text batch.
+    corpus_path, store_path, dataset, model_cfg = pinned_inputs
+    assert len(VectorStore.load(store_path)) == 7
+    assert hashlib.sha256(corpus_path.read_bytes()).hexdigest() == (
+        "e3bd5dd6c1ab3e8ac43d35170531e4d217b924ca096bee5bf089593a0cdd1636"
+    )
+    assert hashlib.sha256(store_path.read_bytes()).hexdigest() == (
+        "cf30358bd4d08fb8da42146f96dde005a5f018dbf9a7432a4ecbdb220eba7221"
+    )
+    # A RAG eval over that store, pinned to the digests recorded before retrieval
+    # moved out of cli into rag: a tight budget cuts some contexts below k.
     report = tmp_path / "r.json"
     assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--rag", str(store_path), "--corpus", str(corpus_path), "--k", "3",
@@ -1442,6 +1490,41 @@ def test_embed_store_bytes_pinned(tmp_path):
         "cbb0d410a665393408eb786d000f19e345cd5524c9ea28a99f8b52e4dbfef719",
         "90f9995a3df5964cba99cffe4dd3967bb73ea30b1aca9cc64c76a48fc56551c9",
     ]
+
+
+@pytest.mark.parametrize("rag", [False, True], ids=["plain", "rag"])
+def test_eval_same_under_one_cpu_affinity_and_concurrency(tmp_path, pinned_inputs, rag):
+    # One run on one CPU asking one prompt at a time, one on every usable CPU
+    # with up to 4 prompts in flight: report, audit and CSV are the same bytes.
+    usable = os.sched_getaffinity(0)
+    if len(usable) < 2:
+        pytest.skip("needs 2 usable CPUs to compare a run on one CPU with one on several")
+    corpus_path, store_path, dataset, model_cfg = pinned_inputs
+    retrieval = (["--rag", str(store_path), "--corpus", str(corpus_path), "--k", "3",
+                  "--max-context-tokens", "20"] if rag else [])
+    outputs = []
+    for name, limit, concurrency in (
+            ("one_cpu", lambda: os.sched_setaffinity(0, {min(usable)}), "1"),
+            ("all_cpus", None, "4")):
+        report, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        subprocess.run([sys.executable, "-m", "telerag.cli", "eval", "--dataset", str(dataset),
+                        "--model-config", model_cfg, *retrieval, "--report", str(report),
+                        "--csv", str(csv), "--concurrency", concurrency],
+                       env=child_env(), preexec_fn=limit, capture_output=True, check=True,
+                       timeout=120)
+        audit = tmp_path / f"{name}.json.audit.jsonl"
+        outputs.append([hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, audit, csv)])
+    assert outputs[0] == outputs[1]
+    # Report, audit and CSV digests. The RAG report and audit are the ones
+    # test_embed_store_bytes_pinned pins; no reply of "2" is correct, so both
+    # CSVs read 0 of 3.
+    csv_digest = "3b4101fad7d760e3878a361728966778bf01ffe20f95315d89a0ac76bd4de0bc"
+    assert outputs[0] == {
+        False: ["c0a2ca17c32b9ac2eee45a18bb07d4f43d6e9a7539da05b43c430d7bbb41803b",
+                "311a2af8d11d2e839e11601e39742f041e5b0c3238c7b89ea66052164fbc5ce2", csv_digest],
+        True: ["cbb0d410a665393408eb786d000f19e345cd5524c9ea28a99f8b52e4dbfef719",
+               "90f9995a3df5964cba99cffe4dd3967bb73ea30b1aca9cc64c76a48fc56551c9", csv_digest],
+    }[rag]
 
 
 def _leftovers(root: Path) -> list[Path]:

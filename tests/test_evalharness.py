@@ -97,7 +97,6 @@ def test_load_teleqna_layout(tmp_path):
     assert items[0].item_id == "question 0"
     assert items[0].correct_index == 2
     assert items[0].category == "Standards specifications"
-    assert items[0].explanation == "see spec"
 
 
 def test_load_rejects_bad_entries_with_ids(tmp_path):
@@ -180,13 +179,11 @@ def test_load_normalized_rejects_mistyped_fields(tmp_path, field, value):
     [
         (".jsonl", "question", None),
         (".jsonl", "category", 5),
-        (".jsonl", "explanation", [1, 2]),
-        (".json", "question", ["Q?"]),
         (".json", "option 1", None),
+        (".json", "question", ["Q?"]),
         (".json", "option 2", 7),
         (".json", "answer", 1),
         (".json", "category", None),
-        (".json", "explanation", {"text": "e"}),
     ],
 )
 def test_load_rejects_non_string_text_fields(tmp_path, suffix, field, value):
@@ -481,8 +478,6 @@ LOADER_FAILURES = [
     ("missing-category", "dict", _teleqna(category=...), "item 'q0': missing 'category'"),
     ("question-type", "dict", _teleqna(question=7), "item 'q0': 'question' must be a string"),
     ("option-type", "dict", _teleqna(option_2=7), "item 'q0': 'option 2' must be a string"),
-    ("explanation-type", "dict", _teleqna(explanation=[1]),
-     "item 'q0': 'explanation' must be a string or null"),
     ("option-gap", "dict", _teleqna(option_2=..., option_3="C"),
      "item 'q0': non-contiguous option keys (gap before 'option 3')"),
     ("option-7-after-2", "dict", _teleqna(option_7="G"),
@@ -527,8 +522,6 @@ LOADER_FAILURES = [
     ("jsonl-item-id-array", "jsonl", _jsonl(item_id=["a"]),
      "line 1: 'item_id' must be a string or an integer"),
     ("jsonl-category-type", "jsonl", _jsonl(category=5), "line 1: 'category' must be a string"),
-    ("jsonl-explanation-type", "jsonl", _jsonl(explanation=3),
-     "line 1: 'explanation' must be a string or null"),
     ("jsonl-options-type", "jsonl", _jsonl(options="AB"),
      "line 1: 'options' must be a JSON array of strings"),
     ("jsonl-correct-type", "jsonl", _jsonl(correct_index="1"),
@@ -568,6 +561,22 @@ def test_loader_message_for_each_invalid_entry(tmp_path, layout, payload, failur
     with pytest.raises(DataError) as err:
         load_dataset(path)
     assert str(err.value) == f"invalid entry in {path}: {failure}"
+
+
+@pytest.mark.parametrize("layout, payload", [
+    ("dict", _teleqna(explanation=[1])),
+    ("dict", _teleqna(explanation={"text": "e"})),
+    ("list", _teleqna(explanation=None)),
+    ("jsonl", _jsonl(explanation=3)),
+    ("jsonl", _jsonl(explanation=[1, 2])),
+    ("jsonl", _jsonl(explanation="see spec")),
+], ids=["dict-array", "dict-object", "list-null", "jsonl-integer", "jsonl-array",
+        "jsonl-string"])
+def test_explanation_of_any_type_is_ignored(tmp_path, layout, payload):
+    path = _write_case(tmp_path, layout, payload)
+    (tmp_path / "bare").mkdir()
+    bare = _write_case(tmp_path / "bare", layout, _jsonl() if layout == "jsonl" else _teleqna())
+    assert load_dataset(path) == load_dataset(bare)
 
 
 def test_item_rules_run_once_per_loaded_entry(tmp_path, monkeypatch):

@@ -97,7 +97,6 @@ def build(dims: int, records: dict[str, np.ndarray]) -> VectorStore:
 def assert_matches_oracle(hits, records, query, k):
     want = oracle_top_k(records, query, k)
     assert [h.chunk_id for h in hits] == [chunk_id for chunk_id, _ in want]
-    assert [h.rank for h in hits] == list(range(1, len(want) + 1))
     for hit, (_, score) in zip(hits, want):
         assert abs(hit.score - score) <= 1e-12
 

@@ -106,7 +106,7 @@ def test_augment_orders_chunks_and_is_deterministic():
     assert prompt == (
         "Context:\nfirst chunk text\n\nsecond chunk text\n\n" + render_prompt(item)
     )
-    retrieved = [(c, SearchHit(c.chunk_id, 0.5, rank)) for rank, c in enumerate(chunks, 1)]
+    retrieved = [(c, SearchHit(c.chunk_id, 0.5)) for c in chunks]
     result = answer_with_rag(Completion("1. A"), item=item, retrieved=retrieved, prompt=prompt)
     assert result.context_chunk_ids == ("d#0", "d#1")
     assert augment(item, chunks) == prompt

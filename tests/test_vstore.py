@@ -41,7 +41,6 @@ def test_self_retrieval_scores_one():
     hits = store.search(vectors["c00003"], k=1)
     assert hits[0].chunk_id == "c00003"
     assert hits[0].score == pytest.approx(1.0, abs=1e-12)
-    assert hits[0].rank == 1
 
 
 def test_duplicate_id_rejected_size_unchanged():
@@ -63,8 +62,7 @@ def test_dimension_mismatch_rejected():
 def test_k_clamped_to_store_size():
     store, vectors = random_store(3, 8, seed=3)
     hits = store.search(vectors["c00000"], k=10)
-    assert len(hits) == 3
-    assert [h.rank for h in hits] == [1, 2, 3]
+    assert sorted(h.chunk_id for h in hits) == ["c00000", "c00001", "c00002"]
 
 
 def test_search_matches_brute_force_oracle():
@@ -225,7 +223,6 @@ def test_random_sized_stores_match_oracle():
         k = rng.randint(1, 8)
         hits = store.search(query, k=k)
         assert [h.chunk_id for h in hits] == brute_force_top_k(vectors, query, k)
-        assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
 
 
 def raw_store(dims, records, fingerprint=b"fp", digest=bytes(32), ids_block=None):
@@ -266,10 +263,16 @@ def test_load_rejects_non_finite_and_duplicate_records(tmp_path):
         VectorStore.load(path)
 
 
-def test_load_rejects_duplicate_ids_apart_in_an_out_of_order_file(tmp_path):
-    path = tmp_path / "dup.vdb"
-    write_raw_store(path, 2, [(b"b", [1.0, 0.0]), (b"a", [0.0, 1.0]), (b"b", [1.0, 1.0])])
-    with pytest.raises(DuplicateChunkError, match="'b'"):
+@pytest.mark.parametrize("order, error, named", [
+    ("bab", StoreFormatError, "chunk id 'a' follows 'b'"),
+    ("acb", StoreFormatError, "chunk id 'b' follows 'c'"),
+    ("abb", DuplicateChunkError, "chunk id 'b' follows 'b'"),
+], ids=["b-a-b", "a-c-b", "a-b-b"])
+def test_load_refuses_ids_that_do_not_ascend(tmp_path, order, error, named):
+    # save writes ids strictly ascending; load repairs no other order.
+    path = tmp_path / "order.vdb"
+    write_raw_store(path, 2, [(c.encode(), [1.0, float(i)]) for i, c in enumerate(order)])
+    with pytest.raises(error, match=named):
         VectorStore.load(path)
 
 
@@ -280,24 +283,6 @@ def test_duplicate_error_names_the_smallest_duplicated_id():
     assert len(store) == 0
 
 
-def test_out_of_order_file_loads_as_its_sorted_twin(tmp_path):
-    # A file not written by save: records out of chunk_id order, offsets 0, 100, 200.
-    digest = bytes(range(32))
-    path = tmp_path / "shuffled.vdb"
-    path.write_bytes(raw_store(2, [(b"c", [1.0, 1.0]), (b"a", [0.0, 1.0]), (b"b", [1.0, 0.0])],
-                               digest=digest))
-    loaded = VectorStore.load(path)
-    twin = VectorStore(dims=2, provider_fingerprint="fp")
-    twin.insert_many(["a", "b", "c"], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    twin.bind_corpus(digest, {"c": 0, "a": 100, "b": 200})
-    assert loaded.corpus_offsets() == twin.corpus_offsets() == {"a": 100, "b": 200, "c": 0}
-    queries = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
-    assert loaded.search_many(queries, 3) == twin.search_many(queries, 3)
-    # a and b tie on [1, 1]; the tie breaks on chunk_id.
-    assert [h.chunk_id for h in loaded.search([1.0, 1.0], k=3)] == ["c", "a", "b"]
-    loaded.save(tmp_path / "loaded.vdb")
-    twin.save(tmp_path / "twin.vdb")
-    assert (tmp_path / "loaded.vdb").read_bytes() == (tmp_path / "twin.vdb").read_bytes()
 
 
 def test_identical_vectors_tie_exactly():
@@ -312,7 +297,7 @@ def test_identical_vectors_tie_exactly():
     for query in rng.normal(size=(20, dims)):
         hits = store.search(query, k=2 * half)
         score = {h.chunk_id: h.score for h in hits}
-        rank = {h.chunk_id: h.rank for h in hits}
+        rank = {h.chunk_id: position for position, h in enumerate(hits)}
         for i in range(half):
             first, copy = f"c{i:04d}", f"c{i + half:04d}"
             assert score[first] == score[copy]
@@ -338,14 +323,27 @@ def test_package_serves_store_names_on_first_use():
 
 
 def test_raw_store_layout_loads(tmp_path):
+    # A file written byte by byte (offsets 0, 100, 200) loads as the store that
+    # inserts and binds the same records, and saves to the same bytes.
     path = tmp_path / "raw.vdb"
     digest = bytes(range(32))
-    path.write_bytes(raw_store(2, [(b"b", [1.0, 0.0]), (b"a", [0.0, 1.0])], digest=digest))
+    path.write_bytes(raw_store(2, [(b"a", [0.0, 1.0]), (b"b", [1.0, 0.0]), (b"c", [1.0, 1.0])],
+                               digest=digest))
     store = VectorStore.load(path)
-    assert (len(store), store.dims, store.provider_fingerprint) == (2, 2, "fp")
+    assert (len(store), store.dims, store.provider_fingerprint) == (3, 2, "fp")
     assert store.corpus_sha256 == digest
-    assert store.corpus_offsets() == {"b": 0, "a": 100}
+    assert store.corpus_offsets() == {"a": 0, "b": 100, "c": 200}
     assert [h.chunk_id for h in store.search([0.0, 1.0], k=1)] == ["a"]
+    twin = VectorStore(dims=2, provider_fingerprint="fp")
+    twin.insert_many(["c", "b", "a"], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    twin.bind_corpus(digest, {"a": 0, "b": 100, "c": 200})
+    queries = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+    assert store.search_many(queries, 3) == twin.search_many(queries, 3)
+    # a and b tie on [1, 1]; the tie breaks on chunk_id.
+    assert [h.chunk_id for h in store.search([1.0, 1.0], k=3)] == ["c", "a", "b"]
+    store.save(tmp_path / "loaded.vdb")
+    twin.save(tmp_path / "twin.vdb")
+    assert (tmp_path / "loaded.vdb").read_bytes() == (tmp_path / "twin.vdb").read_bytes()
 
 
 @pytest.mark.parametrize(
