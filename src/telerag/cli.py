@@ -32,7 +32,8 @@ from pathlib import Path
 # Each command imports only the modules it runs, so start-up and --help load none
 # of them (vstore and energymodel bring numpy).
 from . import DEFAULT_CHUNK_SIZE, MAX_STATIONS, QUERY_MODES
-from .errors import DataError, FingerprintMismatchError, ModelError, ProviderError, TeleragError
+from .errors import (DataError, FingerprintMismatchError, ModelError, ProviderError,
+                     TeleragError, read_utf8)
 from .modelclient import ModelConfig, build_backend
 
 T = typing.TypeVar("T")
@@ -173,8 +174,7 @@ def _reject_constant(name: str) -> float:
 
 def _load_json_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f, parse_constant=_reject_constant)
+        data = json.loads(read_utf8(path), parse_constant=_reject_constant)
     except ValueError as exc:
         raise DataError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -280,10 +280,7 @@ def cmd_ingest(args) -> int:
     with _run(out, "ingest", config) as run:
         bank = corpus.Corpus()
         for path in txt_files:
-            try:
-                bank.ingest(path.name, path.read_bytes())
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+            bank.ingest(path.name, read_utf8(path))
         token_counts = bank.write_jsonl(run.output(out), args.chunk_size, args.overlap)
     print(
         f"ingested {len(bank.documents)} documents -> {len(token_counts)} chunks, "

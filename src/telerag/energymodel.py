@@ -15,6 +15,7 @@ consumption poorly compared to eq2.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError
+from .errors import DataError, DegenerateDataError, read_utf8
 from .evalharness import csv_text
 
 MODEL_KINDS = ("eq1", "eq2")
@@ -270,26 +271,25 @@ def check_feature_selection(model_output: str) -> FeatureSelection:
 
 def read_records_csv(path: str | Path) -> list[EnergyRecord]:
     """Load records from CSV with columns bs_id,L,MTX,DSS,E."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        missing = [c for c in ENERGY_CSV_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"energy CSV missing column(s): {', '.join(missing)}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    EnergyRecord(
-                        bs_id=row["bs_id"],
-                        load=float(row["L"]),
-                        max_tx_power=float(row["MTX"]),
-                        shutdown_duration=float(row["DSS"]),
-                        energy=float(row["E"]),
-                    )
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in ENERGY_CSV_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"energy CSV missing column(s): {', '.join(missing)}")
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            records.append(
+                EnergyRecord(
+                    bs_id=row["bs_id"],
+                    load=float(row["L"]),
+                    max_tx_power=float(row["MTX"]),
+                    shutdown_duration=float(row["DSS"]),
+                    energy=float(row["E"]),
                 )
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"bad energy CSV row at line {lineno}: {exc}") from exc
+            )
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"bad energy CSV row at line {lineno}: {exc}") from exc
     if not records:
         raise DataError(f"energy CSV has no data rows: {path}")
     return records

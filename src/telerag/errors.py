@@ -6,6 +6,8 @@ provider and model backend failures exit 3.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class TeleragError(Exception):
     """Base class for all toolkit errors."""
@@ -53,3 +55,12 @@ class ModelProtocolError(ModelError):
 
 class TranscriptMissError(ModelError):
     """A transcript backend has no recorded reply for the prompt."""
+
+
+def read_utf8(path) -> str:
+    """The text of the file at path; bytes that are not UTF-8 raise DataError
+    naming the file and the offset of the first bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None

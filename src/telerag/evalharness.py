@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Hashable, Iterable, Literal, Sequence
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 CATEGORIES = (
     "Lexicon",
@@ -234,20 +234,19 @@ def load_dataset(path: str | Path) -> list[McqItem]:
     items: list[McqItem] = []
     failures: list[str] = []
     if path.suffix == ".jsonl":
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    items.append(_item_from_normalized(line))
-                except DataError as exc:
-                    failures.append(f"line {lineno}: {getattr(exc, 'rules', exc)}")
-    else:
-        with open(path, "r", encoding="utf-8") as f:
+        # Lines split as a text-mode file splits them, at \n, \r\n and \r.
+        for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), start=1):
+            if not line.strip():
+                continue
             try:
-                raw = json.load(f)
-            except ValueError as exc:
-                raise DataError(f"malformed JSON in {path}: {exc}") from exc
+                items.append(_item_from_normalized(line))
+            except DataError as exc:
+                failures.append(f"line {lineno}: {getattr(exc, 'rules', exc)}")
+    else:
+        try:
+            raw = json.loads(read_utf8(path))
+        except ValueError as exc:
+            raise DataError(f"malformed JSON in {path}: {exc}") from exc
         if isinstance(raw, dict):
             entries = raw.items()
         elif isinstance(raw, list):

@@ -244,8 +244,8 @@ def ask(backend: ModelBackend, prompts: Sequence[str],
     exception stops the threads from taking more prompts; once the calls in
     flight finish, the exception of the lowest failed index is raised here,
     the one a serial run would raise (the rule of forkpool.fork_map). An
-    exception in this thread while it waits, such as KeyboardInterrupt on
-    Ctrl-C, also stops the threads; it is raised once the calls in flight end.
+    exception here while threads start or run (Ctrl-C, a thread that cannot
+    start) stops them too; it is raised once the calls in flight end.
     """
 
     def one(prompt: str) -> Completion | None:
@@ -265,26 +265,33 @@ def ask(backend: ModelBackend, prompts: Sequence[str],
         with lock:
             return None if failures else next(pending, None)
 
-    def work() -> None:
+    def work(done: threading.Event) -> None:
         while (i := take()) is not None:
             try:
                 results[i] = one(prompts[i])
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
+        done.set()
 
-    threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(prompts)))]
-    for thread in threads:
-        thread.start()
+    dones = [threading.Event() for _ in range(min(concurrency, len(prompts)))]
+    threads = [threading.Thread(target=work, args=(done,)) for done in dones]
     try:
         for thread in threads:
-            thread.join()
+            thread.start()
+        for done in dones:
+            done.wait()
     except BaseException:
         with lock:
             pending = iter(())
-        for thread in threads:
-            thread.join()
         raise
+    finally:
+        # A worker is joined once it has set done: before Python 3.13, a join that
+        # KeyboardInterrupt breaks marks its thread stopped while it still runs.
+        for thread, done in zip(threads, dones):
+            if thread.is_alive():  # one that never started cannot be joined
+                done.wait()
+                thread.join()
     if failures:
         raise failures[min(failures)]
     return results

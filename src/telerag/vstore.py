@@ -12,14 +12,14 @@ reproducible. The ranking contract:
 - a query's hits come as a list, best first: in descending score order,
   equal scores breaking on ascending chunk_id.
 
-Float64 scores are computed only for the few records a float32 screen
-cannot rule out. The first search after the records change builds, under a
-lock, each record's float64 norm and its float32 unit row
-fl32(y / |y|), normalised in float64 so that no component exceeds 1
-however large the stored ones are. ``search_many`` normalises each query
-the same way and scores its queries in blocks of rows with one float32
-matmul each, a block sized so that its float32 scores, one column per
-record, stay within ``SCORE_BLOCK_BYTES`` (at least one query per block).
+Each record's float64 norm is computed once, by the check that admits the
+record to the store. Float64 scores are computed only for the few records a
+float32 screen cannot rule out. Each ``search_many`` call builds the float32
+unit rows fl32(y / |y|), normalised in float64 so that no component exceeds 1
+however large the stored ones are, normalises each query the same way and
+scores its queries in blocks of rows with one float32 matmul each, a block
+sized so that its float32 scores, one column per record, stay within
+``SCORE_BLOCK_BYTES`` (at least one query per block).
 
 How far a screen score can sit from the cosine: with u = 2^-24, n = dims and
 x, y the exact unit vectors, each screen component is x_i (1 + e_i) with
@@ -37,8 +37,9 @@ float64, where s = (n + 8) 2^-48 covers the float64 steps (the norms, the
 normalising division, the rescoring and the subtraction, each a few n 2^-53)
 and underflow of tiny components (at most n 2^-149). Only groups whose maximum reaches that bound are gathered, and the
 candidates are rescored in float64 in slices of at most ``SCORE_BLOCK_BYTES``
-of rows. A block has at most one candidate per score, so working memory stays
-within about 14 ``SCORE_BLOCK_BYTES`` whatever the queries, k, dims or ties.
+of rows. A block has at most one candidate per score, so beside the unit rows
+working memory stays within about 14 ``SCORE_BLOCK_BYTES`` whatever the
+queries, k, dims or ties.
 
 Records are held in one order, ascending chunk_id, in memory and in the
 file, so the same record set always produces byte-identical files and equal
@@ -112,25 +113,22 @@ class SearchHit:
     score: float
 
 
-@dataclass(frozen=True)
-class _Scoring:
-    """The records as search sees them, in chunk_id order: ids, float32 rows,
-    each one's float64 norm and its float32 unit row."""
-
-    ids: list[str]
-    rows: np.ndarray
-    norms: np.ndarray
-    screen: np.ndarray
-
-
-def _check_vectors(chunk_ids: Sequence[str], rows: np.ndarray) -> None:
-    """Reject non-finite and zero vectors: cosine similarity is undefined for both."""
-    bad = ~np.isfinite(rows).all(axis=1)
+def _row_norms(chunk_ids: Sequence[str], rows: np.ndarray) -> np.ndarray:
+    """The float64 norm of each float32 row. A non-finite or zero row raises,
+    as cosine similarity is undefined for both: its norm is non-finite, or
+    zero, exactly when the row is."""
+    norms = np.empty(len(rows))
+    step = max(1, SCORE_BLOCK_BYTES // (8 * rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step].astype(np.float64)
+        norms[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", block, block))
+    bad = ~np.isfinite(norms)
     if bad.any():
         raise DataError(f"embedding for {chunk_ids[int(bad.argmax())]!r} has non-finite components")
-    zero = ~rows.any(axis=1)
+    zero = norms == 0
     if zero.any():
         raise DataError(f"embedding for {chunk_ids[int(zero.argmax())]!r} has zero norm")
+    return norms
 
 
 def _sorted_ids(ids: list[str]) -> tuple[list[str], list[int]]:
@@ -156,7 +154,8 @@ def _margin(dims: int) -> float:
 
 
 def _top_k(
-    sims: np.ndarray, q: np.ndarray, qnorms: np.ndarray, k: int, scoring: _Scoring
+    sims: np.ndarray, q: np.ndarray, qnorms: np.ndarray, k: int,
+    ids: list[str], vectors: np.ndarray, norms: np.ndarray,
 ) -> list[list[SearchHit]]:
     """Per row of sims (the screen scores of queries q, one column per
     record): the k best records by (-score, chunk_id).
@@ -181,8 +180,8 @@ def _top_k(
     step = max(1, SCORE_BLOCK_BYTES // (16 * q.shape[1]))
     for lo in range(0, len(rows), step):
         r, c = rows[lo : lo + step], cols[lo : lo + step]
-        scores[lo : lo + step] = np.einsum("ij,ij->i", q[r], scoring.rows[c].astype(np.float64))
-    scores /= scoring.norms[cols]
+        scores[lo : lo + step] = np.einsum("ij,ij->i", q[r], vectors[c].astype(np.float64))
+    scores /= norms[cols]
     scores /= qnorms[rows]
     # rows ascends, so order keeps each row's candidates in the row's own span;
     # columns are in chunk_id order, so equal scores break on the column.
@@ -191,7 +190,7 @@ def _top_k(
     for start in np.searchsorted(rows, np.arange(m)).tolist():
         top = order[start : start + k]
         hits.append([
-            SearchHit(chunk_id=scoring.ids[col], score=min(1.0, max(-1.0, score)))
+            SearchHit(chunk_id=ids[col], score=min(1.0, max(-1.0, score)))
             for col, score in zip(cols[top].tolist(), scores[top].tolist())
         ])
     return hits
@@ -209,7 +208,10 @@ def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, int, str]:
     fp_bytes = f.read(fp_len)
     if len(fp_bytes) < fp_len:
         raise StoreFormatError(f"truncated store file: {path}")
-    return version, dims, count, fp_bytes.decode("utf-8")
+    try:
+        return version, dims, count, fp_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"provider fingerprint in {path} is not UTF-8: {exc.reason}") from None
 
 
 class VectorStore:
@@ -220,10 +222,10 @@ class VectorStore:
             raise ValueError("dims must be positive")
         self.dims = dims
         self.provider_fingerprint = provider_fingerprint
-        # Ascending chunk_ids and their float32 rows; inserts rebind both.
+        # Ascending chunk_ids, their float32 rows and float64 norms; inserts rebind all three.
         self._ids: list[str] = []
         self._rows = np.empty((0, dims), dtype=np.float32)
-        self._scoring: _Scoring | None = None
+        self._norms = np.empty(0)
         self._lock = threading.Lock()
         self.corpus_sha256 = UNBOUND
         # Corpus line offset of each row; None when unbound.
@@ -253,13 +255,13 @@ class VectorStore:
         ids = list(chunk_ids)
         if len(ids) != len(block):
             raise ValueError(f"{len(ids)} chunk ids for {len(block)} vectors")
-        _check_vectors(ids, block)
+        norms = _row_norms(ids, block)
         with self._lock:
             # Into an empty store the block is gathered as it is, without a joined copy.
             joined = np.concatenate((self._rows, block)) if self._ids else block
             self._ids, order = _sorted_ids(self._ids + ids)
             self._rows = joined[order]
-            self._scoring = None
+            self._norms = np.concatenate((self._norms, norms))[order]
             self.corpus_sha256, self._offsets = UNBOUND, None
 
     def bind_corpus(self, sha256: bytes, offsets: Mapping[str, int]) -> None:
@@ -277,21 +279,6 @@ class VectorStore:
         if self._offsets is None:
             return dict.fromkeys(self._ids, 0)
         return dict(zip(self._ids, self._offsets.tolist()))
-
-    def _prepare(self) -> _Scoring:
-        with self._lock:
-            if self._scoring is None:
-                n = len(self._ids)
-                norms = np.empty(n)
-                screen = np.empty((n, self.dims), dtype=np.float32)
-                step = max(1, SCORE_BLOCK_BYTES // (8 * self.dims))
-                for lo in range(0, n, step):
-                    block = self._rows[lo : lo + step].astype(np.float64)
-                    norms[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", block, block))
-                    block /= norms[lo : lo + step, None]
-                    screen[lo : lo + step] = block
-                self._scoring = _Scoring(self._ids, self._rows, norms, screen)
-            return self._scoring
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
         """Exact top-k by cosine similarity; ties break on ascending chunk_id."""
@@ -325,16 +312,19 @@ class VectorStore:
             qnorms[huge] = np.sqrt(np.einsum("ij,ij->i", q[huge], q[huge]))
         if not qnorms.all():
             raise DataError("query vector has zero norm")
-        if not self._ids:
+        with self._lock:
+            ids, vectors, norms = self._ids, self._rows, self._norms
+        n = len(ids)
+        if not n:
             return [[] for _ in range(len(q))]
-        scoring = self._prepare()
-        n = len(scoring.ids)
+        screen = np.divide(vectors, norms[:, None], out=np.empty_like(vectors), dtype=np.float64)
         unit = (q / qnorms[:, None]).astype(np.float32)
         step = max(1, SCORE_BLOCK_BYTES // (4 * n))
         hits: list[list[SearchHit]] = []
         for lo in range(0, len(q), step):
-            sims = unit[lo : lo + step] @ scoring.screen.T
-            hits += _top_k(sims, q[lo : lo + step], qnorms[lo : lo + step], min(k, n), scoring)
+            sims = unit[lo : lo + step] @ screen.T
+            hits += _top_k(sims, q[lo : lo + step], qnorms[lo : lo + step], min(k, n),
+                           ids, vectors, norms)
         return hits
 
     def save(self, path: str | Path) -> None:
@@ -399,8 +389,8 @@ class VectorStore:
             raise error(f"chunk id {pair[1]!r} follows {pair[0]!r} in {path}; ids must ascend")
         rows = np.frombuffer(data, "<f4", count * dims, vectors_at).reshape(count, dims)
         offsets = np.frombuffer(data, "<u8", count, offsets_at)
-        _check_vectors(ids, rows)
+        norms = _row_norms(ids, rows)
         store = cls(dims=dims, provider_fingerprint=fingerprint)
-        store._ids, store._rows, store._offsets = ids, rows, offsets
+        store._ids, store._rows, store._norms, store._offsets = ids, rows, norms, offsets
         store.corpus_sha256 = data[digest_at:ids_at - 8]
         return store

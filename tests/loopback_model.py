@@ -1,4 +1,4 @@
-"""A loopback model server for tests and CI: every POST gets {"text": "base station 1"}.
+"""A loopback model server for tests: every POST gets {"text": "base station 1"}.
 
     python3 tests/loopback_model.py PORT_FILE [--delay SECONDS] [--one-at-a-time]
 

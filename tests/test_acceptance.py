@@ -72,12 +72,8 @@ def test_retrieval_exactness():
         dims = rng.randint(8, 128)
         nprng = np.random.default_rng(case)
         store = VectorStore(dims=dims, provider_fingerprint="fp")
-        vectors = {}
-        for i in range(n):
-            vec = nprng.normal(size=dims).astype(np.float32)
-            chunk_id = f"c{i:05d}"
-            store.insert(VectorRecord(chunk_id=chunk_id, embedding=vec))
-            vectors[chunk_id] = vec
+        vectors = {f"c{i:05d}": nprng.normal(size=dims).astype(np.float32) for i in range(n)}
+        store.insert_many(list(vectors), list(vectors.values()))
         query = nprng.normal(size=dims)
         k = rng.randint(1, 10)
         hits = store.search(query, k=k)

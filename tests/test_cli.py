@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -102,6 +103,21 @@ def test_ingest_names_the_file_that_is_not_utf8(tmp_path, capsys):
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {bad} is not UTF-8: invalid start byte at byte 6\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["docs"]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".json"])
+def test_eval_names_the_dataset_that_is_not_utf8(tmp_path, capsys, suffix):
+    _, rows = make_dataset_jsonl(tmp_path, n_items=2)
+    dataset = tmp_path / f"bad{suffix}"
+    first = (json.dumps(rows[0]) + "\n").encode()
+    dataset.write_bytes(first + b"\xff" + json.dumps(rows[1]).encode() + b"\n")
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    report = tmp_path / "r.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {dataset} is not UTF-8: invalid start byte at byte {len(first)}\n")
+    assert not report.exists() and leftovers(tmp_path) == []
 
 
 def test_ingest_rerun_byte_identical(tmp_path):
@@ -272,6 +288,24 @@ def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: unsupported store format version 1; re-run telerag embed\n"
     assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["embed", "eval"])
+def test_store_whose_fingerprint_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # embed reads the fingerprint of the store it would replace, eval --rag the one it loads.
+    corpus_path, store_path, eval_args = embed_three_docs(tmp_path)
+    blob = bytearray(store_path.read_bytes())
+    blob[28] = 0xFF  # the first byte of the fingerprint, after magic, version, dims, count, length
+    store_path.write_bytes(bytes(blob))
+    args = {"embed": ["embed", "--corpus", str(corpus_path), "--provider-config",
+                      str(tmp_path / "provider.json"), "--out", str(store_path)],
+            "eval": eval_args + ["--report", str(tmp_path / "r.json")]}[command]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: provider fingerprint in {store_path} is not UTF-8: invalid start byte\n")
+    assert store_path.read_bytes() == blob
+    assert not (tmp_path / "r.json").exists() and leftovers(tmp_path) == []
 
 
 def test_eval_run_block_records_rag_settings(tmp_path):
@@ -445,6 +479,17 @@ def test_usecase_energy_missing_column(tmp_path, capsys):
                  "--out", str(tmp_path / "fit.json")])
     assert code == 2
     assert "DSS" in capsys.readouterr().err
+
+
+def test_usecase_energy_names_the_data_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "energy.csv"
+    data.write_bytes(b"bs_id,L,MTX,DSS,E\nb\xe9,0.5,1.0,0.5,1.0\n")
+    out = tmp_path / "fit.json"
+    assert main(["usecase-energy", "--data", str(data), "--model", "both",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data} is not UTF-8: invalid continuation byte at byte 19\n")
+    assert not out.exists() and leftovers(tmp_path) == []
 
 
 @pytest.mark.parametrize("mtx", ["nan", "inf"])
@@ -1613,21 +1658,51 @@ def test_embed_bad_http_embeddings_exit_3(tmp_path, capsys, monkeypatch, n_texts
 LOOPBACK_MODEL = Path(__file__).resolve().parent / "loopback_model.py"
 
 
-def _stop_an_http_eval(tmp_path, signum) -> None:
-    """Send signum to an http eval once the model has had 20 requests: the run
-    stops asking, prints one line, exits 130 and leaves no report, .tmp or lock."""
-    # A loopback model that answers after 50 ms: 400 items at concurrency 4 take 5 s.
+@contextlib.contextmanager
+def loopback_model(tmp_path, *flags):
+    """The port of a loopback_model.py server started with flags, killed on exit."""
     port_file = tmp_path / "port"
-    stub = subprocess.Popen([sys.executable, str(LOOPBACK_MODEL), str(port_file),
-                             "--delay", "0.05"])
-    proc = None
+    stub = subprocess.Popen([sys.executable, str(LOOPBACK_MODEL), str(port_file), *flags])
     try:
         deadline = time.monotonic() + 30
         while not port_file.exists():
             assert time.monotonic() < deadline and stub.poll() is None
             time.sleep(0.02)
-        port = int(port_file.read_text())
+        yield int(port_file.read_text())
+    finally:
+        stub.kill()
+        stub.wait()
 
+
+def test_http_association_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
+    # 200 problems in blocks of 50 that another backend would fork on two CPUs. The
+    # model answers HTTP 429 to a request that overlaps another, and with one attempt
+    # per prompt such an answer leaves the problem errored.
+    monkeypatch.setattr(userassoc, "CURVE_IN_PROCESS_MAX", 50)
+    monkeypatch.setattr(userassoc, "CURVE_BLOCK", 50)
+    curves = []
+    with loopback_model(tmp_path, "--one-at-a-time") as port:
+        model_cfg = write_json(tmp_path / "http_model.json", {
+            "kind": "http", "endpoint": f"http://127.0.0.1:{port}/complete",
+            "model_name": "stub", "max_attempts": 1})
+        for cpus in (1, 2):
+            monkeypatch.setattr(forkpool, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"http_{cpus}.csv"
+            assert main(["usecase-assoc", "--bs-counts", "2,3", "--trials", "100", "--seed", "1",
+                         "--model-config", model_cfg, "--out", str(out)]) == 0
+            curves.append(out.read_text(encoding="utf-8"))
+    assert curves[0] == curves[1]
+    rows = [line.split(",") for line in curves[0].splitlines()[1:]]
+    assert [(n_bs, trials, errored) for n_bs, trials, _, errored, _ in rows] == [
+        ("2", "100", "0"), ("3", "100", "0")]
+    assert leftovers(tmp_path) == []
+
+
+def _stop_an_http_eval(tmp_path, signum) -> None:
+    """Send signum to an http eval once the model has had 20 requests: the run
+    stops asking, prints one line, exits 130 and leaves no report, .tmp or lock."""
+    # A loopback model that answers after 50 ms: 400 items at concurrency 4 take 5 s.
+    with loopback_model(tmp_path, "--delay", "0.05") as port:
         def received() -> int:
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             conn.request("GET", "/")
@@ -1644,22 +1719,22 @@ def _stop_an_http_eval(tmp_path, signum) -> None:
             [sys.executable, "-m", "telerag.cli", "eval", "--dataset", str(dataset),
              "--model-config", model_cfg, "--report", str(report), "--concurrency", "4"],
             env=child_env(), stderr=subprocess.PIPE, text=True)
-        while (at_signal := received()) < 20:
-            assert proc.poll() is None
-            time.sleep(0.01)
-        proc.send_signal(signum)
-        _, err = proc.communicate(timeout=60)
-        at_exit = received()
-        time.sleep(0.3)
-        assert received() == at_exit
-        assert at_exit <= at_signal + 12  # the 4 calls in flight, and a few that raced the signal
-        assert (proc.returncode, err) == (130, "interrupted\n")
-        assert leftovers(tmp_path) == [] and not report.exists()
-    finally:
-        for child in (proc, stub):
-            if child is not None and child.poll() is None:
-                child.kill()
-                child.wait()
+        try:
+            while (at_signal := received()) < 20:
+                assert proc.poll() is None
+                time.sleep(0.01)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+            at_exit = received()
+            time.sleep(0.3)
+            assert received() == at_exit
+            assert at_exit <= at_signal + 12  # the 4 calls in flight, and a few that raced the signal
+            assert (proc.returncode, err) == (130, "interrupted\n")
+            assert leftovers(tmp_path) == [] and not report.exists()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 def test_ctrl_c_stops_an_http_eval(tmp_path):

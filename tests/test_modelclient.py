@@ -354,6 +354,57 @@ def test_run_items_ctrl_c_stops_handing_out_items():
     assert len(calls) <= 8
 
 
+def test_ask_stops_the_started_workers_when_a_thread_cannot_start(monkeypatch):
+    calls = []
+
+    def reply(item):
+        calls.append(item)
+        time.sleep(0.01)
+        return item
+
+    real_start = threading.Thread.start
+    starts = []
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        ask(IndexBackend(reply), _prompts(200), 3)
+    monkeypatch.undo()
+    assert threading.active_count() == before
+    asked = len(calls)
+    time.sleep(0.1)
+    assert len(calls) == asked < 200
+
+
+def test_ask_ctrl_c_waits_for_the_call_of_the_first_worker():
+    # The first worker's call outlasts the Ctrl-C. Before Python 3.13, a
+    # Thread.join that KeyboardInterrupt breaks marks the thread it waits for
+    # as stopped, so a later join of that worker returns while it still runs.
+    main = threading.main_thread().ident
+    ended = []
+
+    def reply(item):
+        if item == 0:
+            time.sleep(0.3)
+        elif item == 1:
+            time.sleep(0.05)
+            signal.pthread_kill(main, signal.SIGINT)
+        ended.append(item)
+        return item
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        ask(IndexBackend(reply), _prompts(3), 3)
+    assert threading.active_count() == before
+    assert sorted(ended) == [0, 1, 2]
+
+
 def test_run_items_stress_takes_each_index_once():
     calls = []
 

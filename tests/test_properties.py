@@ -240,8 +240,9 @@ def test_extreme_magnitudes_rank_as_oracle():
 def test_search_many_memory_within_score_blocks(copies, k):
     """With every record a copy of one vector, each is a candidate for every
     query; with k above the group count (32 here), the threshold comes from
-    the scores themselves. Either way the working memory of search_many stays
-    a fixed multiple of SCORE_BLOCK_BYTES."""
+    the scores themselves. Either way the working memory of search_many stays,
+    beside the unit rows it builds (256 KB here), a fixed multiple of
+    SCORE_BLOCK_BYTES."""
     rng = np.random.default_rng(6)
     dims, n = 32, 2000
     rows = rng.normal(size=(n, dims)).astype(np.float32)
@@ -254,7 +255,6 @@ def test_search_many_memory_within_score_blocks(copies, k):
     queries = rng.normal(size=(150, dims))
     block = 1 << 20
     with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", block):
-        store.search(queries[0], k)  # builds the screen before measuring
         tracemalloc.start()
         try:
             batched = store.search_many(queries, k)

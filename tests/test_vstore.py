@@ -263,6 +263,26 @@ def test_load_rejects_non_finite_and_duplicate_records(tmp_path):
         VectorStore.load(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 1], [0, 0], [1, np.inf], [np.nan, 0], [0, 0]], "'c' has non-finite components"),
+    ([[1, 1], [-np.inf, np.inf], [0, 0], [1, 1]], "'b' has non-finite components"),
+    ([[1, 1], [0, -0.0], [0, 0], [1, 1]], "'b' has zero norm"),
+    ([[1, 1], [1e-45, 0], [0, 0], [3e38, -3e38]], "'c' has zero norm"),
+], ids=["nan-and-inf-after-zero", "opposite-infinities", "zeros", "extremes"])
+def test_bad_row_message_names_the_first_bad_id(tmp_path, rows, message):
+    # Any non-finite row is reported before any zero row, each by its first id;
+    # the smallest subnormal and the largest float32 rows are admitted.
+    ids = ["a", "b", "c", "d", "e"][: len(rows)]
+    store = VectorStore(dims=2, provider_fingerprint="fp")
+    with pytest.raises(DataError, match=f"^embedding for {message}$"):
+        store.insert_many(ids, np.array(rows, dtype=np.float32))
+    assert len(store) == 0
+    path = tmp_path / "bad.vdb"
+    write_raw_store(path, 2, [(c.encode(), row) for c, row in zip(ids, rows)])
+    with pytest.raises(DataError, match=f"^embedding for {message}$"):
+        VectorStore.load(path)
+
+
 @pytest.mark.parametrize("order, error, named", [
     ("bab", StoreFormatError, "chunk id 'a' follows 'b'"),
     ("acb", StoreFormatError, "chunk id 'b' follows 'c'"),
