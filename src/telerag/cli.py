@@ -72,32 +72,6 @@ class _Outputs:
         return _tmp(self.paths[-1])
 
 
-def _remove_stale_lock(lock_path: Path) -> bool:
-    """Remove lock_path if the pid it holds names no running process.
-
-    Reclaimers take an flock on the lock file they read and remove it only
-    while it is still the file at lock_path, so a lock that another reclaimer
-    has taken since is never removed.
-    """
-    try:
-        f = open(lock_path, "rb")
-    except FileNotFoundError:
-        return True
-    with f:
-        fcntl.flock(f, fcntl.LOCK_EX)
-        try:
-            pid = int(f.read())
-            if pid <= 0 or os.stat(lock_path).st_ino != os.fstat(f.fileno()).st_ino:
-                return False
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            lock_path.unlink()
-            return True
-        except (ValueError, OSError):  # no readable pid, lock gone, or owner of another user
-            return False
-    return False
-
-
 def _check_outputs(primary_out: str | Path, *others: str | None,
                    inputs: typing.Iterable[str | Path | None] = ()) -> None:
     """Usage error unless a run's outputs, its manifest, their .tmp files and its
@@ -122,29 +96,32 @@ def _check_outputs(primary_out: str | Path, *others: str | None,
 def _run(primary_out: Path, command: str, config: dict, seed: int | None = None):
     """Lock primary_out for one command run and yield its _Outputs.
 
-    The lock file `<primary_out>.lock` holds this process's pid; a lock whose
-    pid names no running process is reclaimed once.
+    The lock is an flock on `<primary_out>.lock`, held for the whole run; a run
+    that finds it held exits 2. The kernel drops the lock when the process
+    ends, however it ends, so a lock file left behind blocks no later run.
+    Forked fork_map workers share the locked file, so a worker of a run that
+    was killed outright holds the lock until its task ends. Deleting a held
+    lock file would let a second run lock a new file beside the first.
 
     Writers write to the paths `output()` hands back. When the block succeeds
     the manifest is written as one more output and every output is moved into
     place in order, the manifest last; when it raises nothing is replaced.
-    Leftover .tmp files and the lock are always removed.
+    Leftover .tmp files and the lock file are always removed.
     """
     from .evalharness import write_json
 
     lock_path = Path(str(primary_out) + ".lock")
-    for reclaim in (True, False):
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if reclaim and _remove_stale_lock(lock_path):
-                continue
-            raise DataError(
-                f"another run appears to be writing {primary_out} (remove {lock_path} if stale)"
-            ) from None
-        with os.fdopen(fd, "w") as f:
-            f.write(f"{os.getpid()}\n")
-        break
+    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        # The file is gone, or is a new one, when a run that just finished unlinked it.
+        if os.stat(lock_path).st_ino != os.fstat(fd).st_ino:
+            raise BlockingIOError
+    except BaseException as exc:
+        os.close(fd)
+        if isinstance(exc, (BlockingIOError, FileNotFoundError)):
+            raise DataError(f"another run appears to be writing {primary_out}") from None
+        raise
     started_at = _utcnow()
     run = _Outputs()
     try:
@@ -165,6 +142,7 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
         for path in run.paths:
             _tmp(path).unlink(missing_ok=True)
         lock_path.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _reject_constant(name: str) -> float:

@@ -77,10 +77,8 @@ class Corpus:
         self.documents: list[Document] = []
         self._used_ids: set[str] = set()
 
-    def ingest(self, source_name: str, text: str | bytes) -> Document:
-        """Register a document; bytes input must be valid UTF-8."""
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    def ingest(self, source_name: str, text: str) -> Document:
+        """Register a document under a doc id derived from source_name."""
         base = _sanitize_doc_id(source_name)
         doc_id = base
         suffix = 0

@@ -281,7 +281,10 @@ class VectorStore:
         return dict(zip(self._ids, self._offsets.tolist()))
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
-        """Exact top-k by cosine similarity; ties break on ascending chunk_id."""
+        """Exact top-k by cosine similarity; ties break on ascending chunk_id.
+
+        Each call builds the unit rows of the whole store, so a caller with
+        more than one query should pass them together to search_many."""
         q = np.asarray(query, dtype=np.float64)
         if q.ndim != 1:
             raise DimensionMismatchError(
@@ -352,9 +355,9 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
-        """Read a store file; wrong magic or version, truncation, trailing
-        bytes, an ids block that is not a list of count strings and ids that
-        do not ascend raise StoreFormatError, an id given twice
+        """Read a store file; wrong magic or version, dims below 1, truncation,
+        trailing bytes, an ids block that is not a list of count strings and
+        ids that do not ascend raise StoreFormatError, an id given twice
         DuplicateChunkError. The offsets and vectors stay views of the file.
         """
         with open(path, "rb") as f:
@@ -363,6 +366,8 @@ class VectorStore:
                 raise StoreFormatError(
                     f"unsupported store format version {version}; re-run telerag embed"
                 )
+            if dims < 1:
+                raise StoreFormatError(f"store file {path} has dims {dims}; dims must be positive")
             digest_at = f.tell()
             f.seek(0)  # the blocks below are read at their offsets in the file
             data = f.read()

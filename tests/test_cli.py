@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -20,10 +21,10 @@ from telerag import corpus, embed, forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
 from telerag.energymodel import ENERGY_CSV_COLUMNS, generate_synthetic
-from telerag.errors import DataError, ProviderError
+from telerag.errors import DataError, ProviderError, read_utf8
 from telerag.evalharness import csv_text
 from telerag.modelclient import write_transcript
-from telerag.vstore import VectorStore
+from telerag.vstore import FORMAT_VERSION, MAGIC, VectorStore
 
 HASH_PROVIDER = {"kind": "hash-test", "dims": 32, "seed": 0}
 
@@ -305,6 +306,19 @@ def test_store_whose_fingerprint_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"error: provider fingerprint in {store_path} is not UTF-8: invalid start byte\n")
     assert store_path.read_bytes() == blob
+    assert not (tmp_path / "r.json").exists() and leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_eval_rag_store_of_zero_dims_exits_2(tmp_path, capsys, count):
+    _, store_path, eval_args = embed_three_docs(tmp_path)
+    ids = json.dumps(["a"][:count]).encode()
+    store_path.write_bytes(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, 0, count, 2) + b"fp"
+                           + bytes(32) + struct.pack("<Q", len(ids)) + ids + bytes(8 * count))
+    capsys.readouterr()
+    assert main(eval_args + ["--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: store file {store_path} has dims 0; dims must be positive\n")
     assert not (tmp_path / "r.json").exists() and leftovers(tmp_path) == []
 
 
@@ -754,17 +768,6 @@ def test_manifest_differs_only_in_timestamps(tmp_path):
     assert first == second
 
 
-def test_lock_file_blocks_concurrent_writer(tmp_path):
-    docs = make_docs_dir(tmp_path, sizes=(10,))
-    out = tmp_path / "c.jsonl"
-    lock = tmp_path / "c.jsonl.lock"
-    lock.touch()
-    code = main(["ingest", "--input", str(docs), "--out", str(out)])
-    assert code == 2
-    lock.unlink()
-    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
-
-
 def leftovers(directory):
     return sorted(p.name for p in directory.iterdir() if p.suffix in (".tmp", ".lock"))
 
@@ -795,30 +798,74 @@ def test_tmp_left_by_killed_run_is_replaced_and_removed(tmp_path):
     assert leftovers(tmp_path) == []
 
 
-def test_lock_of_live_process_blocks(tmp_path, capsys):
+# A run that holds the lock on argv[1] until it is killed; it creates argv[2] once inside.
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from telerag import cli
+with cli._run(Path(sys.argv[1]), "hold", {}):
+    Path(sys.argv[2]).touch()
+    time.sleep(600)
+"""
+
+
+@contextlib.contextmanager
+def lock_holder(out: Path):
+    """A child process inside cli._run for out, killed and waited for on exit."""
+    held = out.parent / "held"
+    child = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out), str(held)],
+                             env=child_env())
+    try:
+        deadline = time.monotonic() + 60
+        while not held.exists():
+            assert time.monotonic() < deadline and child.poll() is None
+            time.sleep(0.02)
+        yield child
+    finally:
+        child.kill()
+        child.wait()
+
+
+def test_lock_held_by_a_live_run_blocks(tmp_path, capsys):
     docs = make_docs_dir(tmp_path, sizes=(10,))
     out = tmp_path / "c.jsonl"
     lock = tmp_path / "c.jsonl.lock"
-    lock.write_text(f"{os.getpid()}\n", encoding="utf-8")
-    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
-    assert "another run appears to be writing" in capsys.readouterr().err
-    assert lock.read_text(encoding="utf-8") == f"{os.getpid()}\n"
-    assert not out.exists()
+    with lock_holder(out):
+        inode = lock.stat().st_ino
+        assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: another run appears to be writing {out}\n"
+        assert lock.stat().st_ino == inode and lock.stat().st_mode & 0o111 == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl.lock", "docs", "held"]
 
 
-def test_concurrent_reclaimers_never_overlap(tmp_path, monkeypatch):
+def test_lock_of_a_killed_run_is_taken_over(tmp_path):
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "c.jsonl"
+    with lock_holder(out) as child:
+        child.kill()
+        child.wait()
+        assert (tmp_path / "c.jsonl.lock").exists()
+        assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
+    assert out.exists() and leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("content", ["own-pid", "empty"])
+def test_lock_file_left_by_a_killed_run_blocks_nothing(tmp_path, content):
+    # A killed run whose pid is now this process's, or one killed before it wrote its pid.
+    docs = make_docs_dir(tmp_path, sizes=(10,))
+    out = tmp_path / "c.jsonl"
+    lock = tmp_path / "c.jsonl.lock"
+    lock.write_text(f"{os.getpid()}\n" if content == "own-pid" else "", encoding="utf-8")
+    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
+    assert out.exists() and leftovers(tmp_path) == []
+
+
+def test_concurrent_reclaimers_never_overlap(tmp_path):
     from telerag import cli
 
     out = tmp_path / "c.txt"
     state = {"inside": 0, "most": 0, "runs": 0}
     guard = threading.Lock()
-    real_kill = os.kill
-
-    def slow_kill(pid, sig):  # widen the gap between reading a pid and removing the lock
-        time.sleep(0.002)
-        return real_kill(pid, sig)
-
-    monkeypatch.setattr(os, "kill", slow_kill)
     start = threading.Barrier(8)
 
     def reclaim():
@@ -851,6 +898,56 @@ def test_concurrent_reclaimers_never_overlap(tmp_path, monkeypatch):
     assert state["most"] == 1
     assert state["runs"] >= 20
     assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("then", ["gone", "replaced"])
+def test_lock_file_unlinked_before_flock_refuses(tmp_path, monkeypatch, then):
+    # The holder finishes, unlinking the file, between this run's open and its flock;
+    # locking the orphaned file would let this run overlap one that locks a new file.
+    import fcntl
+
+    from telerag import cli
+
+    out = tmp_path / "c.txt"
+    lock = tmp_path / "c.txt.lock"
+    real_flock = fcntl.flock
+
+    def holder_finishes_first(fd, operation):
+        lock.unlink()
+        if then == "replaced":
+            lock.touch()
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", holder_finishes_first)
+    with pytest.raises(DataError, match="another run appears to be writing"):
+        with cli._run(out, "test", {}):
+            pass
+    assert lock.exists() == (then == "replaced")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_run_leaves_no_fd_open(tmp_path):
+    from telerag import cli
+
+    def open_fds() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    out = tmp_path / "c.txt"
+    before = open_fds()
+    with cli._run(out, "test", {}) as run:
+        run.output(out).write_text("x", encoding="utf-8")
+    assert open_fds() == before
+    with pytest.raises(ValueError):
+        with cli._run(out, "test", {}):
+            raise ValueError("fails inside the run")
+    assert open_fds() == before
+    with cli._run(out, "test", {}):
+        inside = open_fds()
+        with pytest.raises(DataError, match="another run appears to be writing"):
+            with cli._run(out, "test", {}):
+                pass
+        assert open_fds() == inside
+    assert open_fds() == before and leftovers(tmp_path) == []
 
 
 def test_directory_as_output_is_data_error(tmp_path, capsys):
@@ -1059,7 +1156,7 @@ def test_ingest_bytes_same_on_one_cpu_and_several(tmp_path, capsys, monkeypatch)
     # The reference: every document chunked and written in one piece.
     bank = corpus_mod.Corpus()
     for path in sorted(docs.glob("*.txt")):
-        bank.ingest(path.name, path.read_bytes())
+        bank.ingest(path.name, read_utf8(path))
     reference = tmp_path / "reference.jsonl"
     corpus_mod.write_chunks_jsonl(bank.chunk_all(chunk_size=16, overlap=5), reference)
     assert outputs[0][0] == reference.read_bytes()

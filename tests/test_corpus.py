@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from telerag.errors import DataError
+from telerag.errors import DataError, read_utf8
 from telerag.corpus import (
     ChunkFile,
     Corpus,
@@ -48,10 +48,12 @@ def test_ingest_messy_names():
     assert bank.ingest("...", "x").doc_id == "doc"
 
 
-def test_ingest_rejects_invalid_utf8():
-    bank = Corpus()
-    with pytest.raises(UnicodeDecodeError):
-        bank.ingest("bad.txt", b"\xff\xfe\x80 not utf8")
+def test_read_utf8_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ok \xff\xfe\x80 not utf8")
+    with pytest.raises(DataError) as exc:
+        read_utf8(path)
+    assert str(exc.value) == f"{path} is not UTF-8: invalid start byte at byte 3"
 
 
 def test_chunk_sizes_1030_tokens():

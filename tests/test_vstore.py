@@ -253,6 +253,15 @@ def test_zero_norm_embedding_rejected(tmp_path):
         VectorStore.load(path)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_load_rejects_zero_dims(tmp_path, count):
+    path = tmp_path / "zero_dims.vdb"
+    write_raw_store(path, 0, [(b"a", [])][:count])
+    with pytest.raises(StoreFormatError) as exc:
+        VectorStore.load(path)
+    assert str(exc.value) == f"store file {path} has dims 0; dims must be positive"
+
+
 def test_load_rejects_non_finite_and_duplicate_records(tmp_path):
     path = tmp_path / "bad.vdb"
     write_raw_store(path, 2, [(b"a", [1.0, np.inf])])
