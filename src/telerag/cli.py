@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProviderError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TeleragError, UnicodeDecodeError, OSError, ValueError) as exc:
+    except (TeleragError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

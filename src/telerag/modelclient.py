@@ -4,8 +4,9 @@
 shaped) uses it with retry-and-backoff, http embedding with one attempt. The
 transcript backend replays recorded replies keyed by the SHA-256 of the exact
 prompt, which is how evaluation runs stay reproducible without any live
-model. `ask` is the one concurrent completion loop: evaluation and the
-association curve render their prompts, ask them, then grade the completions.
+model. `ordered` is the one ordered thread loop, which `ask` and
+forkpool.fork_map share. `ask` is the one concurrent completion loop: evaluation
+and the association curve render their prompts, ask them, then grade them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .errors import ModelError, ModelProtocolError, ModelUnavailableError, TranscriptMissError
 
@@ -27,6 +28,7 @@ API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_constant")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -233,31 +235,23 @@ def build_backend(cfg: ModelConfig) -> ModelBackend:
     return ConstantBackend(cfg.reply)
 
 
-def ask(backend: ModelBackend, prompts: Sequence[str],
-        concurrency: int) -> list[Completion | None]:
-    """backend.complete(prompt) for every prompt, in prompt order; None where it
-    raised ModelError.
+def ordered(call: Callable[[int, int], T], n: int, width: int) -> list[T]:
+    """[call(slot, 0), ..., call(slot, n - 1)], in index order, where slot
+    (0 <= slot < width) names the thread that makes the call, so a caller can
+    give each thread a resource of its own.
 
-    concurrency <= 1 is a plain serial loop. Otherwise min(concurrency,
-    len(prompts)) threads each take the next index from a shared iterator and
-    fill that slot, so at most `concurrency` calls run at once. Any other
-    exception stops the threads from taking more prompts; once the calls in
-    flight finish, the exception of the lowest failed index is raised here,
-    the one a serial run would raise (the rule of forkpool.fork_map). An
-    exception here while threads start or run (Ctrl-C, a thread that cannot
+    width <= 1, or n <= 1, is a plain serial loop in this thread, with slot 0.
+    Otherwise min(width, n) threads each take the next index in ascending order,
+    so at most width calls run at once. A call that raises stops the threads
+    from taking more indices; once the calls in flight finish, the exception of
+    the lowest failed index is raised here, the one a serial run would raise.
+    An exception here while threads start or run (Ctrl-C, a thread that cannot
     start) stops them too; it is raised once the calls in flight end.
     """
-
-    def one(prompt: str) -> Completion | None:
-        try:
-            return backend.complete(prompt)
-        except ModelError:
-            return None
-
-    if concurrency <= 1 or len(prompts) <= 1:
-        return [one(prompt) for prompt in prompts]
-    results: list[Completion | None] = [None] * len(prompts)
-    pending = iter(range(len(prompts)))
+    if width <= 1 or n <= 1:
+        return [call(0, i) for i in range(n)]
+    results: list = [None] * n
+    pending = iter(range(n))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
 
@@ -265,17 +259,17 @@ def ask(backend: ModelBackend, prompts: Sequence[str],
         with lock:
             return None if failures else next(pending, None)
 
-    def work(done: threading.Event) -> None:
+    def work(slot: int, done: threading.Event) -> None:
         while (i := take()) is not None:
             try:
-                results[i] = one(prompts[i])
+                results[i] = call(slot, i)
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
         done.set()
 
-    dones = [threading.Event() for _ in range(min(concurrency, len(prompts)))]
-    threads = [threading.Thread(target=work, args=(done,)) for done in dones]
+    dones = [threading.Event() for _ in range(min(width, n))]
+    threads = [threading.Thread(target=work, args=slot_done) for slot_done in enumerate(dones)]
     try:
         for thread in threads:
             thread.start()
@@ -295,3 +289,17 @@ def ask(backend: ModelBackend, prompts: Sequence[str],
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def ask(backend: ModelBackend, prompts: Sequence[str],
+        concurrency: int) -> list[Completion | None]:
+    """backend.complete(prompt) for every prompt, in prompt order, through ordered
+    with width concurrency; None where it raised ModelError."""
+
+    def one(_slot: int, i: int) -> Completion | None:
+        try:
+            return backend.complete(prompts[i])
+        except ModelError:
+            return None
+
+    return ordered(one, len(prompts), concurrency)

@@ -1840,3 +1840,65 @@ def test_ctrl_c_stops_an_http_eval(tmp_path):
 
 def test_sigterm_stops_an_http_eval(tmp_path):
     _stop_an_http_eval(tmp_path, signal.SIGTERM)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+def test_ctrl_c_from_a_forked_worker_prints_one_line(tmp_path):
+    # Ctrl-C reaches the whole process group, the curve's forked workers too: here
+    # the worker with block 0 sends it. The caller takes it 0.5 s late, so a worker
+    # that met it on its own would have printed by then. Only the caller says so,
+    # once its workers have finished the blocks in flight; it prints no curve and
+    # leaves no output, .tmp, lock or worker.
+    pids = tmp_path / "pids"
+    script = (
+        "import os, signal, sys, time\n"
+        "from telerag import cli, forkpool, userassoc\n"
+        "forkpool._cpu_count = lambda: 2\n"
+        "pids = sys.argv.pop(1)\n"
+        "def record():\n"
+        "    with open(pids, 'a') as f:\n"
+        "        f.write(f'{os.getpid()}\\n')\n"
+        "os.register_at_fork(after_in_child=record)\n"
+        "caller = os.getpid()\n"
+        "def late_interrupt(signum, frame):  # the caller reacts 0.5 s late\n"
+        "    if os.getpid() == caller:\n"
+        "        time.sleep(0.5)\n"
+        "    raise KeyboardInterrupt\n"
+        "signal.signal(signal.SIGINT, late_interrupt)\n"
+        "real_problem_set = userassoc._problem_set\n"
+        "def problem_set(n_values, trials_per_n, seed, flat=None):\n"
+        "    if flat is not None and flat[0] == 0:\n"
+        "        time.sleep(0.2)  # the other worker has long reached its loop\n"
+        "        os.killpg(0, signal.SIGINT)\n"
+        "    return real_problem_set(n_values, trials_per_n, seed, flat)\n"
+        "userassoc._problem_set = problem_set\n"
+        "cli.entry()\n"
+    )
+    model_cfg = write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
+    out = tmp_path / "curve.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(pids), "usecase-assoc", "--bs-counts", "2,3",
+         "--trials", "3000", "--seed", "1", "--model-config", model_cfg, "--out", str(out)],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    workers = []
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+        workers = [int(p) for p in pids.read_text().split()]
+        assert (proc.returncode, stdout, stderr) == (130, "seed: 1\n", "interrupted\n")
+        assert len(workers) == 2 and not any(map(_alive, workers))
+        assert not out.exists() and leftovers(tmp_path) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)

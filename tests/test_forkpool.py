@@ -122,6 +122,55 @@ def test_worker_that_dies_raises_worker_died_error(forks):
     assert multiprocessing.active_children() == []
 
 
+def test_worker_that_dies_before_its_first_task_raises_worker_died_error(monkeypatch):
+    # A send to a worker that has already exited fails with a broken pipe; that
+    # is its death too, not an error of its own.
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forkpool, "_serve", lambda *args: os._exit(3))
+    with pytest.raises(forkpool.WorkerDiedError, match=r"exit code 3") as info:
+        forkpool.fork_map(lambda i: i, 10)
+    assert info.value.exitcode == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_lower_failed_task_wins_over_a_worker_that_dies(monkeypatch):
+    # Task 5's worker exits while task 2 is still running; a serial run raises task 2's error.
+    monkeypatch.setattr(forkpool, "_cpu_count", lambda: 2)
+
+    def task(i):
+        if i == 2:
+            time.sleep(0.2)
+            raise _Odd("task 2")
+        if i == 5:
+            os._exit(7)
+        return i
+
+    with pytest.raises(_Odd, match="^task 2$"):
+        forkpool.fork_map(task, 10)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_are_forked_before_any_thread_starts():
+    # In a child process, so the fork hook does not outlive the test.
+    script = (
+        "import os, sys, threading, warnings\n"
+        "if sys.version_info >= (3, 12):  # a fork of a multi-threaded process warns\n"
+        "    warnings.simplefilter('error', DeprecationWarning)\n"
+        "from telerag import forkpool\n"
+        "forkpool._cpu_count = lambda: 2\n"
+        "threads = []\n"
+        "os.register_at_fork(before=lambda: threads.append(threading.active_count()))\n"
+        "assert forkpool.fork_map(lambda i: i * i, 6) == [i * i for i in range(6)]\n"
+        "print(threads)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1, 1]\n", "")
+
+
 def _running(pid: int) -> bool:
     try:
         with open(f"/proc/{pid}/stat") as f:
