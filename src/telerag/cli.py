@@ -11,7 +11,8 @@ type checks its value; a bad value (an empty path among them), --overlap not
 below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
 synthetic-fleet flag without --synthetic, two outputs naming one file and an
 output naming one of the run's input files are usage errors. Exit codes: 0 ok,
-1 usage, 2 data, 3 provider/model, 130 interrupted (Ctrl-C, or SIGTERM).
+1 usage, 2 data or out of memory, 3 provider/model, 130 interrupted (Ctrl-C,
+or SIGTERM).
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def cmd_usecase_energy(args) -> int:
     from . import energymodel, evalharness
 
     _given(args, ("n_bs", "noise_sd", "seed"), "synthetic")
-    kinds = ["eq1", "eq2"] if args.model == "both" else [args.model]
+    kinds = list(energymodel.MODEL_KINDS) if args.model == "both" else [args.model]
     out = Path(args.out)
     _check_outputs(out, args.plot_csv, inputs=(args.data,))
     seed = None
@@ -475,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (TeleragError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a synthetic fleet too large to allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -9,61 +9,58 @@ load L, maximum transmit power MTX, and symbol-shutdown activation DSS:
 
 Both are linear in their parameters, so fitting is ordinary least squares.
 eq1 predicts zero energy whenever DSS is zero, which is why it tracks real
-consumption poorly compared to eq2.
+consumption poorly compared to eq2. ``FORMULAS`` holds each formula once: its
+parameters, the regressors it is fitted on and its prediction.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, read_utf8
 from .evalharness import csv_text
 
-MODEL_KINDS = ("eq1", "eq2")
+
+@dataclass(frozen=True)
+class Formula:
+    """One candidate formula. ``columns(L, MTX, DSS)`` gives one design column
+    per parameter, named by ``regressors``; ``predict(params, L, MTX, DSS)``
+    gives E, for scalars or numpy arrays."""
+
+    params: tuple[str, ...]
+    regressors: tuple[str, ...]
+    columns: Callable[..., list]
+    predict: Callable[..., np.ndarray]
+
+
+# Each prediction keeps its written order of operations, which a product
+# with the design matrix would not, so predictions stay bit for bit the same.
+FORMULAS = {
+    "eq1": Formula(
+        params=("c",),
+        regressors=("L*MTX*DSS",),
+        columns=lambda L, MTX, DSS: [L * MTX * DSS],
+        predict=lambda p, L, MTX, DSS: p["c"] * L * MTX * DSS,
+    ),
+    "eq2": Formula(
+        params=("PS", "alpha", "beta"),
+        regressors=("intercept", "DSS", "L*MTX"),
+        columns=lambda L, MTX, DSS: [np.ones_like(L), -DSS, L * MTX],
+        predict=lambda p, L, MTX, DSS: p["PS"] - p["alpha"] * DSS + p["beta"] * L * MTX,
+    ),
+}
+
+MODEL_KINDS = tuple(FORMULAS)
 
 DEFAULT_EQ2_PARAMS = {"PS": 0.31, "alpha": 0.18, "beta": 3.4}
 
 ENERGY_CSV_COLUMNS = ("bs_id", "L", "MTX", "DSS", "E")
-
-FEATURE_LIST = (
-    "BS load",
-    "latitude",
-    "longitude",
-    "serial number",
-    "production year",
-    "maximum transmit power",
-    "duration of activation of symbol shutdown",
-    "weight",
-    "number of antennas",
-)
-
-EXPECTED_FEATURES = frozenset(
-    {"BS load", "maximum transmit power", "duration of activation of symbol shutdown"}
-)
-
-FEATURE_SELECTION_PROMPT = (
-    "Instruct: Select, based on your knowledge, the most important parameters "
-    "for estimating the energy consumption of a mobile base station in a "
-    "mathematical model. Select the relevant parameters from the list:\n"
-    + "\n".join(f"- {p}" for p in FEATURE_LIST)
-    + "\nOutput:"
-)
-
-FORMULA_PROMPT = (
-    "Instruct: write a mathematical formula to estimate the energy consumption "
-    "of a base station using the following parameters:\n"
-    "- BS load (L)\n"
-    "- maximum transmit power (MTX)\n"
-    "- duration of activation of symbol shutdown (DSS)\n"
-    "Output:"
-)
 
 
 @dataclass(frozen=True)
@@ -99,20 +96,6 @@ class FittedEnergyModel:
     n_records: int
 
 
-def eval_eq1(load, max_tx_power, shutdown, scale=1.0):
-    """eq1 prediction c*L*MTX*DSS; accepts scalars or numpy arrays."""
-    return scale * np.asarray(load) * np.asarray(max_tx_power) * np.asarray(shutdown)
-
-
-def eval_eq2(load, max_tx_power, shutdown, static_power, shutdown_saving, load_coeff):
-    """eq2 prediction PS - alpha*DSS + beta*L*MTX; accepts scalars or arrays."""
-    return (
-        static_power
-        - shutdown_saving * np.asarray(shutdown)
-        + load_coeff * np.asarray(load) * np.asarray(max_tx_power)
-    )
-
-
 def _arrays(records: Sequence[EnergyRecord]) -> tuple[np.ndarray, ...]:
     load = np.array([r.load for r in records], dtype=np.float64)
     mtx = np.array([r.max_tx_power for r in records], dtype=np.float64)
@@ -121,16 +104,7 @@ def _arrays(records: Sequence[EnergyRecord]) -> tuple[np.ndarray, ...]:
     return load, mtx, dss, energy
 
 
-def _design_matrix(kind: str, load, mtx, dss) -> tuple[np.ndarray, list[str]]:
-    if kind == "eq1":
-        return np.asarray(load * mtx * dss)[:, None], ["L*MTX*DSS"]
-    return (
-        np.column_stack([np.ones_like(load), -dss, load * mtx]),
-        ["intercept", "DSS", "L*MTX"],
-    )
-
-
-def _check_degeneracy(design: np.ndarray, names: list[str]) -> None:
+def _check_degeneracy(design: np.ndarray, names: Sequence[str]) -> None:
     n_params = design.shape[1]
     rank = int(np.linalg.matrix_rank(design))
     collinear: list[str] = []
@@ -153,19 +127,10 @@ def _check_degeneracy(design: np.ndarray, names: list[str]) -> None:
         raise DegenerateDataError(f"regressor {names[0]} is constant across all records")
 
 
-def _solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # SVD-based: unlike the normal equations it does not square the condition number.
-    return np.linalg.lstsq(design, target, rcond=None)[0]
-
-
 def predict(model: FittedEnergyModel, records: Sequence[EnergyRecord]) -> np.ndarray:
     """Model predictions for each record."""
     load, mtx, dss, _ = _arrays(records)
-    if model.kind == "eq1":
-        return np.asarray(eval_eq1(load, mtx, dss, model.params["c"]))
-    return np.asarray(
-        eval_eq2(load, mtx, dss, model.params["PS"], model.params["alpha"], model.params["beta"])
-    )
+    return FORMULAS[model.kind].predict(model.params, load, mtx, dss)
 
 
 def mape(records: Sequence[EnergyRecord], model: FittedEnergyModel) -> float:
@@ -179,23 +144,18 @@ def mape(records: Sequence[EnergyRecord], model: FittedEnergyModel) -> float:
 
 def fit(records: Sequence[EnergyRecord], kind: str) -> FittedEnergyModel:
     """Least-squares fit of the chosen formula; MAPE is computed on the fit."""
-    if kind not in MODEL_KINDS:
+    if kind not in FORMULAS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    n_params = 1 if kind == "eq1" else 3
+    formula = FORMULAS[kind]
+    n_params = len(formula.params)
     if len(records) < n_params:
         raise DataError(f"need at least {n_params} records to fit {kind}, got {len(records)}")
     load, mtx, dss, energy = _arrays(records)
-    design, names = _design_matrix(kind, load, mtx, dss)
-    _check_degeneracy(design, names)
-    solution = _solve_least_squares(design, energy)
-    if kind == "eq1":
-        params = {"c": float(solution[0])}
-    else:
-        params = {
-            "PS": float(solution[0]),
-            "alpha": float(solution[1]),
-            "beta": float(solution[2]),
-        }
+    design = np.column_stack(formula.columns(load, mtx, dss))
+    _check_degeneracy(design, formula.regressors)
+    # SVD-based: unlike the normal equations it does not square the condition number.
+    solution = np.linalg.lstsq(design, energy, rcond=None)[0]
+    params = {name: float(value) for name, value in zip(formula.params, solution)}
     model = FittedEnergyModel(kind=kind, params=params, mape_percent=0.0, n_records=len(records))
     return FittedEnergyModel(
         kind=kind, params=params, mape_percent=mape(records, model), n_records=len(records)
@@ -218,14 +178,14 @@ def generate_synthetic(
     if n_bs < 1:
         raise ValueError("n_bs must be >= 1")
     p = dict(DEFAULT_EQ2_PARAMS if params is None else params)
-    for key in ("PS", "alpha", "beta"):
+    for key in FORMULAS["eq2"].params:
         if key not in p:
             raise ValueError(f"params missing {key!r}")
     rng = np.random.default_rng(seed)
     load = rng.uniform(0.0, 1.0, n_bs)
     mtx = rng.uniform(0.5, 1.0, n_bs)
     dss = np.clip(np.maximum(0.0, 0.8 - 0.7 * load) + rng.normal(0.0, 0.05, n_bs), 0.0, 1.0)
-    energy = eval_eq2(load, mtx, dss, p["PS"], p["alpha"], p["beta"])
+    energy = FORMULAS["eq2"].predict(p, load, mtx, dss)
     if noise_sd > 0.0:
         energy = energy + rng.normal(0.0, noise_sd, n_bs)
     energy = np.maximum(energy, 1e-6)
@@ -239,34 +199,6 @@ def generate_synthetic(
         )
         for i in range(n_bs)
     ]
-
-
-def render_task_prompts() -> tuple[str, str]:
-    """The two modeling-task prompts: feature selection and formula writing."""
-    return FEATURE_SELECTION_PROMPT, FORMULA_PROMPT
-
-
-@dataclass(frozen=True)
-class FeatureSelection:
-    selected: frozenset[str]
-    matches_expected: bool
-
-
-def check_feature_selection(model_output: str) -> FeatureSelection:
-    """Which of the nine candidate parameters a model output names.
-
-    Case-insensitive whole-phrase matching; matches_expected is true iff the
-    output names exactly load, transmit power, and symbol-shutdown duration.
-    """
-    lowered = model_output.lower()
-    selected = {
-        phrase
-        for phrase in FEATURE_LIST
-        if re.search(r"(?<![a-z0-9])" + re.escape(phrase.lower()) + r"(?![a-z0-9])", lowered)
-    }
-    return FeatureSelection(
-        selected=frozenset(selected), matches_expected=selected == set(EXPECTED_FEATURES)
-    )
 
 
 def read_records_csv(path: str | Path) -> list[EnergyRecord]:

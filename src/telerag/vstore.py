@@ -69,6 +69,7 @@ whose ids do not ascend strictly, the order ``save`` writes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -360,17 +361,17 @@ class VectorStore:
         ids that do not ascend raise StoreFormatError, an id given twice
         DuplicateChunkError. The offsets and vectors stay views of the file.
         """
-        with open(path, "rb") as f:
-            version, dims, count, fingerprint = _read_header(f, path)
-            if version != FORMAT_VERSION:
-                raise StoreFormatError(
-                    f"unsupported store format version {version}; re-run telerag embed"
-                )
-            if dims < 1:
-                raise StoreFormatError(f"store file {path} has dims {dims}; dims must be positive")
-            digest_at = f.tell()
-            f.seek(0)  # the blocks below are read at their offsets in the file
-            data = f.read()
+        # One read: the blocks below are views of these bytes, which BytesIO shares.
+        data = Path(path).read_bytes()
+        head = io.BytesIO(data)
+        version, dims, count, fingerprint = _read_header(head, path)
+        if version != FORMAT_VERSION:
+            raise StoreFormatError(
+                f"unsupported store format version {version}; re-run telerag embed"
+            )
+        if dims < 1:
+            raise StoreFormatError(f"store file {path} has dims {dims}; dims must be positive")
+        digest_at = head.tell()
         ids_at = digest_at + 40
         if ids_at > len(data):
             raise StoreFormatError(f"truncated store file: {path}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from telerag import corpus, embed, forkpool, userassoc
+from telerag import corpus, embed, energymodel, forkpool, userassoc
 from telerag.cli import main
 from telerag.corpus import read_chunks_jsonl
 from telerag.energymodel import ENERGY_CSV_COLUMNS, generate_synthetic
@@ -517,6 +517,40 @@ def test_usecase_energy_rejects_non_finite_max_tx_power(tmp_path, capsys, mtx):
     assert code == 2
     assert capsys.readouterr().err == "error: odd: max_tx_power must be finite and >= 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64",
+     "error: out of memory: Unable to allocate 72.8 TiB for an array with shape "
+     "(10000000000000,) and data type float64\n"),
+    ("", "error: out of memory\n"),
+], ids=["message", "bare"])
+def test_usecase_energy_fleet_too_large_exits_2(tmp_path, capsys, monkeypatch, message, line):
+    def unable_to_allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(energymodel, "generate_synthetic", unable_to_allocate)
+    code = main(["usecase-energy", "--synthetic", "--n-bs", "10000000000000", "--seed", "1",
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usecase_energy_reruns_are_byte_identical(tmp_path):
+    data = tmp_path / "energy.csv"
+    data.write_text(csv_text(ENERGY_CSV_COLUMNS, (
+        [r.bs_id, repr(r.load), repr(r.max_tx_power), repr(r.shutdown_duration), repr(r.energy)]
+        for r in generate_synthetic(60, noise_sd=0.05, seed=4))), encoding="utf-8")
+    for name, source in [("synthetic", ["--synthetic", "--seed", "7"]),
+                         ("data", ["--data", str(data)])]:
+        runs = []
+        for attempt in ("first", "second"):
+            out, plot = tmp_path / f"{name}-{attempt}.json", tmp_path / f"{name}-{attempt}.csv"
+            assert main(["usecase-energy", *source, "--model", "both", "--out", str(out),
+                         "--plot-csv", str(plot)]) == 0
+            runs.append((out.read_bytes(), plot.read_bytes()))
+        assert runs[0] == runs[1], name
 
 
 def test_usecase_assoc_oracle_mock(tmp_path):

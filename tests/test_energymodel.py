@@ -2,21 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telerag.energymodel import (
     DEFAULT_EQ2_PARAMS,
     ENERGY_CSV_COLUMNS,
+    FORMULAS,
     EnergyRecord,
     FittedEnergyModel,
-    check_feature_selection,
-    eval_eq1,
-    eval_eq2,
     fit,
     generate_synthetic,
     mape,
     predict,
     read_records_csv,
-    render_task_prompts,
     write_plot_csv,
 )
 from telerag.errors import DataError, DegenerateDataError
@@ -25,22 +24,48 @@ from telerag.evalharness import csv_text
 TRUE_PARAMS = {"PS": 0.31, "alpha": 0.18, "beta": 3.4}
 
 
+def eq1(L, MTX, DSS, c):
+    return FORMULAS["eq1"].predict({"c": c}, L, MTX, DSS)
+
+
+def eq2(L, MTX, DSS, PS, alpha, beta):
+    return FORMULAS["eq2"].predict({"PS": PS, "alpha": alpha, "beta": beta}, L, MTX, DSS)
+
+
 def test_eq1_vanishes_with_any_zero_factor():
-    assert eval_eq1(0.0, 1.0, 1.0, 7.3) == 0.0
-    assert eval_eq1(1.0, 1.0, 1.0, 1.0) == 1.0
+    assert eq1(0.0, 1.0, 1.0, 7.3) == 0.0
+    assert eq1(1.0, 1.0, 1.0, 1.0) == 1.0
     # Structural flaw: zero shutdown activation implies zero energy.
-    assert eval_eq1(0.9, 1.0, 0.0, 5.0) == 0.0
+    assert eq1(0.9, 1.0, 0.0, 5.0) == 0.0
 
 
 def test_eq2_direct_substitution():
-    assert eval_eq2(0.5, 1.0, 0.0, 0.2, 0.1, 4.0) == pytest.approx(2.2)
-    assert eval_eq2(0.0, 1.0, 0.0, 0.2, 0.1, 4.0) == pytest.approx(0.2)
+    assert eq2(0.5, 1.0, 0.0, 0.2, 0.1, 4.0) == pytest.approx(2.2)
+    assert eq2(0.0, 1.0, 0.0, 0.2, 0.1, 4.0) == pytest.approx(0.2)
 
 
 def test_eq2_decreasing_in_shutdown():
-    low = eval_eq2(0.5, 1.0, 0.2, 0.3, 0.18, 3.4)
-    high = eval_eq2(0.5, 1.0, 0.8, 0.3, 0.18, 3.4)
+    low = eq2(0.5, 1.0, 0.2, 0.3, 0.18, 3.4)
+    high = eq2(0.5, 1.0, 0.8, 0.3, 0.18, 3.4)
     assert high < low
+
+
+coefficients = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_bs=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), c=coefficients,
+       PS=coefficients, alpha=coefficients, beta=coefficients)
+def test_predict_is_the_written_formula_bit_for_bit(n_bs, seed, c, PS, alpha, beta):
+    records = generate_synthetic(n_bs, noise_sd=0.02, seed=seed)
+    L = np.array([r.load for r in records])
+    MTX = np.array([r.max_tx_power for r in records])
+    DSS = np.array([r.shutdown_duration for r in records])
+    simple = FittedEnergyModel(kind="eq1", params={"c": c}, mape_percent=0.0, n_records=n_bs)
+    affine = FittedEnergyModel(kind="eq2", params={"PS": PS, "alpha": alpha, "beta": beta},
+                               mape_percent=0.0, n_records=n_bs)
+    assert np.array_equal(predict(simple, records), c * L * MTX * DSS)
+    assert np.array_equal(predict(affine, records), PS - alpha * DSS + beta * L * MTX)
 
 
 def test_record_validation():
@@ -164,59 +189,6 @@ def test_least_squares_optimality_under_perturbation():
                 )
                 ssr = float(np.sum((predict(perturbed, records) - energy) ** 2))
                 assert ssr >= base_ssr - 1e-12
-
-
-def test_task_prompts_list_all_nine_parameters_in_order():
-    selection_prompt, formula_prompt = render_task_prompts()
-    expected_order = [
-        "- BS load",
-        "- latitude",
-        "- longitude",
-        "- serial number",
-        "- production year",
-        "- maximum transmit power",
-        "- duration of activation of symbol shutdown",
-        "- weight",
-        "- number of antennas",
-    ]
-    positions = [selection_prompt.index(line) for line in expected_order]
-    assert positions == sorted(positions)
-    assert selection_prompt.endswith("Output:")
-    assert "- BS load (L)" in formula_prompt
-    assert "- maximum transmit power (MTX)" in formula_prompt
-    assert "- duration of activation of symbol shutdown (DSS)" in formula_prompt
-    assert formula_prompt.endswith("Output:")
-    assert render_task_prompts() == (selection_prompt, formula_prompt)
-
-
-def test_feature_selection_exact_match():
-    output = (
-        "The key parameters are BS load, maximum transmit power, and the "
-        "duration of activation of symbol shutdown."
-    )
-    result = check_feature_selection(output)
-    assert result.matches_expected
-    assert len(result.selected) == 3
-
-
-def test_feature_selection_extra_parameter():
-    output = (
-        "Use BS load, maximum transmit power, duration of activation of symbol "
-        "shutdown, and weight."
-    )
-    result = check_feature_selection(output)
-    assert not result.matches_expected
-    assert len(result.selected) == 4
-
-
-def test_feature_selection_empty_output():
-    result = check_feature_selection("")
-    assert result.selected == frozenset()
-    assert not result.matches_expected
-
-
-def test_feature_selection_does_not_match_inside_words():
-    assert "weight" not in check_feature_selection("the weighted average").selected
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -264,3 +264,28 @@ def test_search_many_memory_within_score_blocks(copies, k):
     assert peak < 16 * block
     for query, hits in zip(queries[:5], batched):
         assert_matches_oracle(hits, records, query, k)
+
+
+def test_load_memory_within_file_and_score_blocks(tmp_path):
+    """load holds the file's bytes once: the rows and offsets stay views of
+    them, and the row norms are computed a score block at a time. So its peak
+    stays within the file's size plus a fixed multiple of SCORE_BLOCK_BYTES."""
+    rng = np.random.default_rng(8)
+    dims, n = 256, 8000
+    rows = rng.normal(size=(n, dims)).astype(np.float32)
+    ids = [f"m{i:04d}" for i in range(n)]
+    store = VectorStore(dims=dims, provider_fingerprint="hash-test:seed-0:0")
+    store.insert_many(ids, rows)
+    path = tmp_path / "store.bin"
+    store.save(path)
+    block = 1 << 20
+    with mock.patch.object(vstore, "SCORE_BLOCK_BYTES", block):
+        tracemalloc.start()
+        try:
+            loaded = VectorStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < path.stat().st_size + 3 * block
+    hits = loaded.search_many(rows[:3].astype(np.float64), 1)
+    assert [h[0].chunk_id for h in hits] == ids[:3]
