@@ -2,11 +2,11 @@
 
 Datasets follow the TeleQnA layout (entries with "question", "option 1"…
 "option 5", "answer" and "category") or a normalized JSONL schema; any other
-key, such as TeleQnA's "explanation", is ignored. score takes one answer per
+key, such as TeleQnA's "explanation", is ignored. Both probes ask and grade
+through ask_and_grade into one record, ModelAnswer. score takes one record per
 item, in item order, and reports accuracy per category and overall. tally,
-which gives the association curve's stats too, counts unparsed and errored
-answers against accuracy and errored ones also on their own; stats_csv writes
-both probes' stats.
+which gives the association curve's stats too, counts the records' verdicts
+and errored ones also on their own; stats_csv writes both probes' stats.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Hashable, Iterable, Literal, Sequence
+from typing import Callable, Hashable, Iterable, Literal, Sequence
 
 from .errors import DataError, read_utf8
+from .modelclient import ModelBackend, ask
 
 CATEGORIES = (
     "Lexicon",
@@ -99,13 +100,27 @@ class McqItem:
 
 @dataclass(frozen=True)
 class ModelAnswer:
-    """A parsed model reply for one item; errored marks backend failures."""
+    """The graded reply to one MCQ item or association problem; errored marks
+    backend failures, and correct is the verdict."""
 
     item_id: str
     raw_text: str
     parsed_index: int | None
     parse_status: ParseStatus
     errored: bool = False
+    correct: bool = False
+
+
+def ask_and_grade(backend: ModelBackend, prompts: Sequence[str], ids: Sequence[str],
+                  grade: Callable[[int, str], ModelAnswer],
+                  concurrency: int) -> list[ModelAnswer]:
+    """grade(i, text) of the reply to each prompts[i], asked through
+    modelclient.ask with width concurrency. A failed completion is never graded:
+    its record (id ids[i]) is errored and wrong, with no text, so its audit line
+    has no context and a token estimate of 0."""
+    completions = ask(backend, prompts, concurrency)
+    return [ModelAnswer(ids[i], "", None, "unparsed", errored=True) if c is None
+            else grade(i, c.text) for i, c in enumerate(completions)]
 
 
 @dataclass(frozen=True)
@@ -315,9 +330,7 @@ def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> Mode
     n_options = len(item.options)
 
     def answer(idx: int | None, status: ParseStatus) -> ModelAnswer:
-        return ModelAnswer(
-            item_id=item.item_id, raw_text=raw, parsed_index=idx, parse_status=status
-        )
+        return ModelAnswer(item.item_id, raw, idx, status, correct=idx == item.correct_index)
 
     lead = first_in_range(_LEAD_RE, raw, n_options)
     if lead is not None:
@@ -351,14 +364,13 @@ def weighted_overall_accuracy(
 
 
 def tally(outcomes: Iterable[tuple[Hashable, bool, bool]]) -> dict[Hashable, CategoryStats]:
-    """CategoryStats per group over (group, correct, errored) outcomes, groups in
-    first-seen order. An errored outcome counts against accuracy, whatever its
-    correct flag, and is counted on its own as well."""
+    """CategoryStats per group over (group, correct, errored) outcomes, as
+    ModelAnswer gives them (never both), groups in first-seen order."""
     counts: dict[Hashable, list[int]] = {}
     for group, correct, errored in outcomes:
         c = counts.setdefault(group, [0, 0, 0])
         c[0] += 1
-        c[1] += correct and not errored
+        c[1] += correct
         c[2] += errored
     return {group: _stats(*c) for group, c in counts.items()}
 
@@ -373,17 +385,16 @@ def score(
     answers: Sequence[ModelAnswer],
     run_meta: dict | None = None,
 ) -> EvalReport:
-    """Score answers against items; unparsed and errored count as incorrect.
+    """Tally the answers' verdicts per category of their items.
 
-    answers holds one answer per item, in item order, as run_evaluation returns
+    answers holds one record per item, in item order, as run_evaluation grades
     them; any other list is a DataError. Categories come from tally, in
     CATEGORIES order, and overall is their sum.
     """
     if len(answers) != len(items) or any(a.item_id != it.item_id for it, a in zip(items, answers)):
         raise DataError(f"{len(answers)} answers for {len(items)} items: "
                         "score needs one answer per item, in item order")
-    by_category = tally((it.category, ans.parsed_index == it.correct_index, ans.errored)
-                        for it, ans in zip(items, answers))
+    by_category = tally((it.category, ans.correct, ans.errored) for it, ans in zip(items, answers))
     categories = {cat: by_category[cat] for cat in CATEGORIES if cat in by_category}
     totals = [sum(getattr(s, key) for s in categories.values())
               for key in ("count", "correct", "errored")]

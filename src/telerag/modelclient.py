@@ -245,8 +245,9 @@ def ordered(call: Callable[[int, int], T], n: int, width: int) -> list[T]:
     so at most width calls run at once. A call that raises stops the threads
     from taking more indices; once the calls in flight finish, the exception of
     the lowest failed index is raised here, the one a serial run would raise.
-    An exception here while threads start or run (Ctrl-C, a thread that cannot
-    start) stops them too; it is raised once the calls in flight end.
+    An exception here while threads start or run (Ctrl-C, or a thread that
+    cannot start, raised as OSError) stops them too; it is raised once the calls
+    in flight end.
     """
     if width <= 1 or n <= 1:
         return [call(0, i) for i in range(n)]
@@ -272,7 +273,10 @@ def ordered(call: Callable[[int, int], T], n: int, width: int) -> list[T]:
     threads = [threading.Thread(target=work, args=slot_done) for slot_done in enumerate(dones)]
     try:
         for thread in threads:
-            thread.start()
+            try:
+                thread.start()
+            except RuntimeError as exc:
+                raise OSError(f"cannot start threads for width {width}: {exc}") from None
         for done in dones:
             done.wait()
     except BaseException:

@@ -3,22 +3,22 @@
 retrieve_contexts is the one place that binds a RAG run to its store, corpus
 and provider: it checks them and returns each query's top-k chunks within a
 token budget. run_evaluation prepends each item's chunks to the standard MCQ
-prompt (without contexts the prompts are the plain ones), sends every prompt
-through modelclient.ask, and grades each completion with answer_with_rag.
+prompt (without contexts the prompts are the plain ones) and asks and grades
+them through evalharness.ask_and_grade with answer_with_rag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import QUERY_MODES
 from .corpus import Chunk, CorpusLines, _encode_line, count_tokens, file_sha256
 from .embed import EmbeddingProviderConfig, embed_text, provider_from_fingerprint
 from .errors import DataError, FingerprintMismatchError
-from .evalharness import McqItem, ModelAnswer, parse_answer_for_item, render_prompt
-from .modelclient import Completion, ModelBackend, ask
+from .evalharness import McqItem, ModelAnswer, ask_and_grade, parse_answer_for_item, render_prompt
+from .modelclient import ModelBackend
 
 if TYPE_CHECKING:  # numpy comes with vstore; plain evaluation never loads it
     from .vstore import SearchHit, VectorStore
@@ -39,16 +39,6 @@ class RagConfig:
             raise ValueError("max_context_tokens must be >= 1")
         if self.query_mode not in QUERY_MODES:
             raise ValueError(f"unknown query_mode: {self.query_mode!r}")
-
-
-@dataclass(frozen=True)
-class ItemResult:
-    """Per-item evaluation outcome with retrieval audit fields."""
-
-    answer: ModelAnswer
-    context_chunk_ids: tuple[str, ...]
-    context_scores: tuple[float, ...]
-    prompt_token_estimate: int
 
 
 def build_query(item: McqItem, mode: str = "question_plus_options") -> str:
@@ -147,28 +137,17 @@ def augment(item: McqItem, context: Sequence[Chunk]) -> str:
     return f"Context:\n{body}\n\n{base}"
 
 
-def answer_with_rag(
-    completion: Completion | None,
-    *,
-    item: McqItem,
-    retrieved: Sequence[tuple[Chunk, SearchHit]],
-    prompt: str,
-    strict_parse: bool = False,
-) -> ItemResult:
-    """Grade one item: parse its completion and attach the retrieval audit fields.
+def answer_with_rag(text: str, *, item: McqItem, strict_parse: bool = False) -> ModelAnswer:
+    """The grader run_evaluation passes to ask_and_grade: item's record of the reply text."""
+    return parse_answer_for_item(text, item, strict=strict_parse)
 
-    retrieved holds the item's chunks and hits, best-ranked first, and prompt
-    is what augment made of them. A None completion (the model failed) marks
-    the item errored, with no context.
-    """
-    if completion is None:
-        return ItemResult(ModelAnswer(item.item_id, "", None, "unparsed", errored=True), (), (), 0)
-    return ItemResult(
-        answer=parse_answer_for_item(completion.text, item, strict=strict_parse),
-        context_chunk_ids=tuple(c.chunk_id for c, _ in retrieved),
-        context_scores=tuple(hit.score for _, hit in retrieved),
-        prompt_token_estimate=count_tokens(prompt),
-    )
+
+class AskedItem(NamedTuple):
+    """An item's graded record beside the chunks and hits its prompt holds, and that prompt."""
+
+    answer: ModelAnswer
+    retrieved: Sequence[tuple[Chunk, SearchHit]]
+    prompt: str
 
 
 def run_evaluation(
@@ -178,34 +157,37 @@ def run_evaluation(
     *,
     concurrency: int = 4,
     strict_parse: bool = False,
-) -> list[ItemResult]:
+) -> list[AskedItem]:
     """Answer every item; model failures mark the item errored, never skip it.
 
     contexts holds one list per item of its chunks and hits, best-ranked
     first, as retrieve_contexts returns them; without it every item gets the
-    plain prompt. All prompts are rendered, then asked at once, then graded,
-    so results come back in dataset order regardless of completion order.
+    plain prompt. All prompts are rendered, then asked and graded at once, so
+    results come back in dataset order regardless of completion order.
     """
     if contexts is None:
         contexts = [()] * len(items)
     prompts = [augment(item, [c for c, _ in retrieved])
                for item, retrieved in zip(items, contexts, strict=True)]
-    completions = ask(backend, prompts, concurrency)
     # item goes by keyword: the benchmark's tracer reads it from kwargs.
-    return [answer_with_rag(completion, item=item, retrieved=retrieved, prompt=prompt,
-                            strict_parse=strict_parse)
-            for completion, item, retrieved, prompt in zip(completions, items, contexts, prompts)]
+    answers = ask_and_grade(
+        backend, prompts, [item.item_id for item in items],
+        lambda i, text: answer_with_rag(text, item=items[i], strict_parse=strict_parse),
+        concurrency)
+    return list(map(AskedItem, answers, contexts, prompts))
 
 
-def write_audit_log(results: Sequence[ItemResult], path: str | Path) -> None:
+def write_audit_log(results: Sequence[AskedItem], path: str | Path) -> None:
     """One JSON line per item: retrieval audit plus the raw model output."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for res in results:
+        for answer, retrieved, prompt in results:
+            if answer.errored:  # never graded (evalharness.ask_and_grade)
+                retrieved, prompt = (), ""
             rec = {
-                "item_id": res.answer.item_id,
-                "context_chunk_ids": list(res.context_chunk_ids),
-                "scores": [round(s, 8) for s in res.context_scores],
-                "prompt_token_estimate": res.prompt_token_estimate,
-                "raw_model_output": res.answer.raw_text,
+                "item_id": answer.item_id,
+                "context_chunk_ids": [c.chunk_id for c, _ in retrieved],
+                "scores": [round(hit.score, 8) for _, hit in retrieved],
+                "prompt_token_estimate": count_tokens(prompt),
+                "raw_model_output": answer.raw_text,
             }
             f.write(_encode_line(rec) + "\n")

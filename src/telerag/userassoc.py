@@ -9,11 +9,12 @@ recorded model answers for exact curve reproduction.
 
 A curve's problems are numbered in one order. A curve of more than
 CURVE_IN_PROCESS_MAX problems runs in blocks of CURVE_BLOCK on forkpool.fork_map
-unless its backend is an http model: each worker generates, asks (modelclient.ask)
-and grades its own block, so a backend must answer each prompt from that prompt
-alone. Outcomes are tallied by position in that order (evalharness.tally): a
-curve is one (station count, CategoryStats) pair per entry of the station
-counts, so a count given twice gives two pairs.
+unless its backend is an http model: each worker generates its own block and
+asks and grades it as the MCQ benchmark does (evalharness.ask_and_grade, with
+check_answer), so a backend must answer each prompt from that prompt alone.
+Verdicts are tallied by position in that order (evalharness.tally): a curve is
+one (station count, CategoryStats) pair per entry of the station counts, so a
+count given twice gives two pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from typing import Mapping, Sequence
 
 from . import MAX_STATIONS, forkpool
 from .errors import DataError
-from .evalharness import CategoryStats, first_in_range, stats_csv, tally
-from .modelclient import Completion, HttpBackend, ModelBackend, ask, write_transcript
+from .evalharness import (CategoryStats, ModelAnswer, ParseStatus, ask_and_grade, first_in_range,
+                          stats_csv, tally)
+from .modelclient import Completion, HttpBackend, ModelBackend, write_transcript
 
 SIGNAL_RANGE_DBM = (-110, -50)
 MOCK_KINDS = ("mock_oracle", "mock_strongest", "mock_random")
@@ -149,22 +151,19 @@ _STATION_PHRASE_RE = re.compile(r"base\s+station\s+(\d+)", re.IGNORECASE)
 _INT_RE = re.compile(r"(-?\d+)")
 
 
-@dataclass(frozen=True)
-class CheckedAnswer:
-    chosen: int | None
-    correct: bool
+def check_answer(problem: AssocProblem, raw_model_text: str) -> ModelAnswer:
+    """The graded record of a model reply to problem.
 
-
-def check_answer(problem: AssocProblem, raw_model_text: str) -> CheckedAnswer:
-    """Extract the chosen station from a model reply and grade it.
-
-    Cascade: first in-range "base station k" phrase, then the first bare
-    integer in [1, n]. Unextractable replies are incorrect.
+    Cascade: first in-range "base station k" phrase (text_match), then the first
+    bare integer in [1, n] (embedded_number). Unextractable replies are incorrect.
     """
     chosen = first_in_range(_STATION_PHRASE_RE, raw_model_text, problem.n)
+    status: ParseStatus = "text_match"
     if chosen is None:
         chosen = first_in_range(_INT_RE, raw_model_text, problem.n)
-    return CheckedAnswer(chosen=chosen, correct=chosen == oracle(problem))
+        status = "unparsed" if chosen is None else "embedded_number"
+    return ModelAnswer(problem.problem_id, raw_model_text, chosen, status,
+                       correct=chosen == oracle(problem))
 
 
 def parse_problem_prompt(prompt: str) -> AssocProblem:
@@ -241,9 +240,9 @@ def run_curve(
     station count given twice gives two pairs. An http model, and any curve
     of at most CURVE_IN_PROCESS_MAX problems, runs in this process, one problem
     after another. A larger curve of another backend runs in blocks of CURVE_BLOCK
-    on forkpool.fork_map, on every usable CPU: each task generates, asks
-    (modelclient.ask) and grades its block and sends back one (correct, errored)
-    pair per problem, so backend state kept across calls stays in one worker.
+    on forkpool.fork_map, on every usable CPU: each task generates, asks and
+    grades its block and sends back one (correct, errored) pair per problem, so
+    backend state kept across calls stays in one worker.
     The curve is the same on any CPU count for a backend that answers each
     prompt the same way.
     """
@@ -257,9 +256,10 @@ def run_curve(
     def block(b: int) -> list[tuple[bool, bool]]:
         flat = range(b * size, min(total, (b + 1) * size))
         problems = _problem_set(n_values, trials_per_n, seed, flat)
-        completions = ask(backend, [render_problem_prompt(p) for p in problems], 1)
-        return [(False, True) if c is None else (check_answer(p, c.text).correct, False)
-                for p, c in zip(problems, completions)]
+        answers = ask_and_grade(backend, [render_problem_prompt(p) for p in problems],
+                                [p.problem_id for p in problems],
+                                lambda i, text: check_answer(problems[i], text), 1)
+        return [(a.correct, a.errored) for a in answers]
 
     outcomes = enumerate(o for done in forkpool.fork_map(block, -(-total // size)) for o in done)
     by_pair = tally((p // trials_per_n, ok, err) for p, (ok, err) in outcomes)

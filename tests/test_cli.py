@@ -29,6 +29,15 @@ from telerag.vstore import FORMAT_VERSION, MAGIC, VectorStore
 HASH_PROVIDER = {"kind": "hash-test", "dims": 32, "seed": 0}
 
 
+@pytest.fixture(autouse=True)
+def no_lock_or_tmp_left(request, tmp_path):
+    """Fails a test that leaves a .lock or .tmp file anywhere under its tmp_path,
+    unless it is marked leaves_lock because it plants one on purpose."""
+    yield
+    if not request.node.get_closest_marker("leaves_lock"):
+        assert _leftovers(tmp_path) == []
+
+
 def write_json(path, payload) -> str:
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -703,6 +712,58 @@ def test_eval_stats_lines_name_errored_answers(tmp_path, capsys):
     ]
 
 
+def test_eval_rag_audit_line_of_an_errored_item(tmp_path):
+    from telerag import rag
+    from telerag.evalharness import load_dataset
+
+    corpus_path, store_path, eval_args = embed_three_docs(tmp_path)
+    items = load_dataset(eval_args[2])
+    queries = [rag.build_query(item) for item in items]
+    contexts, _ = rag.retrieve_contexts(str(store_path), str(corpus_path), None, queries,
+                                        rag.RagConfig())
+    prompts = [rag.augment(item, [c for c, _ in ctx]) for item, ctx in zip(items, contexts)]
+    # No reply for q1, so it is errored; q0 is answered.
+    transcript = tmp_path / "transcript.jsonl"
+    write_transcript([(prompt, "1") for item, prompt in zip(items, prompts)
+                      if item.item_id != "q1"], transcript)
+    model_cfg = write_json(tmp_path / "script.json",
+                           {"kind": "mock_script", "script_path": str(transcript)})
+    eval_args[4] = model_cfg
+    report = tmp_path / "report.json"
+    assert main([*eval_args, "--report", str(report)]) == 0
+    lines = (tmp_path / "report.json.audit.jsonl").read_text(encoding="utf-8").splitlines()
+    answered, errored = map(json.loads, lines[:2])
+    assert len(contexts[0]) == 3
+    assert answered == {"item_id": "q0",
+                        "context_chunk_ids": [c.chunk_id for c, _ in contexts[0]],
+                        "scores": [round(hit.score, 8) for _, hit in contexts[0]],
+                        "prompt_token_estimate": len(prompts[0].split()),
+                        "raw_model_output": "1"}
+    assert errored == {"item_id": "q1", "context_chunk_ids": [], "scores": [],
+                       "prompt_token_estimate": 0, "raw_model_output": ""}
+
+
+def test_eval_thread_that_cannot_start_exits_2(tmp_path, capsys, monkeypatch):
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=8)
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    real_start = threading.Thread.start
+    starts = []
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json"), "--concurrency", "4"]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr().err == (
+        "error: cannot start threads for width 4: can't start new thread\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "model.json"]
+
+
 def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
     here = os.getpid()
     real_check_answer = userassoc.check_answer
@@ -860,6 +921,7 @@ def lock_holder(out: Path):
         child.wait()
 
 
+@pytest.mark.leaves_lock
 def test_lock_held_by_a_live_run_blocks(tmp_path, capsys):
     docs = make_docs_dir(tmp_path, sizes=(10,))
     out = tmp_path / "c.jsonl"
@@ -934,7 +996,7 @@ def test_concurrent_reclaimers_never_overlap(tmp_path):
     assert leftovers(tmp_path) == []
 
 
-@pytest.mark.parametrize("then", ["gone", "replaced"])
+@pytest.mark.parametrize("then", ["gone", pytest.param("replaced", marks=pytest.mark.leaves_lock)])
 def test_lock_file_unlinked_before_flock_refuses(tmp_path, monkeypatch, then):
     # The holder finishes, unlinking the file, between this run's open and its flock;
     # locking the orphaned file would let this run overlap one that locks a new file.
@@ -1309,7 +1371,8 @@ def test_eval_rag_requires_corpus(tmp_path, capsys):
     ("eval", ["--report", "r.json", "--audit", "r.json"], "r.json"),
     ("eval", ["--report", "r.json", "--csv", "r.json"], "r.json"),
     ("eval", ["--report", "r.json", "--csv", "r.json.manifest.json"], "r.json.manifest.json"),
-    ("eval", ["--report", "r.json", "--csv", "r.json.lock"], "r.json.lock"),
+    pytest.param("eval", ["--report", "r.json", "--csv", "r.json.lock"], "r.json.lock",
+                 marks=pytest.mark.leaves_lock),
     ("usecase-assoc", ["--out", "c.csv", "--problems-out", "c.csv"], "c.csv"),
     ("usecase-energy", ["--out", "fit.json", "--plot-csv", "fit.json"], "fit.json"),
 ], ids=["eval-audit", "eval-csv", "eval-csv-manifest", "eval-csv-lock", "assoc-problems",
@@ -1372,8 +1435,10 @@ RAG_INPUTS = "--rag {t}/store.vdb --corpus {t}/corpus.jsonl --provider-config {t
     ("usecase-assoc --model-config {t}/assoc.json --seed 1 --out {t}/c.csv "
      "--problems-out {t}/assoc.json", "assoc.json"),
     ("usecase-assoc --model-config {t}/c.manifest.json --seed 1 --out {t}/c", "c.manifest.json"),
-    ("usecase-assoc --model-config {t}/c.lock --seed 1 --out {t}/c", "c.lock"),
-    ("usecase-assoc --model-config {t}/c.tmp --seed 1 --out {t}/c", "c.tmp"),
+    pytest.param("usecase-assoc --model-config {t}/c.lock --seed 1 --out {t}/c", "c.lock",
+                 marks=pytest.mark.leaves_lock),
+    pytest.param("usecase-assoc --model-config {t}/c.tmp --seed 1 --out {t}/c", "c.tmp",
+                 marks=pytest.mark.leaves_lock),
 ], ids=["eval-report-dataset", "eval-csv-model", "eval-audit-store", "eval-report-corpus",
         "eval-report-provider", "ingest-document", "embed-corpus", "embed-provider",
         "energy-data", "assoc-model", "assoc-problems-model", "assoc-manifest-model",

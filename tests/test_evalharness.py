@@ -50,6 +50,7 @@ def answer_for(item: McqItem, index: int | None, errored: bool = False) -> Model
         parsed_index=index,
         parse_status="unparsed" if index is None else "leading_number",
         errored=errored,
+        correct=index == item.correct_index and not errored,
     )
 
 
@@ -364,7 +365,7 @@ def test_score_rejects_answers_out_of_item_order():
 
 
 def test_tally_groups_in_first_seen_order():
-    stats = tally([("b", True, False), ("a", False, False), ("b", True, True),
+    stats = tally([("b", True, False), ("a", False, False), ("b", False, True),
                    ("b", False, True), ("a", True, False), ("c", False, False)])
     assert list(stats) == ["b", "a", "c"]
     assert stats["b"] == CategoryStats(count=3, correct=1, errored=2, accuracy_percent=33.33)

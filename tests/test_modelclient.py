@@ -373,7 +373,7 @@ def test_ask_stops_the_started_workers_when_a_thread_cannot_start(monkeypatch):
 
     before = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", start)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
+    with pytest.raises(OSError, match="^cannot start threads for width 3: can't start new thread$"):
         ask(IndexBackend(reply), _prompts(200), 3)
     monkeypatch.undo()
     assert threading.active_count() == before

@@ -9,6 +9,7 @@ import pytest
 
 from telerag import forkpool, userassoc
 from telerag.errors import DataError, ModelError
+from telerag.evalharness import ModelAnswer
 from telerag.modelclient import Completion, HttpBackend, ModelConfig, TranscriptBackend
 from telerag.userassoc import (
     CURVE_BLOCK,
@@ -140,28 +141,32 @@ def test_render_prompt_n5_lines_in_index_order():
 
 
 def test_check_answer_cascade():
-    assert check_answer(REFERENCE_EXAMPLE, "The device should connect to base station 3") == \
-        check_answer(REFERENCE_EXAMPLE, "base station 3")
-    assert check_answer(REFERENCE_EXAMPLE, "base station 3").correct
+    sentence = check_answer(REFERENCE_EXAMPLE, "The device should connect to base station 3")
+    assert sentence == ModelAnswer(REFERENCE_EXAMPLE.problem_id,
+                                   "The device should connect to base station 3", 3,
+                                   "text_match", correct=True)
     picked_forbidden = check_answer(REFERENCE_EXAMPLE, "2")
-    assert picked_forbidden.chosen == 2
+    assert picked_forbidden.parsed_index == 2
+    assert picked_forbidden.parse_status == "embedded_number"
     assert not picked_forbidden.correct
     gibberish = check_answer(REFERENCE_EXAMPLE, "the strongest allowed signal wins")
-    assert gibberish.chosen is None
+    assert gibberish.parsed_index is None
+    assert gibberish.parse_status == "unparsed"
     assert not gibberish.correct
 
 
 def test_check_answer_ignores_negative_numbers():
     answer = check_answer(REFERENCE_EXAMPLE, "-70 dBm is strongest allowed, so station 3")
-    assert answer.chosen == 3
+    assert answer.parsed_index == 3
     assert answer.correct
 
 
 def test_check_answer_skips_digit_runs_too_long_for_int():
     huge = "9" * 5000
-    assert check_answer(REFERENCE_EXAMPLE, huge).chosen is None
-    assert check_answer(REFERENCE_EXAMPLE, f"base station {huge}, no: base station 3").chosen == 3
-    assert check_answer(REFERENCE_EXAMPLE, f"{huge} or 3").chosen == 3
+    assert check_answer(REFERENCE_EXAMPLE, huge).parsed_index is None
+    assert check_answer(REFERENCE_EXAMPLE,
+                        f"base station {huge}, no: base station 3").parsed_index == 3
+    assert check_answer(REFERENCE_EXAMPLE, f"{huge} or 3").parsed_index == 3
 
 
 def test_parse_problem_prompt_round_trip():
