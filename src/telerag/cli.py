@@ -33,8 +33,8 @@ from pathlib import Path
 # Each command imports only the modules it runs, so start-up and --help load none
 # of them (vstore and energymodel bring numpy).
 from . import DEFAULT_CHUNK_SIZE, MAX_STATIONS, QUERY_MODES
-from .errors import (DataError, FingerprintMismatchError, ModelError, ProviderError,
-                     TeleragError, read_utf8)
+from .errors import (JSON_ERRORS, DataError, FingerprintMismatchError, ModelError,
+                     ProviderError, TeleragError, read_utf8)
 from .modelclient import ModelConfig, build_backend
 
 T = typing.TypeVar("T")
@@ -146,15 +146,21 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
         os.close(fd)
 
 
-def _reject_constant(name: str) -> float:
-    """json's hook for NaN, Infinity and -Infinity, which strict JSON does not allow."""
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_number(text: str) -> float:
+    """json's hook for NaN, Infinity and -Infinity, which strict JSON does not
+    allow, and for every number with a fraction or exponent, which must not
+    overflow to infinity (1e400)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def _load_json_file(path: str) -> dict:
     try:
-        data = json.loads(read_utf8(path), parse_constant=_reject_constant)
-    except ValueError as exc:
+        data = json.loads(read_utf8(path), parse_constant=_finite_number,
+                          parse_float=_finite_number)
+    except JSON_ERRORS as exc:
         raise DataError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"config {path} must be a JSON object")

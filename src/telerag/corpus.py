@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, Sequence
 
 from . import DEFAULT_CHUNK_SIZE
-from .errors import DataError
+from .errors import JSON_ERRORS, DataError
 
 # Characters of document text per task of Corpus.write_jsonl.
 GROUP_CHARS = 1 << 20
@@ -203,7 +203,7 @@ def _chunk_from_line(line: bytes) -> Chunk:
         return Chunk(**{name: rec[name] for name in _CHUNK_FIELDS})
     except KeyError as exc:
         raise ValueError(f"chunk record lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, *JSON_ERRORS) as exc:
         raise ValueError(f"malformed chunk record: {exc}") from None
 
 

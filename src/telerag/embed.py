@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DataError, ModelError, ProviderError
-from .modelclient import post_json
+from .modelclient import MAX_WAIT_S, post_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +57,8 @@ class EmbeddingProviderConfig:
             raise ValueError("dims must be positive")
         if self.kind == "http" and not (self.endpoint and self.model_name):
             raise ValueError("http provider requires endpoint and model_name")
-        if not 0 < self.timeout_s < math.inf:
-            raise ValueError("timeout_s must be a finite number > 0")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be > 0 and at most {MAX_WAIT_S:.0f}")
 
     @property
     def fingerprint(self) -> str:

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+# What json.loads raises for text that is not JSON: ValueError, or RecursionError
+# for arrays and objects nested too deep for its parser.
+JSON_ERRORS = (ValueError, RecursionError)
+
 
 class TeleragError(Exception):
     """Base class for all toolkit errors."""

@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Literal, Sequence
 
-from .errors import DataError, read_utf8
+from .errors import JSON_ERRORS, DataError, read_utf8
 from .modelclient import ModelBackend, ask
 
 CATEGORIES = (
@@ -224,7 +224,7 @@ def _item_from_normalized(line: str) -> McqItem:
     """Map one normalized JSONL line onto an McqItem."""
     try:
         rec = json.loads(line)
-    except ValueError as exc:
+    except JSON_ERRORS as exc:
         raise DataError(str(exc)) from None
     if not isinstance(rec, dict):
         raise DataError("entry is not an object")
@@ -260,7 +260,7 @@ def load_dataset(path: str | Path) -> list[McqItem]:
     else:
         try:
             raw = json.loads(read_utf8(path))
-        except ValueError as exc:
+        except JSON_ERRORS as exc:
             raise DataError(f"malformed JSON in {path}: {exc}") from exc
         if isinstance(raw, dict):
             entries = raw.items()

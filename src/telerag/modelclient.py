@@ -22,12 +22,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence, TypeVar
 
-from .errors import ModelError, ModelProtocolError, ModelUnavailableError, TranscriptMissError
+from .errors import (JSON_ERRORS, ModelError, ModelProtocolError, ModelUnavailableError,
+                     TranscriptMissError)
 
 API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_constant")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# The longest wait, in seconds, that both time.sleep and socket.settimeout accept.
+MAX_WAIT_S = threading.TIMEOUT_MAX
 T = TypeVar("T")
 
 
@@ -67,10 +70,11 @@ class ModelConfig:
             raise ValueError("mock_constant model requires reply")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0 <= self.backoff_s < math.inf:
-            raise ValueError("backoff_s must be a finite number >= 0")
-        if not 0 < self.timeout_s < math.inf:
-            raise ValueError("timeout_s must be a finite number > 0")
+        if not 0 <= self.backoff_s <= math.ldexp(MAX_WAIT_S, min(0, 2 - self.max_attempts)):
+            raise ValueError("backoff_s must be >= 0 and its longest wait, backoff_s * "
+                             f"2**(max_attempts - 2), at most {MAX_WAIT_S:.0f} s")
+        if not 0 < self.timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be > 0 and at most {MAX_WAIT_S:.0f}")
 
     def summary(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
@@ -117,7 +121,8 @@ def post_json(url: str, payload: dict, *, timeout_s: float, max_attempts: int = 
         headers["Authorization"] = f"Bearer {api_key}"
     for attempt in range(1, max_attempts + 1):
         if attempt > 1:
-            time.sleep(backoff_s * 2 ** (attempt - 2))
+            # ldexp scales without forming 2**(attempt - 2), so a zero backoff never overflows.
+            time.sleep(math.ldexp(backoff_s, attempt - 2))
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
         except requests.RequestException as exc:
@@ -130,7 +135,7 @@ def post_json(url: str, payload: dict, *, timeout_s: float, max_attempts: int = 
             raise ModelError(f"{url} returned HTTP {resp.status_code}")
         try:
             return resp.json(), attempt
-        except ValueError as exc:
+        except JSON_ERRORS as exc:
             raise ModelProtocolError(f"reply from {url} is not JSON: {exc}") from exc
     raise ModelUnavailableError(f"{url} unavailable after {max_attempts} attempt(s): {failure}")
 
@@ -186,7 +191,7 @@ class TranscriptBackend:
                     if not isinstance(reply, str):
                         raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
                     known = self._replies.setdefault(digest, reply)
-                except (ValueError, KeyError, TypeError) as exc:
+                except (KeyError, TypeError, *JSON_ERRORS) as exc:
                     raise ModelProtocolError(
                         f"bad transcript line {lineno} in {path}: {exc}"
                     ) from exc

@@ -81,6 +81,7 @@ from typing import BinaryIO, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    JSON_ERRORS,
     DataError,
     DimensionMismatchError,
     DuplicateChunkError,
@@ -385,7 +386,7 @@ class VectorStore:
             raise StoreFormatError(f"trailing bytes after {count} records: {path}")
         try:
             ids = json.loads(data[ids_at:offsets_at].decode("utf-8"))
-        except ValueError as exc:
+        except JSON_ERRORS as exc:
             raise StoreFormatError(f"malformed ids block in {path}: {exc}") from None
         if not isinstance(ids, list) or len(ids) != count or set(map(type, ids)) - {str}:
             raise StoreFormatError(f"ids block of {path} is not a list of {count} strings")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import http.client
+import importlib
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ import time
 from pathlib import Path
 
 import pytest
+from fake_http import FakeResponse
 
 from telerag import corpus, embed, energymodel, forkpool, userassoc
 from telerag.cli import main
@@ -27,6 +29,7 @@ from telerag.modelclient import write_transcript
 from telerag.vstore import FORMAT_VERSION, MAGIC, VectorStore
 
 HASH_PROVIDER = {"kind": "hash-test", "dims": 32, "seed": 0}
+HTTP_PROVIDER = {"kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"}
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +38,7 @@ def no_lock_or_tmp_left(request, tmp_path):
     unless it is marked leaves_lock because it plants one on purpose."""
     yield
     if not request.node.get_closest_marker("leaves_lock"):
-        assert _leftovers(tmp_path) == []
+        assert [p for p in tmp_path.rglob("*") if p.suffix in (".lock", ".tmp")] == []
 
 
 def write_json(path, payload) -> str:
@@ -94,7 +97,6 @@ def test_ingest_chunk_arithmetic(tmp_path, capsys):
     assert "3 chunks" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
     assert manifest["command"] == "ingest"
-    assert not (tmp_path / "corpus.jsonl.lock").exists()
 
 
 def test_ingest_empty_dir_fails(tmp_path, capsys):
@@ -127,7 +129,7 @@ def test_eval_names_the_dataset_that_is_not_utf8(tmp_path, capsys, suffix):
                  "--report", str(report)]) == 2
     assert capsys.readouterr().err == (
         f"error: {dataset} is not UTF-8: invalid start byte at byte {len(first)}\n")
-    assert not report.exists() and leftovers(tmp_path) == []
+    assert not report.exists()
 
 
 def test_ingest_rerun_byte_identical(tmp_path):
@@ -135,14 +137,6 @@ def test_ingest_rerun_byte_identical(tmp_path):
     first = run_ingest(tmp_path, docs, "c1.jsonl")
     second = run_ingest(tmp_path, docs, "c2.jsonl")
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_ingest_rejects_non_utf8(tmp_path):
-    docs = tmp_path / "docs"
-    docs.mkdir()
-    (docs / "bad.txt").write_bytes(b"\xff\xfe broken")
-    code = main(["ingest", "--input", str(docs), "--out", str(tmp_path / "c.jsonl")])
-    assert code == 2
 
 
 def test_embed_counts_match_corpus(tmp_path, capsys):
@@ -236,7 +230,6 @@ def test_eval_rag_refuses_corpus_edited_after_embed(tmp_path, capsys):
     assert err == (f"error: {corpus_path} is not the corpus {store_path} was embedded from; "
                    "re-run telerag embed\n")
     assert not report.exists()
-    assert leftovers(tmp_path) == []
 
 
 def test_eval_rag_refuses_other_query_provider(tmp_path, capsys):
@@ -248,7 +241,6 @@ def test_eval_rag_refuses_other_query_provider(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: store was built with provider "
                                        "'hash-test:seed-0:32', query uses 'hash-test:seed-1:32'\n")
     assert not report.exists()
-    assert leftovers(tmp_path) == []
 
 
 def test_eval_rag_without_corpus_is_usage_error_before_reading_dataset(tmp_path, capsys):
@@ -271,7 +263,7 @@ def test_eval_retrieval_flag_without_rag_is_usage_error(tmp_path, capsys, flags)
     assert main(["eval", "--dataset", str(missing), "--model-config", model_cfg,
                  "--report", str(tmp_path / "r.json")] + flags) == 1
     assert capsys.readouterr().err == f"usage error: {flags[0]} needs --rag\n"
-    assert leftovers(tmp_path) == [] and not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_manifest_and_report_record_k_only_with_rag(tmp_path):
@@ -297,7 +289,6 @@ def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     assert main(eval_args + ["--report", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err == "error: unsupported store format version 1; re-run telerag embed\n"
-    assert leftovers(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["embed", "eval"])
@@ -315,7 +306,7 @@ def test_store_whose_fingerprint_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"error: provider fingerprint in {store_path} is not UTF-8: invalid start byte\n")
     assert store_path.read_bytes() == blob
-    assert not (tmp_path / "r.json").exists() and leftovers(tmp_path) == []
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -328,7 +319,7 @@ def test_eval_rag_store_of_zero_dims_exits_2(tmp_path, capsys, count):
     assert main(eval_args + ["--report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == (
         f"error: store file {store_path} has dims 0; dims must be positive\n")
-    assert not (tmp_path / "r.json").exists() and leftovers(tmp_path) == []
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_run_block_records_rag_settings(tmp_path):
@@ -512,7 +503,7 @@ def test_usecase_energy_names_the_data_that_is_not_utf8(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: {data} is not UTF-8: invalid continuation byte at byte 19\n")
-    assert not out.exists() and leftovers(tmp_path) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mtx", ["nan", "inf"])
@@ -608,7 +599,6 @@ def test_usecase_assoc_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
         assert multiprocessing.active_children() == []
         outputs.append((out.read_bytes(), problems.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert leftovers(tmp_path) == []
 
 
 def test_usecase_assoc_curve_same_under_one_cpu_affinity(tmp_path):
@@ -781,7 +771,7 @@ def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
                  "--model-config", write_json(tmp_path / "model.json", {"kind": "mock_oracle"}),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: a worker process died (exit code 1)\n"
-    assert not out.exists() and leftovers(tmp_path) == []
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
@@ -797,7 +787,7 @@ def test_eval_refuses_transcript_line_without_digest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad transcript line 1 in ") and err.count("\n") == 1
     assert "'prompt_sha256' must be 64 lowercase hex digits, got 5" in err
-    assert not report.exists() and leftovers(tmp_path) == []
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
@@ -813,7 +803,7 @@ def test_eval_transcript_that_cannot_be_opened_exits_3(tmp_path, capsys, missing
                  "--report", str(report)]) == 3
     reason = "No such file or directory" if missing else "Is a directory"
     assert capsys.readouterr().err == f"error: cannot open transcript {transcript}: {reason}\n"
-    assert not report.exists() and leftovers(tmp_path) == []
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("name, content", [
@@ -827,14 +817,6 @@ def test_eval_dataset_without_items_exits_2(tmp_path, capsys, name, content):
                  "--report", str(tmp_path / "report.json")]) == 2
     assert capsys.readouterr().err == f"error: no items in {dataset}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "model.json"])
-
-
-def test_usecase_assoc_rejects_count_below_two(tmp_path, capsys):
-    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_oracle"})
-    code = main(["usecase-assoc", "--bs-counts", "1", "--model-config", model_cfg,
-                 "--out", str(tmp_path / "c.csv")])
-    assert code == 1
-    assert "usage error" in capsys.readouterr().err
 
 
 def test_usecase_assoc_problems_export(tmp_path):
@@ -863,23 +845,10 @@ def test_manifest_differs_only_in_timestamps(tmp_path):
     assert first == second
 
 
-def leftovers(directory):
-    return sorted(p.name for p in directory.iterdir() if p.suffix in (".tmp", ".lock"))
-
-
 def finished_pid() -> int:
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait(timeout=60)
     return child.pid
-
-
-def test_stale_lock_of_dead_process_is_reclaimed(tmp_path):
-    docs = make_docs_dir(tmp_path, sizes=(10,))
-    out = tmp_path / "c.jsonl"
-    (tmp_path / "c.jsonl.lock").write_text(f"{finished_pid()}\n", encoding="utf-8")
-    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
-    assert out.exists()
-    assert leftovers(tmp_path) == []
 
 
 def test_tmp_left_by_killed_run_is_replaced_and_removed(tmp_path):
@@ -890,7 +859,6 @@ def test_tmp_left_by_killed_run_is_replaced_and_removed(tmp_path):
     (tmp_path / "c.jsonl.tmp").write_text('{"chunk_id": "partial', encoding="utf-8")
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
     assert [c.chunk_id for c in read_chunks_jsonl(out)] == ["doc0#0"]
-    assert leftovers(tmp_path) == []
 
 
 # A run that holds the lock on argv[1] until it is killed; it creates argv[2] once inside.
@@ -942,7 +910,7 @@ def test_lock_of_a_killed_run_is_taken_over(tmp_path):
         child.wait()
         assert (tmp_path / "c.jsonl.lock").exists()
         assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
-    assert out.exists() and leftovers(tmp_path) == []
+    assert out.exists()
 
 
 @pytest.mark.parametrize("content", ["own-pid", "empty"])
@@ -953,7 +921,7 @@ def test_lock_file_left_by_a_killed_run_blocks_nothing(tmp_path, content):
     lock = tmp_path / "c.jsonl.lock"
     lock.write_text(f"{os.getpid()}\n" if content == "own-pid" else "", encoding="utf-8")
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 0
-    assert out.exists() and leftovers(tmp_path) == []
+    assert out.exists()
 
 
 def test_concurrent_reclaimers_never_overlap(tmp_path):
@@ -993,7 +961,6 @@ def test_concurrent_reclaimers_never_overlap(tmp_path):
         sys.setswitchinterval(previous)
     assert state["most"] == 1
     assert state["runs"] >= 20
-    assert leftovers(tmp_path) == []
 
 
 @pytest.mark.parametrize("then", ["gone", pytest.param("replaced", marks=pytest.mark.leaves_lock)])
@@ -1043,7 +1010,7 @@ def test_run_leaves_no_fd_open(tmp_path):
             with cli._run(out, "test", {}):
                 pass
         assert open_fds() == inside
-    assert open_fds() == before and leftovers(tmp_path) == []
+    assert open_fds() == before
 
 
 def test_directory_as_output_is_data_error(tmp_path, capsys):
@@ -1053,7 +1020,7 @@ def test_directory_as_output_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert out.is_dir() and leftovers(tmp_path) == []
+    assert out.is_dir()
 
 
 def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):
@@ -1077,7 +1044,6 @@ def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):
     monkeypatch.setattr("telerag.rag.write_audit_log", failing_audit_log)
     assert run_eval("2") == 2
     assert [p.read_bytes() for p in outputs] == first
-    assert leftovers(tmp_path) == []
 
 
 def write_chunk_corpus(path, texts):
@@ -1116,7 +1082,6 @@ def test_failed_embed_keeps_earlier_store(tmp_path, capsys, monkeypatch):
                  "--out", str(store_path)]) == 3
     assert capsys.readouterr().err == "error: embedding endpoint returned HTTP 503\n"
     assert [p.read_bytes() for p in outputs] == first
-    assert leftovers(tmp_path) == []
     assert multiprocessing.active_children() == []
 
 
@@ -1146,7 +1111,7 @@ def test_embed_empty_text_in_later_block_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 2
     assert capsys.readouterr().err == "error: cannot embed empty text\n"
-    assert not store_path.exists() and leftovers(tmp_path) == []
+    assert not store_path.exists()
 
 
 def test_embed_worker_that_dies_exits_3(tmp_path, capsys, monkeypatch):
@@ -1168,7 +1133,7 @@ def test_embed_worker_that_dies_exits_3(tmp_path, capsys, monkeypatch):
                  "--out", str(store_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: an embedding worker process died") and err.count("\n") == 1
-    assert not store_path.exists() and leftovers(tmp_path) == []
+    assert not store_path.exists()
     assert multiprocessing.active_children() == []
 
 
@@ -1176,22 +1141,12 @@ def test_embed_http_sends_64_text_requests_in_order(tmp_path, monkeypatch):
     corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", [f"t{i}" for i in range(150)])
     sent = []
 
-    class FakeResponse:
-        status_code = 200
-
-        def __init__(self, n):
-            self.n = n
-
-        def json(self):
-            return {"data": [{"embedding": [1.0, 0.0, 0.0, 0.0]}] * self.n}
-
     def fake_post(url, json=None, headers=None, timeout=None):
         sent.append(json["input"])
-        return FakeResponse(len(json["input"]))
+        return FakeResponse(200, {"data": [{"embedding": [1.0, 0.0, 0.0, 0.0]}] * len(sent[-1])})
 
     monkeypatch.setattr("requests.post", fake_post)
-    provider_cfg = write_json(tmp_path / "provider.json", {
-        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    provider_cfg = write_json(tmp_path / "provider.json", HTTP_PROVIDER)
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(tmp_path / "store.vdb")]) == 0
     assert [len(texts) for texts in sent] == [64, 64, 22]
@@ -1201,14 +1156,10 @@ def test_embed_http_sends_64_text_requests_in_order(tmp_path, monkeypatch):
 def test_embed_http_503_is_one_request_and_exit_3(tmp_path, capsys, monkeypatch):
     corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", ["t0", "t1"])
     posts = []
-
-    class Unavailable:
-        status_code = 503
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: posts.append(k["json"]) or Unavailable())
+    monkeypatch.setattr("requests.post",
+                        lambda *a, **k: posts.append(k["json"]) or FakeResponse(503))
     monkeypatch.setattr("time.sleep", lambda s: pytest.fail("an embedding request was retried"))
-    provider_cfg = write_json(tmp_path / "provider.json", {
-        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    provider_cfg = write_json(tmp_path / "provider.json", HTTP_PROVIDER)
     store_path = tmp_path / "store.vdb"
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 3
@@ -1216,7 +1167,7 @@ def test_embed_http_503_is_one_request_and_exit_3(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("error: embedding request failed: ") and err.count("\n") == 1
     assert "HTTP 503" in err
-    assert not store_path.exists() and leftovers(tmp_path) == []
+    assert not store_path.exists()
 
 
 def make_mixed_docs_dir(tmp_path):
@@ -1278,7 +1229,7 @@ def test_ingest_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: a worker process died (exit code 1)\n"
-    assert not out.exists() and leftovers(tmp_path) == []
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
@@ -1296,7 +1247,7 @@ def test_embed_malformed_line_in_later_block_names_path_line(tmp_path, capsys, m
     assert main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)]) == 2
     assert capsys.readouterr().err == f"error: {expected.value}\n"
-    assert not store_path.exists() and leftovers(tmp_path) == []
+    assert not store_path.exists()
 
 
 def test_embed_blank_lines_keep_stored_offsets(tmp_path, monkeypatch):
@@ -1349,22 +1300,6 @@ def test_manifest_lists_outputs_in_write_order(tmp_path, command):
     manifest = json.loads(Path(str(primary) + ".manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["outputs"] == [str(tmp_path / name) for name in names]
-    assert leftovers(tmp_path) == []
-
-
-def test_eval_rag_requires_corpus(tmp_path, capsys):
-    dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
-    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
-    provider_cfg = write_json(tmp_path / "p.json", HASH_PROVIDER)
-    empty_corpus = tmp_path / "c.jsonl"
-    empty_corpus.write_text("", encoding="utf-8")
-    store_path = tmp_path / "s.vdb"
-    assert main(["embed", "--corpus", str(empty_corpus), "--provider-config", provider_cfg,
-                 "--out", str(store_path)]) == 0
-    code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
-                 "--rag", str(store_path), "--report", str(tmp_path / "r.json")])
-    assert code == 1
-    assert "--corpus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flags, clash", [
@@ -1457,16 +1392,9 @@ def test_output_naming_an_input_is_usage_error(tmp_path, capsys, argv, named):
 def test_model_api_key_forwarded(tmp_path, monkeypatch):
     captured = {}
 
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"text": "1"}
-
     def fake_post(url, json=None, headers=None, timeout=None):
         captured["headers"] = headers
-        return FakeResponse()
+        return FakeResponse(200, {"text": "1"})
 
     monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setenv("MODEL_API_KEY", "sekrit")
@@ -1509,20 +1437,6 @@ def test_missing_dataset_file_is_data_error(tmp_path):
     assert code == 2
 
 
-def test_eval_concurrency_below_one_is_usage_error(tmp_path, capsys):
-    dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
-    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
-    report = tmp_path / "r.json"
-    for value in ("0", "-2"):
-        code = main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
-                     "--report", str(report), "--concurrency", value])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and err.count("\n") == 1
-        assert "--concurrency" in err
-    assert not report.exists()
-
-
 def test_model_config_concurrency_key_is_data_error(tmp_path, capsys):
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=3)
     model_cfg = write_json(tmp_path / "model.json",
@@ -1543,8 +1457,7 @@ HTTP_MODEL = {"kind": "http", "endpoint": "http://fake/complete", "model_name": 
         ("embed", {"kind": "hash-test", "dims": True}),
         ("embed", {"kind": "hash-test", "dims": 4, "seed": "x"}),
         ("embed", {"kind": "hash-test", "dims": 4, "seed": 1.5}),
-        ("embed", {"kind": "http", "dims": 4, "endpoint": "http://fake/embed",
-                   "model_name": "m", "timeout_s": 0}),
+        ("embed", {**HTTP_PROVIDER, "timeout_s": 0}),
         ("eval", {"kind": "mock_constant", "reply": 5}),
         ("eval", {"kind": "mock_script", "script_path": 5}),
         ("eval", {**HTTP_MODEL, "temperature": "hot"}),
@@ -1557,18 +1470,9 @@ HTTP_MODEL = {"kind": "http", "endpoint": "http://fake/complete", "model_name": 
     ],
 )
 def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, config):
-    class Reply:
-        status_code = 200
-
-        def __init__(self, payload):
-            self.payload = payload
-
-        def json(self):
-            return self.payload
-
     def fake_post(url, json=None, headers=None, timeout=None):
         rows = [{"embedding": [1.0, 0.0, 0.0, 0.0]}] * len(json.get("input", []))
-        return Reply({"text": "1", "data": rows})
+        return FakeResponse(200, {"text": "1", "data": rows})
 
     monkeypatch.setattr("requests.post", fake_post)
     config_path = write_json(tmp_path / "config.json", config)
@@ -1586,7 +1490,134 @@ def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
-    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("eval", json.dumps({**HTTP_MODEL, "timeout_s": 1e300}),
+     "invalid model config: timeout_s must be > 0 and at most "),
+    ("eval", json.dumps({**HTTP_MODEL, "backoff_s": 1e300, "max_attempts": 2}),
+     "invalid model config: backoff_s must be >= 0 and its longest wait, "),
+    ("eval", json.dumps({**HTTP_MODEL, "backoff_s": 1, "max_attempts": 36}),
+     "invalid model config: backoff_s must be >= 0 and its longest wait, "),
+    ("embed", json.dumps({**HTTP_PROVIDER, "timeout_s": 1e300}),
+     "invalid provider config: timeout_s must be > 0 and at most "),
+    ("eval", '{"kind": "mock_constant", "reply": "1", "temperature": 1e400}',
+     "malformed JSON config {config}: 1e400 is not a finite number"),
+    ("embed", '{"kind": "hash-test", "dims": 4, "timeout_s": -1e400}',
+     "malformed JSON config {config}: -1e400 is not a finite number"),
+], ids=["model-timeout", "backoff", "backoff-doubled-past-the-bound", "provider-timeout",
+        "model-number-overflows", "provider-number-overflows"])
+def test_config_number_beyond_its_bound_exits_2(tmp_path, capsys, monkeypatch, command, config,
+                                                error):
+    # A wait longer than time.sleep or socket.settimeout takes, or a number that
+    # overflows to infinity, is refused before any request.
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(503))
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "embed":
+        corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", ["t0"])
+        argv = ["--corpus", str(corpus_path), "--provider-config", str(config_path),
+                "--out", str(out)]
+    else:
+        dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+        argv = ["--dataset", str(dataset), "--model-config", str(config_path),
+                "--report", str(out)]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + error.format(config=config_path)) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backoff_s, max_attempts, waits", [
+    (0.0, 2000, [0.0] * 1999),
+    (1, 35, [float(2**n) for n in range(34)]),
+], ids=["zero-backoff", "longest-wait-allowed"])
+def test_every_backoff_wait_suits_time_sleep(tmp_path, capsys, monkeypatch, backoff_s,
+                                             max_attempts, waits):
+    # A zero backoff never overflows however many attempts are left (0.0 * 2**1024
+    # would), and the longest wait the config check allows here, 2**33 s, is one
+    # that time.sleep takes.
+    posts, sleeps = [], []
+    monkeypatch.setattr("requests.post", lambda *a, **k: posts.append(1) or FakeResponse(503))
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+    model_cfg = write_json(tmp_path / "model.json",
+                           {**HTTP_MODEL, "backoff_s": backoff_s, "max_attempts": max_attempts})
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert len(posts) == max_attempts
+    assert sleeps == waits
+    assert "Overall: 0/1 = 0.00% (1 errored)" in capsys.readouterr().out
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested too deep for json's parser
+
+
+@pytest.mark.parametrize("kind, code, error", [
+    ("dataset-json", 2, "malformed JSON in {t}/deep.json: "),
+    ("dataset-jsonl", 2, "invalid entry in {t}/deep.jsonl: line 1: "),
+    ("model-config", 2, "malformed JSON config {t}/deep.json: "),
+    ("provider-config", 2, "malformed JSON config {t}/deep.json: "),
+    ("transcript", 3, "bad transcript line 1 in {t}/deep.jsonl: "),
+    ("embed-corpus", 2, "{t}/deep.jsonl:1: malformed chunk record: "),
+    ("eval-corpus", 2, "{t}/deep.jsonl (line at byte 0): malformed chunk record: "),
+    ("store", 2, "malformed ids block in {t}/bad.vdb: "),
+    ("embedding-reply", 3, "embedding request failed: reply from http://fake/embed is not JSON: "),
+], ids=["dataset-json", "dataset-jsonl", "model-config", "provider-config", "transcript",
+        "embed-corpus", "eval-corpus", "store", "embedding-reply"])
+def test_json_nested_too_deep_exits_with_one_line(tmp_path, capsys, monkeypatch, kind, code,
+                                                  error):
+    t = tmp_path
+    (t / "deep.json").write_text(DEEP, encoding="utf-8")
+    (t / "deep.jsonl").write_text(DEEP + "\n", encoding="utf-8")
+    dataset, _ = make_dataset_jsonl(t, n_items=1)
+    model_cfg = write_json(t / "model.json", {"kind": "mock_constant", "reply": "1"})
+    script_cfg = write_json(t / "script.json",
+                            {"kind": "mock_script", "script_path": str(t / "deep.jsonl")})
+    provider_cfg = write_json(t / "provider.json", HASH_PROVIDER)
+    http_cfg = write_json(t / "http.json", HTTP_PROVIDER)
+    corpus_path = write_chunk_corpus(t / "corpus.jsonl", ["t0"])
+    # A store bound to deep.jsonl, so eval --rag parses its one line, and a store
+    # whose ids block is nested too deep.
+    bound = VectorStore(dims=32, provider_fingerprint="hash-test:seed-0:32")
+    bound.insert_many(["d#0"], [[1.0] * 32])
+    bound.bind_corpus(hashlib.sha256((t / "deep.jsonl").read_bytes()).digest(), {"d#0": 0})
+    bound.save(t / "bound.vdb")
+    (t / "bad.vdb").write_bytes(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, 1, 1, 2) + b"fp"
+                                + bytes(32) + struct.pack("<Q", len(DEEP)) + DEEP.encode()
+                                + bytes(8 + 4))
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, text=DEEP))
+    deep_json, deep_jsonl, dataset = str(t / "deep.json"), str(t / "deep.jsonl"), str(dataset)
+    embed = ["embed", "--out", str(t / "out")]
+    evaluate = ["eval", "--report", str(t / "out")]
+    argv = {
+        "dataset-json": evaluate + ["--dataset", deep_json, "--model-config", model_cfg],
+        "dataset-jsonl": evaluate + ["--dataset", deep_jsonl, "--model-config", model_cfg],
+        "model-config": evaluate + ["--dataset", dataset, "--model-config", deep_json],
+        "provider-config": embed + ["--corpus", str(corpus_path), "--provider-config", deep_json],
+        "transcript": evaluate + ["--dataset", dataset, "--model-config", script_cfg],
+        "embed-corpus": embed + ["--corpus", deep_jsonl, "--provider-config", provider_cfg],
+        "eval-corpus": evaluate + ["--dataset", dataset, "--model-config", model_cfg,
+                                   "--rag", str(t / "bound.vdb"), "--corpus", deep_jsonl],
+        "store": evaluate + ["--dataset", dataset, "--model-config", model_cfg,
+                             "--rag", str(t / "bad.vdb"), "--corpus", str(corpus_path)],
+        "embedding-reply": embed + ["--corpus", str(corpus_path), "--provider-config", http_cfg],
+    }[kind]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + error.format(t=t)) and err.count("\n") == 1
+    assert not (t / "out").exists()
+
+
+def test_model_reply_nested_too_deep_is_an_errored_item(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, text=DEEP))
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+    model_cfg = write_json(tmp_path / "model.json", HTTP_MODEL)
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert "Overall: 0/1 = 0.00% (1 errored)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -1768,8 +1799,33 @@ def test_eval_same_under_one_cpu_affinity_and_concurrency(tmp_path, pinned_input
     }[rag]
 
 
-def _leftovers(root: Path) -> list[Path]:
-    return [p for p in root.rglob("*") if p.suffix in (".lock", ".tmp")]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["rag_eval", "plain_eval"])
+def test_benchmark_eval_same_on_one_cpu(tmp_path, monkeypatch, name):
+    # The benchmark's own eval at the smoke seed, with its own inputs and checks:
+    # run here with several prompts in flight it gives what the benchmark expects,
+    # and run on one CPU asking one prompt at a time it gives the same bytes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    usable = os.sched_getaffinity(0)
+    workload = workloads.WORKLOADS[name](tmp_path, 1, max(2, len(usable)))
+    workload.prepare()
+    for argv in workload.setup_argvs():
+        assert main(argv) == 0
+    one_cpu = tmp_path / "one_cpu.json"
+    pairs = [(workload.report, one_cpu), (workload.audit, tmp_path / "one_cpu.json.audit.jsonl"),
+             (tmp_path / "all_cpus.csv", tmp_path / "one_cpu.csv")]
+    assert main(workload.eval_argv() + ["--csv", str(pairs[2][0])]) == 0
+    assert workload.check() == (0, [])
+    # Flags given again override the workload's own values.
+    subprocess.run([sys.executable, "-m", "telerag.cli", *workload.eval_argv(),
+                    "--report", str(one_cpu), "--csv", str(pairs[2][1]), "--concurrency", "1"],
+                   env=child_env(), preexec_fn=lambda: os.sched_setaffinity(0, {min(usable)}),
+                   capture_output=True, check=True, timeout=120)
+    for ours, theirs in pairs:
+        assert ours.read_bytes() == theirs.read_bytes(), theirs.name
 
 
 @pytest.mark.parametrize(
@@ -1780,6 +1836,8 @@ def _leftovers(root: Path) -> list[Path]:
         ("ingest", ["--chunk-size", "8", "--overlap", "8"]),
         ("eval", ["--k", "0"]),
         ("eval", ["--max-context-tokens", "0"]),
+        ("eval", ["--concurrency", "0"]),
+        ("eval", ["--concurrency", "-2"]),
         ("usecase-energy", ["--n-bs", "0"]),
         ("usecase-energy", ["--noise-sd", "-1"]),
         ("usecase-assoc", ["--trials", "0"]),
@@ -1788,8 +1846,8 @@ def _leftovers(root: Path) -> list[Path]:
         ("usecase-assoc", ["--bs-counts", "2,x"]),
     ],
     ids=["chunk-size", "overlap-negative", "overlap-not-below-chunk-size", "k",
-         "max-context-tokens", "n-bs", "noise-sd", "trials", "bs-counts-below-2",
-         "bs-counts-above-max", "bs-counts-not-integer"],
+         "max-context-tokens", "concurrency-0", "concurrency-negative", "n-bs", "noise-sd",
+         "trials", "bs-counts-below-2", "bs-counts-above-max", "bs-counts-not-integer"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     docs = make_docs_dir(tmp_path, sizes=(40,))
@@ -1809,8 +1867,8 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert flags[-2] in err
-    assert not _leftovers(tmp_path)
-    assert not any((tmp_path / name).exists() for name in ("c.jsonl", "fit.json", "curve.csv"))
+    assert not any((tmp_path / name).exists()
+                   for name in ("c.jsonl", "r.json", "fit.json", "curve.csv"))
 
 
 @pytest.mark.parametrize(
@@ -1831,24 +1889,15 @@ def test_embed_bad_http_embeddings_exit_3(tmp_path, capsys, monkeypatch, n_texts
                     "token_count": 1}) + "\n"
         for i in range(n_texts)
     ), encoding="utf-8")
-
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"data": data}
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
-    provider_cfg = write_json(tmp_path / "provider.json", {
-        "kind": "http", "dims": 4, "endpoint": "http://fake/embed", "model_name": "m"})
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, {"data": data}))
+    provider_cfg = write_json(tmp_path / "provider.json", HTTP_PROVIDER)
     store_path = tmp_path / "store.vdb"
     code = main(["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
                  "--out", str(store_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not store_path.exists() and not _leftovers(tmp_path)
+    assert not store_path.exists()
 
 
 LOOPBACK_MODEL = Path(__file__).resolve().parent / "loopback_model.py"
@@ -1891,7 +1940,6 @@ def test_http_association_curve_same_on_one_cpu_and_two(tmp_path, monkeypatch):
     rows = [line.split(",") for line in curves[0].splitlines()[1:]]
     assert [(n_bs, trials, errored) for n_bs, trials, _, errored, _ in rows] == [
         ("2", "100", "0"), ("3", "100", "0")]
-    assert leftovers(tmp_path) == []
 
 
 def _stop_an_http_eval(tmp_path, signum) -> None:
@@ -1926,7 +1974,7 @@ def _stop_an_http_eval(tmp_path, signum) -> None:
             assert received() == at_exit
             assert at_exit <= at_signal + 12  # the 4 calls in flight, and a few that raced the signal
             assert (proc.returncode, err) == (130, "interrupted\n")
-            assert leftovers(tmp_path) == [] and not report.exists()
+            assert not report.exists()
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -1994,7 +2042,7 @@ def test_ctrl_c_from_a_forked_worker_prints_one_line(tmp_path):
         workers = [int(p) for p in pids.read_text().split()]
         assert (proc.returncode, stdout, stderr) == (130, "seed: 1\n", "interrupted\n")
         assert len(workers) == 2 and not any(map(_alive, workers))
-        assert not out.exists() and leftovers(tmp_path) == []
+        assert not out.exists()
     finally:
         if proc.poll() is None:
             proc.kill()

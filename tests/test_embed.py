@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 import pytest
+from fake_http import FakeResponse
 
 from telerag import forkpool
 from telerag.embed import (
@@ -91,14 +92,7 @@ def test_http_provider_unreachable_endpoint():
 
 
 def test_http_provider_malformed_response(monkeypatch):
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"unexpected": []}
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, {"unexpected": []}))
     cfg = EmbeddingProviderConfig(
         kind="http", dims=8, endpoint="http://fake/embed", model_name="m"
     )
@@ -109,17 +103,10 @@ def test_http_provider_malformed_response(monkeypatch):
 def test_http_provider_happy_path(monkeypatch):
     captured = {}
 
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"data": [{"embedding": [1.0, 0.0, 0.0, 0.0]}]}
-
     def fake_post(url, json=None, headers=None, timeout=None):
         captured["url"] = url
         captured["json"] = json
-        return FakeResponse()
+        return FakeResponse(200, {"data": [{"embedding": [1.0, 0.0, 0.0, 0.0]}]})
 
     monkeypatch.setattr("requests.post", fake_post)
     cfg = EmbeddingProviderConfig(
@@ -133,16 +120,9 @@ def test_http_provider_happy_path(monkeypatch):
 def test_http_provider_sends_api_key_from_env(monkeypatch):
     captured = {}
 
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"data": [{"embedding": [0.0, 1.0]}]}
-
     def fake_post(url, json=None, headers=None, timeout=None):
         captured["headers"] = headers
-        return FakeResponse()
+        return FakeResponse(200, {"data": [{"embedding": [0.0, 1.0]}]})
 
     monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setenv("MODEL_API_KEY", "sekrit")

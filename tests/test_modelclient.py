@@ -8,6 +8,7 @@ import threading
 import time
 
 import pytest
+from fake_http import FakeResponse
 
 from telerag.errors import (
     ModelError,
@@ -30,17 +31,6 @@ from telerag.modelclient import (
 HTTP_CFG = ModelConfig(
     kind="http", endpoint="http://fake/complete", model_name="m", backoff_s=0.0
 )
-
-
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
 
 
 def test_config_validation():

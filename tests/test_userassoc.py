@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from fake_http import FakeResponse
 
 from telerag import forkpool, userassoc
 from telerag.errors import DataError, ModelError
@@ -393,18 +394,9 @@ def test_http_curve_above_the_cutoff_never_forks(monkeypatch):
     here = os.getpid()
     asked = []
 
-    class Reply:
-        status_code = 200
-
-        def __init__(self, prompt):
-            self.text = RandomGuessBackend(seed=3).complete(prompt).text
-
-        def json(self):
-            return {"text": self.text}
-
     def fake_post(url, json=None, headers=None, timeout=None):
         asked.append((os.getpid(), json["prompt"]))
-        return Reply(json["prompt"])
+        return FakeResponse(200, {"text": RandomGuessBackend(seed=3).complete(json["prompt"]).text})
 
     def no_fork():
         raise AssertionError("an http curve forked")
