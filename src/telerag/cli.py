@@ -2,15 +2,18 @@
 
 Subcommands: ingest (txt -> chunk JSONL), embed (chunks -> vector store),
 eval (MCQ benchmark, plain or RAG-augmented), usecase-energy (fit the energy
-formulas), usecase-assoc (association accuracy curve). Every run writes a
-manifest next to its primary output and replaces its outputs only when it
-succeeds; reruns with the same inputs and seed produce byte-identical outputs.
+formulas), usecase-assoc (association accuracy curve). Every cmd_* names its
+inputs and outputs once, in its _run call, which checks them and takes the
+run's lock before any input is read. Every run writes a manifest next to its
+primary output and replaces its outputs only when it succeeds; reruns with the
+same inputs and seed produce byte-identical outputs.
 
 Each subcommand's parser names its cmd_* function, and each flag's argparse
 type checks its value; a bad value (an empty path among them), --overlap not
 below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
 synthetic-fleet flag without --synthetic, two outputs naming one file and an
-output naming one of the run's input files are usage errors. Exit codes: 0 ok,
+output naming one of the run's input files are usage errors. An output that is
+a directory, or whose parent is not one, is a data error. Exit codes: 0 ok,
 1 usage, 2 data or out of memory, 3 provider/model, 130 interrupted (Ctrl-C,
 or SIGTERM).
 """
@@ -26,7 +29,6 @@ import os
 import signal
 import sys
 import typing
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,62 +58,57 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _tmp(path: Path) -> Path:
-    return Path(str(path) + ".tmp")
-
-
-@dataclass
-class _Outputs:
-    """The files one command run writes, in the order it writes them."""
-
-    paths: list[Path] = field(default_factory=list)
-    dataset_fingerprint: str | None = None
-
-    def output(self, path: str | Path) -> Path:
-        """Record path as an output; return the file to write it to (`<path>.tmp`)."""
-        self.paths.append(Path(path))
-        return _tmp(self.paths[-1])
-
-
-def _check_outputs(primary_out: str | Path, *others: str | None,
-                   inputs: typing.Iterable[str | Path | None] = ()) -> None:
-    """Usage error unless a run's outputs, its manifest, their .tmp files and its
-    .lock are all different files and none of them is one of the run's inputs;
-    checked before the run reads its inputs."""
-    read = {os.path.realpath(path) for path in inputs if path}
-    lock = str(primary_out) + ".lock"
-    files = {os.path.realpath(lock)}
-    if files & read:
-        raise _UsageError(f"{lock} names an input of this run")
-    for path in (primary_out, str(primary_out) + ".manifest.json", *filter(None, others)):
-        for file in (str(path), str(_tmp(Path(path)))):
-            name = os.path.realpath(file)
-            if name in read:
-                raise _UsageError(f"{file} names an input of this run")
-            if name in files:
-                raise _UsageError(f"{file} names a file that another output of this run uses")
-            files.add(name)
+def _tmp(path: str | Path) -> Path:
+    return Path(f"{path}.tmp")
 
 
 @contextlib.contextmanager
-def _run(primary_out: Path, command: str, config: dict, seed: int | None = None):
-    """Lock primary_out for one command run and yield its _Outputs.
+def _run(command: str, outputs: typing.Sequence[str | Path | None],
+         inputs: typing.Iterable[str | Path | None] = ()):
+    """Check, lock and record one command run's files; yield its manifest, whose
+    config, seed and dataset_fingerprint the command fills in.
 
-    The lock is an flock on `<primary_out>.lock`, held for the whole run; a run
+    outputs are the files the run writes, primary first, in the order it writes
+    them; None stands for an output flag that was not given. Before anything is
+    read, the outputs, the manifest, their .tmp files and the .lock must all be
+    different files and none of them one of the run's inputs (a usage error),
+    and no output, manifest or .tmp may be a directory or lie outside one (a
+    DataError).
+
+    The lock is an flock on `<primary>.lock`, held for the whole run; a run
     that finds it held exits 2. The kernel drops the lock when the process
     ends, however it ends, so a lock file left behind blocks no later run.
     Forked fork_map workers share the locked file, so a worker of a run that
     was killed outright holds the lock until its task ends. Deleting a held
     lock file would let a second run lock a new file beside the first.
 
-    Writers write to the paths `output()` hands back. When the block succeeds
-    the manifest is written as one more output and every output is moved into
-    place in order, the manifest last; when it raises nothing is replaced.
-    Leftover .tmp files and the lock file are always removed.
+    The block reads the inputs and writes each output to `_tmp(output)`. When
+    it succeeds every output is moved into place in order, then the manifest;
+    when it raises nothing is replaced. The .tmp files and the lock file are
+    always removed.
     """
     from .evalharness import write_json
 
-    lock_path = Path(str(primary_out) + ".lock")
+    paths = [Path(path) for path in outputs if path]
+    primary = paths[0]
+    lock_path, manifest_path = Path(f"{primary}.lock"), Path(f"{primary}.manifest.json")
+    read = {os.path.realpath(path) for path in inputs if path}
+    if os.path.realpath(lock_path) in read:
+        raise _UsageError(f"{lock_path} names an input of this run")
+    files = [file for path in (primary, manifest_path, *paths[1:]) for file in (path, _tmp(path))]
+    seen = {os.path.realpath(lock_path)}
+    for file in files:
+        name = os.path.realpath(file)
+        if name in read:
+            raise _UsageError(f"{file} names an input of this run")
+        if name in seen:
+            raise _UsageError(f"{file} names a file that another output of this run uses")
+        seen.add(name)
+    for file in files:
+        if file.is_dir():
+            raise DataError(f"cannot write {file}: it is a directory")
+        if not file.parent.is_dir():
+            raise DataError(f"cannot write {file}: {file.parent} is not a directory")
     fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -121,26 +118,17 @@ def _run(primary_out: Path, command: str, config: dict, seed: int | None = None)
     except BaseException as exc:
         os.close(fd)
         if isinstance(exc, (BlockingIOError, FileNotFoundError)):
-            raise DataError(f"another run appears to be writing {primary_out}") from None
+            raise DataError(f"another run appears to be writing {primary}") from None
         raise
-    started_at = _utcnow()
-    run = _Outputs()
+    manifest = {"command": command, "config": None, "dataset_fingerprint": None, "seed": None,
+                "started_at": _utcnow(), "outputs": [str(path) for path in paths]}
     try:
-        yield run
-        manifest = {
-            "command": command,
-            "config": config,
-            "dataset_fingerprint": run.dataset_fingerprint,
-            "seed": seed,
-            "started_at": started_at,
-            "finished_at": _utcnow(),
-            "outputs": [str(p) for p in run.paths],
-        }
-        write_json(manifest, run.output(str(primary_out) + ".manifest.json"))
-        for path in run.paths:
+        yield manifest
+        write_json({**manifest, "finished_at": _utcnow()}, _tmp(manifest_path))
+        for path in (*paths, manifest_path):
             _tmp(path).replace(path)
     finally:
-        for path in run.paths:
+        for path in (*paths, manifest_path):
             _tmp(path).unlink(missing_ok=True)
         lock_path.unlink(missing_ok=True)
         os.close(fd)
@@ -257,16 +245,16 @@ def cmd_ingest(args) -> int:
                           f"got {args.overlap}")
     input_dir = Path(args.input)
     txt_files = sorted(input_dir.glob("*.txt")) if input_dir.is_dir() else []
-    _check_outputs(args.out, inputs=txt_files)
-    if not txt_files:
-        raise DataError(f"no .txt documents found in {input_dir}")
     out = Path(args.out)
-    config = {"input": str(input_dir), "chunk_size": args.chunk_size, "overlap": args.overlap}
-    with _run(out, "ingest", config) as run:
+    with _run("ingest", (out,), inputs=txt_files) as run:
+        if not txt_files:
+            raise DataError(f"no .txt documents found in {input_dir}")
+        run["config"] = {"input": str(input_dir), "chunk_size": args.chunk_size,
+                         "overlap": args.overlap}
         bank = corpus.Corpus()
         for path in txt_files:
             bank.ingest(path.name, read_utf8(path))
-        token_counts = bank.write_jsonl(run.output(out), args.chunk_size, args.overlap)
+        token_counts = bank.write_jsonl(_tmp(out), args.chunk_size, args.overlap)
     print(
         f"ingested {len(bank.documents)} documents -> {len(token_counts)} chunks, "
         + _seq_stats(token_counts)
@@ -278,24 +266,23 @@ def cmd_ingest(args) -> int:
 def cmd_embed(args) -> int:
     from . import corpus, embed, vstore
 
-    _check_outputs(args.out, inputs=(args.corpus, args.provider_config))
-    chunk_file = corpus.ChunkFile(args.corpus)
-    provider = _provider_config(args.provider_config)
     out = Path(args.out)
-    if out.exists() and not args.force:
-        _, _, _, existing_fp = vstore.VectorStore.read_header(out)
-        if existing_fp != provider.fingerprint:
-            raise FingerprintMismatchError(
-                f"{out} was built with provider {existing_fp!r}; refusing to replace it "
-                f"with {provider.fingerprint!r} (use --force to override)"
-            )
-    config = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
-    with _run(out, "embed", config) as run:
+    with _run("embed", (out,), inputs=(args.corpus, args.provider_config)) as run:
+        chunk_file = corpus.ChunkFile(args.corpus)
+        provider = _provider_config(args.provider_config)
+        if out.exists() and not args.force:
+            _, _, _, existing_fp = vstore.VectorStore.read_header(out)
+            if existing_fp != provider.fingerprint:
+                raise FingerprintMismatchError(
+                    f"{out} was built with provider {existing_fp!r}; refusing to replace it "
+                    f"with {provider.fingerprint!r} (use --force to override)"
+                )
+        run["config"] = {"corpus": args.corpus, "provider_fingerprint": provider.fingerprint}
         store = vstore.VectorStore(dims=provider.dims, provider_fingerprint=provider.fingerprint)
         ids, rows = embed.embed_chunk_file(provider, chunk_file)
         store.insert_many(ids, rows)
         store.bind_corpus(chunk_file.sha256, dict(zip(ids, chunk_file.offsets)))
-        store.save(run.output(out))
+        store.save(_tmp(out))
     print(f"embedded {len(store)} chunks -> {out} (provider {provider.fingerprint})")
     return 0
 
@@ -307,31 +294,31 @@ def cmd_eval(args) -> int:
     if args.rag and not args.corpus:
         raise _UsageError("--rag needs --corpus for the chunk texts")
     report_path = Path(args.report)
-    audit_path = args.audit or str(report_path) + ".audit.jsonl"
-    _check_outputs(report_path, audit_path, args.csv, inputs=(
-        args.dataset, args.model_config, args.rag, args.corpus, args.provider_config))
-    items = evalharness.load_dataset(args.dataset)
-    model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
-    backend = build_backend(model_cfg)
-    # Every setting that shapes a RAG answer; all None on plain eval.
-    contexts, settings = None, dict.fromkeys(rag.SETTINGS)
-    if args.rag:
-        cfg = rag.RagConfig(**{key: getattr(args, key) for key in _RAG_TUNING if key in given})
-        provider = _provider_config(args.provider_config) if args.provider_config else None
-        queries = [rag.build_query(item, cfg.query_mode) for item in items]
-        contexts, settings = rag.retrieve_contexts(args.rag, args.corpus, provider, queries, cfg)
-    config = {"dataset": args.dataset, "model_config": args.model_config, "rag": args.rag,
-              "strict_parse": args.strict_parse, **settings}
-    with _run(report_path, "eval", config) as run:
+    audit_path = args.audit or f"{report_path}.audit.jsonl"
+    with _run("eval", (report_path, audit_path, args.csv), inputs=(
+            args.dataset, args.model_config, args.rag, args.corpus, args.provider_config)) as run:
+        items = evalharness.load_dataset(args.dataset)
+        model_cfg = _config_from_dict(_load_json_file(args.model_config), ModelConfig, "model")
+        backend = build_backend(model_cfg)
+        # Every setting that shapes a RAG answer; all None on plain eval.
+        contexts, settings = None, dict.fromkeys(rag.SETTINGS)
+        if args.rag:
+            cfg = rag.RagConfig(**{key: getattr(args, key) for key in _RAG_TUNING if key in given})
+            provider = _provider_config(args.provider_config) if args.provider_config else None
+            queries = [rag.build_query(item, cfg.query_mode) for item in items]
+            contexts, settings = rag.retrieve_contexts(args.rag, args.corpus, provider, queries,
+                                                       cfg)
+        run["config"] = {"dataset": args.dataset, "model_config": args.model_config,
+                         "rag": args.rag, "strict_parse": args.strict_parse, **settings}
         results = rag.run_evaluation(backend, items, contexts, concurrency=args.concurrency,
                                      strict_parse=args.strict_parse)
         run_meta = {"model": model_cfg.summary(), "rag_enabled": bool(args.rag), **settings}
         report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
-        run.dataset_fingerprint = report.dataset_fingerprint
-        evalharness.write_report_json(report, run.output(report_path))
-        rag.write_audit_log(results, run.output(audit_path))
+        run["dataset_fingerprint"] = report.dataset_fingerprint
+        evalharness.write_report_json(report, _tmp(report_path))
+        rag.write_audit_log(results, _tmp(audit_path))
         if args.csv:
-            run.output(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
+            _tmp(args.csv).write_text(evalharness.report_csv(report), encoding="utf-8")
     for cat, stats in report.categories.items():
         print(_stats_line(cat, stats))
     print(_stats_line("Overall", report.overall))
@@ -345,18 +332,17 @@ def cmd_usecase_energy(args) -> int:
     _given(args, ("n_bs", "noise_sd", "seed"), "synthetic")
     kinds = list(energymodel.MODEL_KINDS) if args.model == "both" else [args.model]
     out = Path(args.out)
-    _check_outputs(out, args.plot_csv, inputs=(args.data,))
-    seed = None
-    if args.data:
-        records = energymodel.read_records_csv(args.data)
-        source = {"data": args.data}
-    else:
-        seed = _resolve_seed(args.seed)
-        n_bs = 90 if args.n_bs is None else args.n_bs
-        noise_sd = 0.02 if args.noise_sd is None else args.noise_sd
-        records = energymodel.generate_synthetic(n_bs, noise_sd=noise_sd, seed=seed)
-        source = {"synthetic": {"n_bs": n_bs, "noise_sd": noise_sd}}
-    with _run(out, "usecase-energy", {"source": source, "models": kinds}, seed=seed) as run:
+    with _run("usecase-energy", (out, args.plot_csv), inputs=(args.data,)) as run:
+        if args.data:
+            records = energymodel.read_records_csv(args.data)
+            source = {"data": args.data}
+        else:
+            seed = run["seed"] = _resolve_seed(args.seed)
+            n_bs = 90 if args.n_bs is None else args.n_bs
+            noise_sd = 0.02 if args.noise_sd is None else args.noise_sd
+            records = energymodel.generate_synthetic(n_bs, noise_sd=noise_sd, seed=seed)
+            source = {"synthetic": {"n_bs": n_bs, "noise_sd": noise_sd}}
+        run["config"] = {"source": source, "models": kinds}
         models = [energymodel.fit(records, kind) for kind in kinds]
         fitted = [
             {
@@ -367,10 +353,9 @@ def cmd_usecase_energy(args) -> int:
             }
             for m in models
         ]
-        evalharness.write_json(fitted[0] if len(fitted) == 1 else {"models": fitted},
-                               run.output(out))
+        evalharness.write_json(fitted[0] if len(fitted) == 1 else {"models": fitted}, _tmp(out))
         if args.plot_csv:
-            energymodel.write_plot_csv(records, models, run.output(args.plot_csv))
+            energymodel.write_plot_csv(records, models, _tmp(args.plot_csv))
     for m in models:
         print(f"{m.kind}: mape={m.mape_percent:.3f}% params={m.params}")
     print(f"fit written to {out}")
@@ -380,20 +365,19 @@ def cmd_usecase_energy(args) -> int:
 def cmd_usecase_assoc(args) -> int:
     from . import userassoc
 
-    _check_outputs(args.out, args.problems_out, inputs=(args.model_config,))
-    data = _load_json_file(args.model_config)
-    mock = data.get("kind") in userassoc.MOCK_KINDS
-    model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
-    backend = model_cfg.backend() if mock else build_backend(model_cfg)
-    seed = _resolve_seed(args.seed)
     out = Path(args.out)
-    counts = args.bs_counts
-    config = {"bs_counts": counts, "trials": args.trials, "model": model_cfg.summary()}
-    with _run(out, "usecase-assoc", config, seed=seed) as run:
+    with _run("usecase-assoc", (out, args.problems_out), inputs=(args.model_config,)) as run:
+        data = _load_json_file(args.model_config)
+        mock = data.get("kind") in userassoc.MOCK_KINDS
+        model_cfg = _config_from_dict(data, userassoc.MockConfig if mock else ModelConfig, "model")
+        backend = model_cfg.backend() if mock else build_backend(model_cfg)
+        seed = run["seed"] = _resolve_seed(args.seed)
+        counts = args.bs_counts
+        run["config"] = {"bs_counts": counts, "trials": args.trials, "model": model_cfg.summary()}
         curve = userassoc.run_curve(backend, counts, trials_per_n=args.trials, seed=seed)
-        run.output(out).write_text(userassoc.curve_csv(curve), encoding="utf-8")
+        _tmp(out).write_text(userassoc.curve_csv(curve), encoding="utf-8")
         if args.problems_out:
-            userassoc.export_problems_jsonl(counts, args.trials, seed, run.output(args.problems_out))
+            userassoc.export_problems_jsonl(counts, args.trials, seed, _tmp(args.problems_out))
     for n, stats in curve:
         print(_stats_line(f"n={n}", stats))
     print(f"curve written to {out}")

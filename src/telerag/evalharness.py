@@ -74,7 +74,8 @@ class McqItem:
     """One multiple-choice question with a single correct option.
 
     Construction is the one place the item rules are checked: a canonical
-    category, 2-5 distinct options and correct_index among them.
+    category, a question that is not blank, 2-5 distinct options and
+    correct_index among them.
     """
 
     item_id: str
@@ -88,6 +89,8 @@ class McqItem:
         problems = []
         if self.category not in CATEGORIES:
             problems.append(f"unknown category {self.category!r}")
+        if not self.question.strip():
+            problems.append("blank question")
         if not (2 <= n <= 5):
             problems.append(f"expected 2-5 options, got {n}")
         if len(set(self.options)) != n:

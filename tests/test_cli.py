@@ -232,6 +232,20 @@ def test_eval_rag_refuses_corpus_edited_after_embed(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_eval_rag_names_the_item_with_a_blank_question(tmp_path, capsys):
+    _, _, eval_args = embed_three_docs(tmp_path)
+    dataset = Path(eval_args[2])
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "question": "  "}) + "\n"
+    dataset.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert main(eval_args + ["--query-mode", "question_only", "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (f"error: invalid entry in {dataset}: "
+                                       "line 2: blank question\n")
+    assert not report.exists()
+
+
 def test_eval_rag_refuses_other_query_provider(tmp_path, capsys):
     _, _, eval_args = embed_three_docs(tmp_path)
     other = write_json(tmp_path / "other.json", {**HASH_PROVIDER, "seed": 1})
@@ -866,7 +880,7 @@ HOLD_LOCK = """
 import sys, time
 from pathlib import Path
 from telerag import cli
-with cli._run(Path(sys.argv[1]), "hold", {}):
+with cli._run("hold", [sys.argv[1]]):
     Path(sys.argv[2]).touch()
     time.sleep(600)
 """
@@ -902,6 +916,18 @@ def test_lock_held_by_a_live_run_blocks(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl.lock", "docs", "held"]
 
 
+@pytest.mark.leaves_lock
+def test_lock_is_taken_before_any_input_is_read(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("{not json\n", encoding="utf-8")
+    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    report = tmp_path / "r.json"
+    with lock_holder(report):
+        assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: another run appears to be writing {report}\n"
+
+
 def test_lock_of_a_killed_run_is_taken_over(tmp_path):
     docs = make_docs_dir(tmp_path, sizes=(10,))
     out = tmp_path / "c.jsonl"
@@ -935,7 +961,8 @@ def test_concurrent_reclaimers_never_overlap(tmp_path):
     def reclaim():
         start.wait(timeout=60)
         try:
-            with cli._run(out, "test", {}):
+            with cli._run("test", [out]):
+                cli._tmp(out).write_text("x", encoding="utf-8")
                 with guard:
                     state["inside"] += 1
                     state["most"] = max(state["most"], state["inside"])
@@ -983,8 +1010,8 @@ def test_lock_file_unlinked_before_flock_refuses(tmp_path, monkeypatch, then):
 
     monkeypatch.setattr(fcntl, "flock", holder_finishes_first)
     with pytest.raises(DataError, match="another run appears to be writing"):
-        with cli._run(out, "test", {}):
-            pass
+        with cli._run("test", [out]):
+            cli._tmp(out).write_text("x", encoding="utf-8")
     assert lock.exists() == (then == "replaced")
 
 
@@ -997,30 +1024,86 @@ def test_run_leaves_no_fd_open(tmp_path):
 
     out = tmp_path / "c.txt"
     before = open_fds()
-    with cli._run(out, "test", {}) as run:
-        run.output(out).write_text("x", encoding="utf-8")
+    with cli._run("test", [out]):
+        cli._tmp(out).write_text("x", encoding="utf-8")
     assert open_fds() == before
     with pytest.raises(ValueError):
-        with cli._run(out, "test", {}):
+        with cli._run("test", [out]):
             raise ValueError("fails inside the run")
     assert open_fds() == before
-    with cli._run(out, "test", {}):
+    with cli._run("test", [out]):
         inside = open_fds()
         with pytest.raises(DataError, match="another run appears to be writing"):
-            with cli._run(out, "test", {}):
-                pass
+            with cli._run("test", [out]):
+                cli._tmp(out).write_text("y", encoding="utf-8")
         assert open_fds() == inside
+        cli._tmp(out).write_text("x", encoding="utf-8")
     assert open_fds() == before
 
 
-def test_directory_as_output_is_data_error(tmp_path, capsys):
-    docs = make_docs_dir(tmp_path, sizes=(10,))
-    out = tmp_path / "some_dir"
-    out.mkdir()
-    assert main(["ingest", "--input", str(docs), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert out.is_dir()
+def argv_with_every_output(tmp_path, command: str) -> list[str]:
+    """A run of command that succeeds and writes every output it can, each named
+    as in test_directory_as_output_is_data_error."""
+    if command == "ingest":
+        docs = make_docs_dir(tmp_path, sizes=(10,))
+        return ["ingest", "--input", str(docs), "--out", str(tmp_path / "c.jsonl")]
+    if command == "embed":
+        corpus_path = run_ingest(tmp_path, make_docs_dir(tmp_path, sizes=(10,)))
+        provider_cfg = write_json(tmp_path / "provider.json", HASH_PROVIDER)
+        return ["embed", "--corpus", str(corpus_path), "--provider-config", provider_cfg,
+                "--out", str(tmp_path / "s.vdb")]
+    if command == "eval":
+        dataset, _ = make_dataset_jsonl(tmp_path, n_items=5)
+        model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+        return ["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                "--report", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    if command == "usecase-energy":
+        return ["usecase-energy", "--synthetic", "--seed", "1", "--out",
+                str(tmp_path / "fit.json"), "--plot-csv", str(tmp_path / "plot.csv")]
+    assoc_cfg = write_json(tmp_path / "assoc.json", {"kind": "mock_oracle"})
+    return ["usecase-assoc", "--bs-counts", "2,3", "--trials", "2", "--seed", "1",
+            "--model-config", assoc_cfg, "--out", str(tmp_path / "curve.csv"),
+            "--problems-out", str(tmp_path / "p.jsonl")]
+
+
+# (command, fault): a file that a second run finds a directory, or a flag and
+# path the second run adds, whose parent is missing or is a file.
+@pytest.mark.parametrize("command, fault", [
+    ("ingest", "c.jsonl"),
+    ("embed", "s.vdb"),
+    ("eval", "r.json"),
+    ("eval", "r.json.audit.jsonl"),
+    ("eval", "r.csv"),
+    ("eval", "r.json.manifest.json"),
+    pytest.param("eval", "r.json.tmp", marks=pytest.mark.leaves_lock),
+    ("eval", ("--audit", "nodir/a.jsonl")),
+    ("eval", ("--csv", "r.json/r.csv")),
+    ("usecase-energy", "fit.json"),
+    ("usecase-energy", "plot.csv"),
+    ("usecase-assoc", "curve.csv"),
+    ("usecase-assoc", "p.jsonl"),
+], ids=["ingest-out", "embed-out", "eval-report", "eval-audit", "eval-csv", "eval-manifest",
+        "eval-tmp", "eval-audit-no-parent", "eval-csv-parent-is-file", "energy-out",
+        "energy-plot-csv", "assoc-out", "assoc-problems-out"])
+def test_directory_as_output_is_data_error(tmp_path, capsys, command, fault):
+    argv = argv_with_every_output(tmp_path, command)
+    assert main(argv) == 0
+    if isinstance(fault, str):
+        target = tmp_path / fault
+        target.unlink(missing_ok=True)
+        target.mkdir()
+        why = "it is a directory"
+    else:
+        flag, name = fault
+        target = tmp_path / name
+        argv += [flag, str(target)]
+        why = f"{target.parent} is not a directory"
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: {why}\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    assert list(tmp_path.rglob("*.lock")) == []
 
 
 def test_failed_eval_replaces_no_output(tmp_path, monkeypatch):

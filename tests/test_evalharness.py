@@ -518,6 +518,7 @@ LOADER_FAILURES = [
     ("jsonl-missing-correct", "jsonl", _jsonl(correct_index=...),
      "line 1: missing 'correct_index'"),
     ("jsonl-missing-question", "jsonl", _jsonl(question=...), "line 1: missing 'question'"),
+    ("jsonl-blank-question", "jsonl", _jsonl(question="  "), "line 1: blank question"),
     ("jsonl-item-id-null", "jsonl", _jsonl(item_id=None),
      "line 1: 'item_id' must be a string or an integer"),
     ("jsonl-item-id-array", "jsonl", _jsonl(item_id=["a"]),
