@@ -9,8 +9,9 @@ primary output and replaces its outputs only when it succeeds; reruns with the
 same inputs and seed produce byte-identical outputs.
 
 Each subcommand's parser names its cmd_* function, and each flag's argparse
-type checks its value; a bad value (an empty path among them), --overlap not
-below --chunk-size, --rag without --corpus, a retrieval flag without --rag, a
+type checks its value; a bad value (among them an empty path, or one that UTF-8
+cannot encode, which the manifest could not record), --overlap not below
+--chunk-size, --rag without --corpus, a retrieval flag without --rag, a
 synthetic-fleet flag without --synthetic, two outputs naming one file and an
 output naming one of the run's input files are usage errors. An output that is
 a directory, or whose parent is not one, is a data error. Exit codes: 0 ok,
@@ -36,7 +37,7 @@ from pathlib import Path
 # of them (vstore and energymodel bring numpy).
 from . import DEFAULT_CHUNK_SIZE, MAX_STATIONS, QUERY_MODES
 from .errors import (JSON_ERRORS, DataError, FingerprintMismatchError, ModelError,
-                     ProviderError, TeleragError, read_utf8)
+                     ProviderError, TeleragError, lone_surrogate, read_utf8)
 from .modelclient import ModelConfig, build_backend
 
 T = typing.TypeVar("T")
@@ -157,8 +158,8 @@ def _load_json_file(path: str) -> dict:
 
 def _config_from_dict(data: dict, cls: type[T], label: str) -> T:
     """cls(**data), with data's keys and value types checked against cls's annotations:
-    an int passes for a float, a bool never for a number, null only where None may.
-    Any failure is a DataError."""
+    an int passes for a float, a bool never for a number, null only where None may,
+    and no string may hold a lone surrogate. Any failure is a DataError."""
     hints = typing.get_type_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
@@ -168,6 +169,8 @@ def _config_from_dict(data: dict, cls: type[T], label: str) -> T:
         if type(value) not in types and not (float in types and type(value) is int):
             names = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
             raise DataError(f"{label} config key {key!r} must be {names}, got {json.dumps(value)}")
+        if type(value) is str and (code := lone_surrogate(value)):
+            raise DataError(f"lone surrogate {code} in {label} config key {key!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -196,8 +199,11 @@ def _flag_type(convert: typing.Callable[[str], T], valid: typing.Callable[[T], b
 
 
 _positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 _non_negative_float = _flag_type(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_path = _flag_type(str, bool, "a non-empty path")
+# The manifest records each path flag, so UTF-8 must be able to encode it.
+_path = _flag_type(str, lambda p: bool(p) and not lone_surrogate(p),
+                   "a non-empty path that UTF-8 can encode")
 _station_counts = _flag_type(
     lambda text: [int(part) for part in text.split(",") if part.strip()],
     lambda counts: bool(counts) and all(2 <= c <= MAX_STATIONS for c in counts),
@@ -431,7 +437,7 @@ def build_parser() -> _Parser:
                    help="synthetic stations (default 90)")
     p.add_argument("--noise-sd", type=_non_negative_float, default=None,
                    help="synthetic noise standard deviation (default 0.02)")
-    p.add_argument("--seed", type=int, default=None, help="synthetic fleet seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="synthetic fleet seed")
     p.add_argument("--model", choices=["eq1", "eq2", "both"], default="both")
     p.add_argument("--out", type=_path, required=True, help="output fit JSON path")
     p.add_argument("--plot-csv", type=_path, default=None, help="load/truth/prediction CSV path")

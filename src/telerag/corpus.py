@@ -26,10 +26,10 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence, get_type_hints
 
 from . import DEFAULT_CHUNK_SIZE
-from .errors import JSON_ERRORS, DataError
+from .errors import JSON_ERRORS, DataError, lone_surrogate
 
 # Characters of document text per task of Corpus.write_jsonl.
 GROUP_CHARS = 1 << 20
@@ -169,17 +169,8 @@ def chunk_document(
 
 
 def _jsonl_bytes(chunks: Sequence[Chunk]) -> bytes:
-    """The chunks as UTF-8 JSON lines with LF endings."""
-    return "".join(
-        _encode_line({
-            "chunk_id": c.chunk_id,
-            "doc_id": c.doc_id,
-            "seq": c.seq,
-            "text": c.text,
-            "token_count": c.token_count,
-        }) + "\n"
-        for c in chunks
-    ).encode("utf-8")
+    """The chunks as UTF-8 JSON lines with LF endings, keys in Chunk's field order."""
+    return "".join(_encode_line(vars(c)) + "\n" for c in chunks).encode("utf-8")
 
 
 def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
@@ -188,16 +179,19 @@ def write_chunks_jsonl(chunks: Sequence[Chunk], path: str | Path) -> None:
         f.write(_jsonl_bytes(chunks))
 
 
-_CHUNK_FIELDS = {"chunk_id": str, "doc_id": str, "seq": int, "text": str, "token_count": int}
+_CHUNK_FIELDS = get_type_hints(Chunk)
 
 
 def _chunk_from_line(line: bytes) -> Chunk:
     """Parse one chunk JSONL line; a ValueError says what is wrong with it."""
     try:
         rec = json.loads(line.decode("utf-8"))
+        escaped = b"\\u" in line  # only a \u escape decodes to a lone surrogate
         for name, kind in _CHUNK_FIELDS.items():
             if type(rec[name]) is not kind:
                 raise ValueError(f"field {name!r} is not of type {kind.__name__}")
+            if escaped and kind is str and (code := lone_surrogate(rec[name])):
+                raise ValueError(f"lone surrogate {code} in field {name!r}")
         if rec["token_count"] < 1:
             raise ValueError(f"token_count must be >= 1, got {rec['token_count']}")
         return Chunk(**{name: rec[name] for name in _CHUNK_FIELDS})

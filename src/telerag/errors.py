@@ -61,6 +61,21 @@ class TranscriptMissError(ModelError):
     """A transcript backend has no recorded reply for the prompt."""
 
 
+def lone_surrogate(text: str) -> str | None:
+    """The first code point of text in U+D800-U+DFFF, the only ones UTF-8
+    cannot encode, as "U+XXXX"; None if there is none. In text read from a
+    file only a lone JSON \\u escape makes one (an escaped pair decodes to one
+    code point); in a command-line argument, each byte that is not UTF-8 does.
+    ASCII text is not scanned."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"U+{ord(text[exc.start]):04X}"
+    return None
+
+
 def read_utf8(path) -> str:
     """The text of the file at path; bytes that are not UTF-8 raise DataError
     naming the file and the offset of the first bad byte."""

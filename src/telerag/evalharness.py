@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Literal, Sequence
 
-from .errors import JSON_ERRORS, DataError, read_utf8
+from .errors import JSON_ERRORS, DataError, lone_surrogate, read_utf8
 from .modelclient import ModelBackend, ask
 
 CATEGORIES = (
@@ -74,8 +74,8 @@ class McqItem:
     """One multiple-choice question with a single correct option.
 
     Construction is the one place the item rules are checked: a canonical
-    category, a question that is not blank, 2-5 distinct options and
-    correct_index among them.
+    category, a question that is not blank, 2-5 distinct options,
+    correct_index among them and no lone surrogate in any text.
     """
 
     item_id: str
@@ -97,6 +97,12 @@ class McqItem:
             problems.append("duplicate options")
         if not (1 <= self.correct_index <= n):
             problems.append(f"correct_index {self.correct_index} out of range")
+        # All the texts are scanned at once; one at a time only to name those that fail.
+        if lone_surrogate("".join((self.item_id, self.question, *self.options))):
+            named = [("item_id", self.item_id), ("question", self.question),
+                     *((f"option {i}", o) for i, o in enumerate(self.options, start=1))]
+            problems += [f"lone surrogate {code} in {name}"
+                         for name, text in named if (code := lone_surrogate(text))]
         if problems:
             raise InvalidItemError(self.item_id, "; ".join(problems))
 
@@ -150,17 +156,8 @@ def round_percent(value: float) -> float:
 
 
 def dataset_fingerprint(items: Sequence[McqItem]) -> str:
-    """SHA-256 over the canonicalized items."""
-    canonical = [
-        {
-            "item_id": it.item_id,
-            "category": it.category,
-            "question": it.question,
-            "options": list(it.options),
-            "correct_index": it.correct_index,
-        }
-        for it in sorted(items, key=lambda it: it.item_id)
-    ]
+    """SHA-256 of one JSON array of the items' fields, keys sorted, in item_id order."""
+    canonical = [vars(it) for it in sorted(items, key=lambda it: it.item_id)]
     blob = json.dumps(canonical, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

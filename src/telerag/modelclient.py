@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .errors import (JSON_ERRORS, ModelError, ModelProtocolError, ModelUnavailableError,
-                     TranscriptMissError)
+                     TranscriptMissError, lone_surrogate)
 
 API_KEY_ENV = "MODEL_API_KEY"
 
@@ -164,6 +164,8 @@ class HttpBackend:
         text = reply.get("text") if isinstance(reply, dict) else None
         if not isinstance(text, str):
             raise ModelProtocolError("malformed model response: no string 'text'")
+        if code := lone_surrogate(text):
+            raise ModelProtocolError(f"malformed model response: lone surrogate {code} in 'text'")
         latency_ms = max(0, int(round((time.monotonic() - start) * 1000)))
         return Completion(text=text, latency_ms=latency_ms, attempt_count=attempts)
 
@@ -190,6 +192,8 @@ class TranscriptBackend:
                                         f"got {json.dumps(digest)}")
                     if not isinstance(reply, str):
                         raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
+                    if code := lone_surrogate(reply):
+                        raise ValueError(f"lone surrogate {code} in 'reply'")
                     known = self._replies.setdefault(digest, reply)
                 except (KeyError, TypeError, *JSON_ERRORS) as exc:
                     raise ModelProtocolError(

@@ -229,9 +229,9 @@ class VectorStore:
         self._rows = np.empty((0, dims), dtype=np.float32)
         self._norms = np.empty(0)
         self._lock = threading.Lock()
+        # The bound corpus file's digest and each row's line offset in it; all zeros when unbound.
         self.corpus_sha256 = UNBOUND
-        # Corpus line offset of each row; None when unbound.
-        self._offsets: np.ndarray | None = None
+        self._offsets = np.zeros(0, dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -264,7 +264,8 @@ class VectorStore:
             self._ids, order = _sorted_ids(self._ids + ids)
             self._rows = joined[order]
             self._norms = np.concatenate((self._norms, norms))[order]
-            self.corpus_sha256, self._offsets = UNBOUND, None
+            self.corpus_sha256 = UNBOUND
+            self._offsets = np.zeros(len(self._ids), dtype=np.uint64)
 
     def bind_corpus(self, sha256: bytes, offsets: Mapping[str, int]) -> None:
         """Record the corpus file the records were embedded from: its SHA-256
@@ -278,8 +279,6 @@ class VectorStore:
 
     def corpus_offsets(self) -> dict[str, int]:
         """chunk_id -> byte offset of its line in the bound corpus (0 when unbound)."""
-        if self._offsets is None:
-            return dict.fromkeys(self._ids, 0)
         return dict(zip(self._ids, self._offsets.tolist()))
 
     def search(self, query: Sequence[float] | np.ndarray, k: int) -> list[SearchHit]:
@@ -342,11 +341,10 @@ class VectorStore:
         fp_bytes = self.provider_fingerprint.encode("utf-8")
         ids = json.dumps(self._ids, ensure_ascii=False, separators=(",", ":"))
         id_bytes = ids.encode("utf-8")
-        offsets = np.zeros(n, dtype="<u8") if self._offsets is None else self._offsets
         f.write(MAGIC + struct.pack("<IIQI", FORMAT_VERSION, self.dims, n, len(fp_bytes)))
         f.write(fp_bytes + self.corpus_sha256 + struct.pack("<Q", len(id_bytes)) + id_bytes)
         # Cast only where the native layout is not little-endian; write the buffers as they are.
-        f.write(offsets.astype("<u8", copy=False))
+        f.write(self._offsets.astype("<u8", copy=False))
         f.write(self._rows.astype("<f4", copy=False))
 
     @classmethod

@@ -280,15 +280,6 @@ def test_eval_retrieval_flag_without_rag_is_usage_error(tmp_path, capsys, flags)
     assert not (tmp_path / "r.json").exists()
 
 
-def test_manifest_and_report_record_k_only_with_rag(tmp_path):
-    _, _, eval_args = embed_three_docs(tmp_path)
-    for args, k in ((eval_args[:5], None), (eval_args, 3)):
-        report = tmp_path / "r.json"
-        assert main(args + ["--report", str(report)]) == 0
-        manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
-        assert manifest["config"]["k"] == json.loads(report.read_text())["run"]["k"] == k
-
-
 def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     import struct
 
@@ -344,29 +335,21 @@ def test_eval_run_block_records_rag_settings(tmp_path):
         assert main(eval_args + ["--max-context-tokens", budget, "--report", str(report)]) == 0
         manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
         runs[budget] = json.loads(report.read_text())["run"]
-        settings = {key: runs[budget][key] for key in
-                    ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")}
+        settings = {key: runs[budget][key] for key in ("k", "max_context_tokens", "query_mode",
+                                                       "provider_fingerprint", "corpus_sha256")}
         assert settings == {key: manifest["config"][key] for key in settings}
     assert runs["16"] != runs["48"]
+    assert (runs["16"]["k"], runs["48"]["k"]) == (3, 3)
     assert (runs["16"]["max_context_tokens"], runs["48"]["max_context_tokens"]) == (16, 48)
     assert runs["16"]["query_mode"] == "question_plus_options"
     assert runs["16"]["provider_fingerprint"] == "hash-test:seed-0:32"
     assert runs["16"]["corpus_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
     plain = tmp_path / "plain.json"
     assert main(eval_args[:5] + ["--report", str(plain)]) == 0
+    manifest = json.loads(Path(str(plain) + ".manifest.json").read_text())
     run = json.loads(plain.read_text())["run"]
-    assert [run[key] for key in settings] == [None] * 4
-
-
-def test_eval_non_object_dataset_entry_is_data_error(tmp_path, capsys):
-    dataset = write_json(tmp_path / "dataset.json", ["oops"])
-    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
-    code = main(["eval", "--dataset", dataset, "--model-config", model_cfg,
-                 "--report", str(tmp_path / "r.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "item 'q0': entry is not an object" in err
+    assert [run[key] for key in settings] == [manifest["config"][key] for key in settings]
+    assert [run[key] for key in settings] == [None] * 5
 
 
 _TELEQNA = {"question": "Q?", "option 1": "A", "option 2": "B",
@@ -389,8 +372,9 @@ _NORMALIZED = {"item_id": "a", "category": "Lexicon", "question": "Q?",
      "item 'q0': answer names option 999999999…, item has 2 options"),
     ("d.jsonl", '"item_id options correct_index category question"\n',
      "line 1: entry is not an object"),
+    ("d.json", json.dumps(["oops"]), "item 'q0': entry is not an object"),
 ], ids=["six-options", "option-7-after-2", "list-id-array", "item-id-null",
-        "answer-key-too-long", "line-not-object"])
+        "answer-key-too-long", "line-not-object", "entry-not-object"])
 def test_eval_rejects_entry_with_one_error_line(tmp_path, capsys, name, text, failure):
     dataset = tmp_path / name
     dataset.write_text(text, encoding="utf-8")
@@ -1509,7 +1493,8 @@ def test_empty_path_flag_is_usage_error_before_reading_inputs(tmp_path, capsys, 
     }[command]
     assert main(argv + [flag, ""]) == 1
     err = capsys.readouterr().err
-    assert err == f"usage error: argument {flag}: must be a non-empty path, got ''\n"
+    assert err == (f"usage error: argument {flag}: must be a non-empty path that UTF-8 can "
+                   f"encode, got ''\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1701,6 +1686,70 @@ def test_model_reply_nested_too_deep_is_an_errored_item(tmp_path, capsys, monkey
     assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
                  "--report", str(tmp_path / "r.json")]) == 0
     assert "Overall: 0/1 = 0.00% (1 errored)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, escape, code, error", [
+    ("dataset-json", r"\ud800", 2,
+     "invalid entry in {t}/d.json: item 'q0': lone surrogate U+D800 in question"),
+    ("dataset-jsonl", r"\udfff", 2,
+     "invalid entry in {t}/d.jsonl: line 1: lone surrogate U+DFFF in question"),
+    ("corpus-chunk-id", r"\ud800", 2,
+     "{t}/c.jsonl:1: malformed chunk record: lone surrogate U+D800 in field 'chunk_id'"),
+    ("corpus-text", r"\udc00", 2,
+     "{t}/c.jsonl:1: malformed chunk record: lone surrogate U+DC00 in field 'text'"),
+    ("transcript", r"\ud800", 3, "bad transcript line 1 in {t}/t.jsonl: "
+                                  "lone surrogate U+D800 in 'reply'"),
+    ("constant-reply", r"\ud800", 2, "lone surrogate U+D800 in model config key 'reply'"),
+    ("dataset-json", r"\ud83d\ude00", 0, None),
+], ids=["dataset-json", "dataset-jsonl", "corpus-chunk-id", "corpus-text", "transcript",
+        "constant-reply", "escaped-pair"])
+def test_lone_surrogate_escape_exits_with_one_line(tmp_path, capsys, kind, escape, code, error):
+    # UTF-8 cannot encode a lone surrogate, so the reader refuses it before any work
+    # is done; JSON decodes an escaped pair into one code point, which passes.
+    def esc(target: str) -> str:  # the escape goes into the one file the row names
+        return escape if kind == target else ""
+
+    t = tmp_path
+    (t / "d.json").write_text(json.dumps({"q0": _TELEQNA}).replace(
+        "Q?", f"Q {esc('dataset-json')}?"), encoding="utf-8")
+    (t / "d.jsonl").write_text(json.dumps(_NORMALIZED).replace(
+        "Q?", f"Q {esc('dataset-jsonl')}?") + "\n", encoding="utf-8")
+    (t / "c.jsonl").write_text(
+        '{"chunk_id": "d#0%s", "doc_id": "d", "seq": 0, "text": "t0%s", "token_count": 1}\n'
+        % (esc("corpus-chunk-id"), esc("corpus-text")), encoding="utf-8")
+    (t / "t.jsonl").write_text('{"prompt_sha256": "%s", "reply": "1 %s"}\n'
+                               % ("0" * 64, esc("transcript")), encoding="utf-8")
+    (t / "model.json").write_text('{"kind": "mock_constant", "reply": "1 %s"}'
+                                  % esc("constant-reply"), encoding="utf-8")
+    script_cfg = write_json(t / "script.json",
+                            {"kind": "mock_script", "script_path": str(t / "t.jsonl")})
+    evaluate = ["eval", "--report", str(t / "out"), "--dataset", str(t / "d.json"),
+                "--model-config", str(t / "model.json")]
+    embed = ["embed", "--corpus", str(t / "c.jsonl"), "--out", str(t / "out"),
+             "--provider-config", write_json(t / "provider.json", HASH_PROVIDER)]
+    argv = {"dataset-jsonl": evaluate + ["--dataset", str(t / "d.jsonl")],
+            "corpus-chunk-id": embed, "corpus-text": embed,
+            "transcript": evaluate + ["--model-config", script_cfg]}.get(kind, evaluate)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if error is None:
+        assert err == "" and (t / "out").exists()
+    else:
+        assert err == "error: " + error.format(t=t) + "\n"
+        assert not (t / "out").exists()
+
+
+def test_model_reply_with_lone_surrogate_is_an_errored_item(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("requests.post",
+                        lambda *a, **k: FakeResponse(200, text=r'{"text": "1 \ud800"}'))
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+    model_cfg = write_json(tmp_path / "model.json", HTTP_MODEL)
+    report = tmp_path / "r.json"
+    assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                 "--report", str(report)]) == 0
+    assert "Overall: 0/1 = 0.00% (1 errored)" in capsys.readouterr().out
+    audit = json.loads(Path(f"{report}.audit.jsonl").read_text(encoding="utf-8"))
+    assert audit["raw_model_output"] == ""
 
 
 @pytest.mark.parametrize(
@@ -1923,14 +1972,21 @@ def test_benchmark_eval_same_on_one_cpu(tmp_path, monkeypatch, name):
         ("eval", ["--concurrency", "-2"]),
         ("usecase-energy", ["--n-bs", "0"]),
         ("usecase-energy", ["--noise-sd", "-1"]),
+        ("usecase-energy", ["--seed", "-1"]),
         ("usecase-assoc", ["--trials", "0"]),
         ("usecase-assoc", ["--bs-counts", "1"]),
         ("usecase-assoc", ["--bs-counts", "2,27"]),
         ("usecase-assoc", ["--bs-counts", "2,x"]),
+        # A path that UTF-8 cannot encode (a byte that is not UTF-8 in argv), which the
+        # manifest could not record.
+        ("ingest", ["--input", "d\udcff"]),
+        ("ingest", ["--out", "o\udcff.jsonl"]),
+        ("eval", ["--dataset", "d\udcff.json"]),
     ],
     ids=["chunk-size", "overlap-negative", "overlap-not-below-chunk-size", "k",
          "max-context-tokens", "concurrency-0", "concurrency-negative", "n-bs", "noise-sd",
-         "trials", "bs-counts-below-2", "bs-counts-above-max", "bs-counts-not-integer"],
+         "seed-negative", "trials", "bs-counts-below-2", "bs-counts-above-max",
+         "bs-counts-not-integer", "input-not-utf8", "out-not-utf8", "dataset-not-utf8"],
 )
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     docs = make_docs_dir(tmp_path, sizes=(40,))
@@ -1950,8 +2006,7 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert flags[-2] in err
-    assert not any((tmp_path / name).exists()
-                   for name in ("c.jsonl", "r.json", "fit.json", "curve.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "docs", "model.json"]
 
 
 @pytest.mark.parametrize(

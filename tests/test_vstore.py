@@ -333,15 +333,7 @@ def test_identical_vectors_tie_exactly():
             assert rank[copy] == rank[first] + 1
 
 
-def test_package_serves_store_names_on_first_use():
-    import telerag
-
-    for name in telerag.__all__:
-        value = getattr(telerag, name)
-        assert value is getattr(sys.modules[value.__module__], name), name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        telerag.no_such_name
-    # Alone, `import telerag` loads no submodule.
+def test_package_import_loads_no_submodule():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
