@@ -280,6 +280,15 @@ def test_eval_retrieval_flag_without_rag_is_usage_error(tmp_path, capsys, flags)
     assert not (tmp_path / "r.json").exists()
 
 
+def test_manifest_and_report_record_k_only_with_rag(tmp_path):
+    _, _, eval_args = embed_three_docs(tmp_path)
+    for args, k in ((eval_args[:5], None), (eval_args, 3)):
+        report = tmp_path / "r.json"
+        assert main(args + ["--report", str(report)]) == 0
+        manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
+        assert manifest["config"]["k"] == json.loads(report.read_text())["run"]["k"] == k
+
+
 def test_eval_rag_refuses_format_v1_store(tmp_path, capsys):
     import struct
 
@@ -335,21 +344,18 @@ def test_eval_run_block_records_rag_settings(tmp_path):
         assert main(eval_args + ["--max-context-tokens", budget, "--report", str(report)]) == 0
         manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
         runs[budget] = json.loads(report.read_text())["run"]
-        settings = {key: runs[budget][key] for key in ("k", "max_context_tokens", "query_mode",
-                                                       "provider_fingerprint", "corpus_sha256")}
+        settings = {key: runs[budget][key] for key in
+                    ("max_context_tokens", "query_mode", "provider_fingerprint", "corpus_sha256")}
         assert settings == {key: manifest["config"][key] for key in settings}
     assert runs["16"] != runs["48"]
-    assert (runs["16"]["k"], runs["48"]["k"]) == (3, 3)
     assert (runs["16"]["max_context_tokens"], runs["48"]["max_context_tokens"]) == (16, 48)
     assert runs["16"]["query_mode"] == "question_plus_options"
     assert runs["16"]["provider_fingerprint"] == "hash-test:seed-0:32"
     assert runs["16"]["corpus_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
     plain = tmp_path / "plain.json"
     assert main(eval_args[:5] + ["--report", str(plain)]) == 0
-    manifest = json.loads(Path(str(plain) + ".manifest.json").read_text())
     run = json.loads(plain.read_text())["run"]
-    assert [run[key] for key in settings] == [manifest["config"][key] for key in settings]
-    assert [run[key] for key in settings] == [None] * 5
+    assert [run[key] for key in settings] == [None] * 4
 
 
 _TELEQNA = {"question": "Q?", "option 1": "A", "option 2": "B",
