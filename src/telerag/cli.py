@@ -17,6 +17,10 @@ output naming one of the run's input files are usage errors. An output that is
 a directory, or whose parent is not one, is a data error. Exit codes: 0 ok,
 1 usage, 2 data or out of memory, 3 provider/model, 130 interrupted (Ctrl-C,
 or SIGTERM).
+
+An http model never runs in a forkpool worker, and a local one (transcript or
+constant) never runs on a thread: eval's --concurrency bounds the calls in
+flight to an http model only.
 """
 
 from __future__ import annotations
@@ -146,9 +150,18 @@ def _finite_number(text: str) -> float:
 
 
 def _load_json_file(path: str) -> dict:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # A key given twice would otherwise silently take its last value.
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataError(f"duplicate key {key!r} in config {path}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(read_utf8(path), parse_constant=_finite_number,
-                          parse_float=_finite_number)
+        data = json.loads(read_utf8(path), object_pairs_hook=unique_keys,
+                          parse_constant=_finite_number, parse_float=_finite_number)
     except JSON_ERRORS as exc:
         raise DataError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -316,7 +329,10 @@ def cmd_eval(args) -> int:
                                                        cfg)
         run["config"] = {"dataset": args.dataset, "model_config": args.model_config,
                          "rag": args.rag, "strict_parse": args.strict_parse, **settings}
-        results = rag.run_evaluation(backend, items, contexts, concurrency=args.concurrency,
+        # Threads only help a model that waits on the network; a local one would
+        # only contend for the GIL.
+        width = args.concurrency if model_cfg.kind == "http" else 1
+        results = rag.run_evaluation(backend, items, contexts, concurrency=width,
                                      strict_parse=args.strict_parse)
         run_meta = {"model": model_cfg.summary(), "rag_enabled": bool(args.rag), **settings}
         report = evalharness.score(items, [r.answer for r in results], run_meta=run_meta)
@@ -424,7 +440,8 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", type=_path, default=None, help="output per-category CSV path")
     p.add_argument("--audit", type=_path, default=None,
                    help="audit JSONL path (default: <report>.audit.jsonl)")
-    p.add_argument("--concurrency", type=_positive_int, default=4)
+    p.add_argument("--concurrency", type=_positive_int, default=4,
+                   help="calls in flight to an http model")
     p.add_argument("--strict-parse", action="store_true",
                    help="only accept answers that start with the option number")
 

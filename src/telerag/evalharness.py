@@ -174,13 +174,13 @@ def _resolve_answer(answer: str, options: Sequence[str]) -> int:
     """Map a TeleQnA answer string ("option k: text" or bare text) to a 1-based index."""
     match = _ANSWER_KEY_RE.match(answer)
     if match:
-        idx = first_in_range(_ANSWER_KEY_RE, answer, len(options))
+        idx = _in_range(match, len(options))
         if idx is None:
             key = match.group(1)
             shown = key if len(key) <= 9 else key[:9] + "…"
             raise DataError(f"answer names option {shown}, item has {len(options)} options")
-        trailing = (match.group(2) or "").strip()
-        if trailing and _squash(trailing) != _squash(options[idx - 1]):
+        trailing, option = (match.group(2) or "").strip(), options[idx - 1]
+        if trailing not in ("", option) and _squash(trailing) != _squash(option):
             raise DataError(f"answer text does not match option {idx}")
         return idx
     matches = [i for i, opt in enumerate(options, start=1) if _squash(opt) == _squash(answer)]
@@ -202,6 +202,10 @@ def _field(entry: dict, key: str, expect: tuple[tuple[type, ...], str] = _TEXT) 
 
 
 _ITEM_ID = ((str, int), "a string or an integer")
+_ENTRY_TEXTS = ("question", "answer", "category")
+# The keys of a TeleQnA entry besides its options; an entry with any other key is
+# searched for an option key out of sequence.
+_ENTRY_KEYS = frozenset((*_ENTRY_TEXTS, "explanation"))
 
 
 def _item_from_raw_entry(item_id: str, entry: object) -> McqItem:
@@ -211,11 +215,17 @@ def _item_from_raw_entry(item_id: str, entry: object) -> McqItem:
     keys = []
     while (key := f"option {len(keys) + 1}") in entry:
         keys.append(key)
-    stray = next((k for k in entry if k not in keys and _OPTION_KEY_RE.fullmatch(k)), None)
-    if stray is not None:
-        raise DataError(f"non-contiguous option keys (gap before {stray!r})")
-    question, answer, category = [_field(entry, k) for k in ("question", "answer", "category")]
-    options = tuple([_field(entry, k) for k in keys])
+    if len(entry) > len(keys) + len(_ENTRY_KEYS & entry.keys()):
+        stray = next((k for k in entry if k not in keys and _OPTION_KEY_RE.fullmatch(k)), None)
+        if stray is not None:
+            raise DataError(f"non-contiguous option keys (gap before {stray!r})")
+    fields = (*_ENTRY_TEXTS, *keys)
+    texts = list(map(entry.get, fields))
+    if set(map(type, texts)) != {str}:
+        for key in fields:  # raises for the first that is not a string
+            _field(entry, key)
+    question, answer, category = texts[:3]
+    options = tuple(texts[3:])
     return McqItem(item_id, normalize_category(category), question, options,
                    _resolve_answer(answer, options))
 
@@ -308,14 +318,21 @@ _LEAD_RE = re.compile(r"\A\s*(\d+)")
 _INT_RE = re.compile(r"(\d+)")
 
 
+def _in_range(match: re.Match | None, n: int) -> int | None:
+    """Group 1 of match if it is an integer from 1 to n, else None."""
+    if match is None:
+        return None
+    try:
+        idx = int(match.group(1))
+    except ValueError:  # a digit run past int()'s length limit names nothing
+        return None
+    return idx if 1 <= idx <= n else None
+
+
 def first_in_range(pattern: re.Pattern, text: str, n: int) -> int | None:
     """Group 1 of the first match of pattern in text that is an integer from 1 to n."""
     for match in pattern.finditer(text):
-        try:
-            idx = int(match.group(1))
-        except ValueError:  # a digit run past int()'s length limit names nothing
-            continue
-        if 1 <= idx <= n:
+        if (idx := _in_range(match, n)) is not None:
             return idx
     return None
 
@@ -332,7 +349,7 @@ def parse_answer_for_item(raw: str, item: McqItem, strict: bool = False) -> Mode
     def answer(idx: int | None, status: ParseStatus) -> ModelAnswer:
         return ModelAnswer(item.item_id, raw, idx, status, correct=idx == item.correct_index)
 
-    lead = first_in_range(_LEAD_RE, raw, n_options)
+    lead = _in_range(_LEAD_RE.match(raw), n_options)
     if lead is not None:
         return answer(lead, "leading_number")
     if strict:

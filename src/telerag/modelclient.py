@@ -29,6 +29,8 @@ API_KEY_ENV = "MODEL_API_KEY"
 
 MODEL_KINDS = ("http", "mock_script", "mock_constant")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# A comma between two JSON objects on one line.
+_TWO_OBJECTS = re.compile(r"}[ \t\r]*,[ \t\r]*{")
 # The longest wait, in seconds, that both time.sleep and socket.settimeout accept.
 MAX_WAIT_S = threading.TIMEOUT_MAX
 T = TypeVar("T")
@@ -170,8 +172,31 @@ class HttpBackend:
         return Completion(text=text, latency_ms=latency_ms, attempt_count=attempts)
 
 
+def _one_object_per_line(lines: Sequence[bytes]) -> list | None:
+    """[json.loads(line) for line in lines] if each line holds one JSON object,
+    else None, from one json.loads of the lines joined by commas into one JSON
+    array. Lines that keep their line feeds let the search below tell their own
+    commas from the joining ones."""
+    try:
+        text = b",".join(lines).decode("utf-8")
+        values = json.loads(f"[{text}]")
+    except JSON_ERRORS:
+        return None
+    # With as many objects as lines, and no line holding a comma between two
+    # objects, every comma that joins two lines parts two values.
+    if (len(values) == len(lines) and set(map(type, values)) <= {dict}
+            and not _TWO_OBJECTS.search(text)):
+        return values
+    return None
+
+
 class TranscriptBackend:
-    """Replays recorded replies from a JSONL transcript of {prompt_sha256, reply}."""
+    """Replays recorded replies from a JSONL transcript of {prompt_sha256, reply}.
+
+    The non-blank lines are parsed with one json.loads, as one JSON array, unless
+    that fails or does not give one object per line: then each line is parsed on
+    its own, so that an error names the line.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
@@ -181,29 +206,29 @@ class TranscriptBackend:
         except OSError as exc:
             raise ModelError(f"cannot open transcript {path}: {exc.strerror}") from exc
         with f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line.decode("utf-8"))
-                    digest, reply = rec["prompt_sha256"], rec["reply"]
-                    if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
-                        raise TypeError("'prompt_sha256' must be 64 lowercase hex digits, "
-                                        f"got {json.dumps(digest)}")
-                    if not isinstance(reply, str):
-                        raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
-                    if code := lone_surrogate(reply):
-                        raise ValueError(f"lone surrogate {code} in 'reply'")
-                    known = self._replies.setdefault(digest, reply)
-                except (KeyError, TypeError, *JSON_ERRORS) as exc:
-                    raise ModelProtocolError(
-                        f"bad transcript line {lineno} in {path}: {exc}"
-                    ) from exc
-                if known != reply:
-                    raise ModelProtocolError(
-                        f"transcript line {lineno} in {path} gives prompt {digest[:12]}… "
-                        "a different reply than an earlier line"
-                    )
+            lines = [(lineno, line) for lineno, line in enumerate(f, start=1) if line.strip()]
+        records = _one_object_per_line([line for _, line in lines])
+        for i, (lineno, line) in enumerate(lines):
+            try:
+                rec = json.loads(line.decode("utf-8")) if records is None else records[i]
+                digest, reply = rec["prompt_sha256"], rec["reply"]
+                if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
+                    raise TypeError("'prompt_sha256' must be 64 lowercase hex digits, "
+                                    f"got {json.dumps(digest)}")
+                if not isinstance(reply, str):
+                    raise TypeError(f"'reply' must be a string, got {json.dumps(reply)}")
+                if code := lone_surrogate(reply):
+                    raise ValueError(f"lone surrogate {code} in 'reply'")
+                known = self._replies.setdefault(digest, reply)
+            except (KeyError, TypeError, *JSON_ERRORS) as exc:
+                raise ModelProtocolError(
+                    f"bad transcript line {lineno} in {path}: {exc}"
+                ) from exc
+            if known != reply:
+                raise ModelProtocolError(
+                    f"transcript line {lineno} in {path} gives prompt {digest[:12]}… "
+                    "a different reply than an earlier line"
+                )
 
     def complete(self, prompt: str) -> Completion:
         if not prompt:

@@ -179,15 +179,16 @@ def run_evaluation(
 
 def write_audit_log(results: Sequence[AskedItem], path: str | Path) -> None:
     """One JSON line per item: retrieval audit plus the raw model output."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for answer, retrieved, prompt in results:
-            if answer.errored:  # never graded (evalharness.ask_and_grade)
-                retrieved, prompt = (), ""
-            rec = {
-                "item_id": answer.item_id,
-                "context_chunk_ids": [c.chunk_id for c, _ in retrieved],
-                "scores": [round(hit.score, 8) for _, hit in retrieved],
-                "prompt_token_estimate": count_tokens(prompt),
-                "raw_model_output": answer.raw_text,
-            }
-            f.write(_encode_line(rec) + "\n")
+    lines = []
+    for answer, retrieved, prompt in results:
+        if answer.errored:  # never graded (evalharness.ask_and_grade)
+            retrieved, prompt = (), ""
+        rec = {
+            "item_id": answer.item_id,
+            "context_chunk_ids": [c.chunk_id for c, _ in retrieved],
+            "scores": [round(hit.score, 8) for _, hit in retrieved],
+            "prompt_token_estimate": count_tokens(prompt),
+            "raw_model_output": answer.raw_text,
+        }
+        lines.append(_encode_line(rec) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")

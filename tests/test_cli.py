@@ -738,8 +738,11 @@ def test_eval_rag_audit_line_of_an_errored_item(tmp_path):
 
 
 def test_eval_thread_that_cannot_start_exits_2(tmp_path, capsys, monkeypatch):
+    # Only an http model is asked on threads.
     dataset, _ = make_dataset_jsonl(tmp_path, n_items=8)
-    model_cfg = write_json(tmp_path / "model.json", {"kind": "mock_constant", "reply": "1"})
+    model_cfg = write_json(tmp_path / "model.json", {
+        "kind": "http", "endpoint": "http://x/complete", "model_name": "m"})
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, {"text": "1"}))
     real_start = threading.Thread.start
     starts = []
 
@@ -756,6 +759,37 @@ def test_eval_thread_that_cannot_start_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: cannot start threads for width 4: can't start new thread\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "model.json"]
+
+
+@pytest.mark.parametrize("kind", ["mock_script", "mock_constant"])
+def test_eval_asks_a_local_model_on_no_thread(tmp_path, monkeypatch, kind):
+    # --concurrency bounds an http model's calls; a local model is asked in this
+    # thread, so every width gives the same bytes.
+    from telerag.evalharness import load_dataset, render_prompt
+
+    dataset, _ = make_dataset_jsonl(tmp_path, n_items=12)
+    transcript = tmp_path / "transcript.jsonl"
+    # Replies of each parse status, and none for q5, which is errored.
+    replies = ["2", "The answer is 3", "It is choice {i}-1", "not sure", "4. choice {i}-3"]
+    write_transcript([(render_prompt(it), replies[i % len(replies)].format(i=i))
+                      for i, it in enumerate(load_dataset(dataset)) if it.item_id != "q5"],
+                     transcript)
+    config = ({"kind": kind, "script_path": str(transcript)} if kind == "mock_script"
+              else {"kind": kind, "reply": "2"})
+    model_cfg = write_json(tmp_path / "model.json", config)
+    starts = []
+    monkeypatch.setattr(threading.Thread, "start", starts.append)
+    outputs = []
+    for width in ("1", "8"):
+        out = tmp_path / f"w{width}"
+        out.mkdir()
+        assert main(["eval", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--report", str(out / "r.json"), "--csv", str(out / "r.csv"),
+                     "--concurrency", width]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("r.json", "r.json.audit.jsonl", "r.csv")])
+    assert starts == []
+    assert outputs[0] == outputs[1]
 
 
 def test_usecase_assoc_worker_that_dies_exits_2(tmp_path, capsys, monkeypatch):
@@ -1601,6 +1635,32 @@ def test_config_number_beyond_its_bound_exits_2(tmp_path, capsys, monkeypatch, c
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + error.format(config=config_path)) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("eval", '{"kind": "mock_constant", "reply": "1", "reply": "2"}', "reply"),
+    ("usecase-assoc", '{"kind": "mock_random", "seed": 0, "seed": 1}', "seed"),
+    ("embed", '{"kind": "hash-test", "dims": 4, "seed": 0, "dims": 8}', "dims"),
+], ids=["model", "assoc-model", "provider"])
+def test_config_with_a_key_given_twice_exits_2(tmp_path, capsys, command, config, key):
+    # Which value would count depends on key order, so neither does.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "embed":
+        corpus_path = write_chunk_corpus(tmp_path / "corpus.jsonl", ["t0"])
+        argv = ["--corpus", str(corpus_path), "--provider-config", str(config_path),
+                "--out", str(out)]
+    elif command == "eval":
+        dataset, _ = make_dataset_jsonl(tmp_path, n_items=1)
+        argv = ["--dataset", str(dataset), "--model-config", str(config_path),
+                "--report", str(out)]
+    else:
+        argv = ["--trials", "2", "--seed", "1", "--model-config", str(config_path),
+                "--out", str(out)]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: duplicate key {key!r} in config {config_path}\n"
     assert not out.exists()
 
 

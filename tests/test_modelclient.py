@@ -93,6 +93,68 @@ def test_transcript_rejects_malformed_line(tmp_path, line, reason):
         TranscriptBackend(path)
 
 
+def _record(prompt: str, reply: str = "1", **extra) -> str:
+    return json.dumps({"prompt_sha256": prompt_sha256(prompt), "reply": reply, **extra})
+
+
+_A, _B = _record("a"), _record("b")
+_NESTED = _record("c", x=[[1]])[:-len("]]}")]  # the record goes on past its line
+
+
+# (case id, the transcript's lines, the line a reader of one line at a time names
+# and what it says about it). Joined into one JSON array by commas alone, with no
+# line feeds, the lines of each "split-…-and-…" case give as many values as lines.
+TRANSCRIPT_LINE_FAILURES = [
+    ("two-values-on-one-line", [_A, f"{_B} {_record('c')}"], 2,
+     "Extra data: line 1 column 101 (char 100)"),
+    ("record-split-over-two-lines", [_A, _B[:40], _B[40:]], 2,
+     "Invalid control character at: line 1 column 41 (char 40)"),
+    ("blank-line-before-the-bad-one", [_A, "", "  ", '{"reply": "2"}'], 4, "'prompt_sha256'"),
+    ("not-utf-8-on-a-later-line", [_A, _B, _record("c", "X").replace("X", "\udcff")], 3,
+     "'utf-8' codec can't decode byte 0xff in position 96: invalid start byte"),
+    ("record-split-at-a-comma", [_A, _NESTED, "2]]}"], 2,
+     "Expecting ',' delimiter: line 2 column 1 (char 109)"),
+    ("split-record-and-two-on-one-line", [_NESTED, f"2]]}}, {_A}"], 1,
+     "Expecting ',' delimiter: line 2 column 1 (char 109)"),
+    ("split-record-and-a-number-on-one-line", [_NESTED, "2]]}, 5"], 1,
+     "Expecting ',' delimiter: line 2 column 1 (char 109)"),
+    ("split-string-and-two-on-one-line", [_A[:-1] + ', "x": "}', f'{{"}}, {_B}'], 1,
+     "Invalid control character at: line 1 column 108 (char 107)"),
+]
+
+
+@pytest.mark.parametrize("lines, lineno, reason",
+                         [case[1:] for case in TRANSCRIPT_LINE_FAILURES],
+                         ids=[case[0] for case in TRANSCRIPT_LINE_FAILURES])
+def test_transcript_names_its_first_bad_line(tmp_path, lines, lineno, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    with pytest.raises(ModelProtocolError) as caught:
+        TranscriptBackend(path)
+    assert str(caught.value) == f"bad transcript line {lineno} in {path}: {reason}"
+
+
+def test_transcript_parses_its_lines_with_one_call(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    write_transcript([(f"prompt {i}", f"{i % 5 + 1}. {{reply}} {i}") for i in range(50)], path)
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: loads.append(1) or real_loads(*a, **k))
+    backend = TranscriptBackend(path)
+    assert len(loads) == 1
+    assert backend.complete("prompt 7").text == "3. {reply} 7"
+
+
+def test_transcript_reply_that_reads_as_two_records(tmp_path):
+    # A line's "}, {" inside a string is no break between records.
+    path = tmp_path / "t.jsonl"
+    path.write_text("\r\n".join([_A, "", _record("b", '}, {"reply": "3"}'), _A]) + "\r\n",
+                    encoding="utf-8")
+    backend = TranscriptBackend(path)
+    assert backend.complete("a").text == "1"
+    assert backend.complete("b").text == '}, {"reply": "3"}'
+
+
 def test_transcript_file_format(tmp_path):
     path = tmp_path / "t.jsonl"
     write_transcript([("p", "r")], path)
